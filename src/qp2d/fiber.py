@@ -29,15 +29,25 @@ class DimensionCap(ValueError):
     pass
 
 
+class PackOverflow(ValueError):
+    """A lattice coordinate is too large for the packed row key."""
+
+
 EIG_CAP_DEFAULT = 4096
 
 _PACK_BASE = 4096  # coordinates must stay below half of this
 
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:
-    """Injective int64 key per lattice row, for O(log n) pair matching."""
+    """Injective int64 key per lattice row, for O(log n) pair matching.
+
+    Raises PackOverflow when a coordinate reaches +-_PACK_BASE/2, where
+    distinct rows would share a key."""
     b = _PACK_BASE
     h = b // 2
+    top = int(np.max(np.abs(rows), initial=0))
+    if top >= h:
+        raise PackOverflow(f"coordinate {top} outside +-{h - 1}")
     out = rows[:, 0] + h
     for c in range(1, 4):
         out = out * b + (rows[:, c] + h)

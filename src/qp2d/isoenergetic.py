@@ -11,10 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perturb import LevelEvaluator
+from .perturb import (
+    ContourHit,
+    LevelEvaluator,
+    NonConvergent,
+    NotUnique,
+    generic_step,
+    level2_geometry,
+)
 from .potential import PotentialSpec
 from .profile import ParameterProfile
-from .resonance import AngleSet, ResonantBase, build_omega1
+from .resonance import AngleSet, OverlapDetected, ResonantBase, build_omega1
 from .multiscale import local_pole_discs
 
 TWO_PI = 2.0 * math.pi
@@ -26,6 +33,19 @@ class NoRoot(ArithmeticError):
 
 class NotUniqueRoot(ArithmeticError):
     pass
+
+
+# the typed numerical rejections that make a curve sample a hole; any other
+# exception is a bug and propagates
+REJECTIONS = (
+    NoRoot,
+    NotUniqueRoot,
+    ResonantBase,
+    OverlapDetected,
+    ContourHit,
+    NonConvergent,
+    NotUnique,
+)
 
 
 @dataclass(frozen=True)
@@ -176,8 +196,6 @@ def trace_curve(
             try:
                 geometry = None
                 if n == 2:
-                    from .perturb import level2_geometry
-
                     geometry = level2_geometry(phi, spec, prof)
                     discs = local_pole_discs(phi, k, spec, prof, geometry=geometry)
                     if any(abs(phi - p) <= r for p, r in discs):
@@ -202,7 +220,7 @@ def trace_curve(
                     )
                     base_here = k1
                 h = kappa - base_here
-            except (NoRoot, NotUniqueRoot, ResonantBase, ArithmeticError, ValueError):
+            except REJECTIONS:
                 good = False
         flags.append(good)
         kappas.append(kappa)
@@ -246,8 +264,6 @@ def deviation_profile(
     prof = profile if profile.k == k else profile.with_k(k)
     omega = build_omega1(k, prof, spec.params)
     out: list[tuple[float, float]] = []
-    from .perturb import generic_step
-
     for phi in np.asarray(phi_grid, dtype=float):
         phi = float(phi)
         if not omega.contains(phi):
@@ -258,9 +274,6 @@ def deviation_profile(
                 ev = LevelEvaluator(1, phi, spec, prof)
                 dev = (ev.eigenvalue(k * nu) - lam) / (2.0 * k)
             else:
-                geometry = None
-                from .perturb import level2_geometry
-
                 geometry = level2_geometry(phi, spec, prof)
                 discs = local_pole_discs(phi, k, spec, prof, geometry=geometry)
                 if any(abs(phi - p) <= r for p, r in discs):
@@ -281,7 +294,7 @@ def deviation_profile(
                 )
                 dev = (res.lam - res.lambda_base) / (2.0 * k1)
             out.append((phi, dev))
-        except (NoRoot, NotUniqueRoot, ResonantBase, ArithmeticError, ValueError):
+        except REJECTIONS:
             continue
     return out
 

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import hankel
 
 from .fiber import FiberMatrix, assemble, diagonal_energies, eigvals_oracle
 from .lattice import (
@@ -30,7 +31,7 @@ from .lattice import (
     indices_to_array,
     triple_norm_array,
 )
-from .potential import PotentialSpec
+from .potential import InvariantViolation, PotentialSpec
 from .profile import ParameterProfile
 from .resonance import (
     ClusterDecomposition,
@@ -155,21 +156,11 @@ def _rotate_to_eigenbasis(state: LevelState, mat: np.ndarray) -> np.ndarray:
 
 
 def _rotate_vec_from_eigenbasis(state: LevelState, v: np.ndarray) -> np.ndarray:
+    """U v for a vector, or for each column of a (d, m) array."""
     out = v.copy()
     for pos, bu in zip(state.blocks, state.block_vecs):
         if bu is not None:
             out[pos] = bu @ out[pos]
-    return out
-
-
-def _rotate_mat_from_eigenbasis(state: LevelState, m: np.ndarray) -> np.ndarray:
-    out = m.copy()
-    for pos, bu in zip(state.blocks, state.block_vecs):
-        if bu is not None:
-            out[pos, :] = bu @ out[pos, :]
-    for pos, bu in zip(state.blocks, state.block_vecs):
-        if bu is not None:
-            out[:, pos] = out[:, pos] @ bu.conj().T
     return out
 
 
@@ -361,6 +352,14 @@ def generic_step(
     """Taylor coefficients of the isolated model eigenvalue under the
     in-level perturbation, their sum, and the rank-one projector.
 
+    With with_projector it also returns the projector orders G_1..G_n (n =
+    store_orders, else r_max, capped at 8 when d > 512), each one product
+    G_r = V~ C_r V~^H: V~ = U [v_0 .. v_r] rotates the order vectors by the
+    block eigenbasis U, and the Hankel C_r[a,b] = d[r-a-b] (zero for a+b > r)
+    holds the inverse norm series d, read off the anti-diagonals of the Gram
+    matrix of the v_n.  Terms that cannot reach an entry multiply exact zeros,
+    so the support rule holds bit-exactly.
+
     Raises ContourHit when the contour is not clear of the model spectrum and
     NonConvergent when the coefficient magnitudes stop decaying.
     """
@@ -394,7 +393,8 @@ def generic_step(
         for j in range(1, n):
             rhs += g[j - 1] * vs[n - j]
         lam_n = -(rhs[t])
-        assert abs(lam_n.imag) <= 1e-10 * max(1.0, abs(lam_n)), "g_r must be real"
+        if not abs(lam_n.imag) <= 1e-10 * max(1.0, abs(lam_n)):
+            raise InvariantViolation(f"g_{n} = {lam_n!r} must be real")
         g[n - 1] = lam_n.real
         rhs[t] += lam_n  # add the lam_n * v_0 term, zeroing the t-component
         v_n = rhs * inv
@@ -437,35 +437,25 @@ def generic_step(
     v_full = _rotate_vec_from_eigenbasis(state, v_eig)
     v_full = v_full / np.linalg.norm(v_full)
 
-    projector = None
-    g_mats = None
-    g_norms = None
+    projector = g_mats = g_norms = None
     if with_projector:
         projector = np.outer(v_full, v_full.conj())
         n_store = min(r_max, 8 if d > 512 else r_max) if store_orders is None else store_orders
-        # norm-series inverse: ||v(eps)||^2 = sum c_n eps^n, d_series = 1/c
-        c = np.zeros(n_store + 1, dtype=complex)
-        for nn in range(n_store + 1):
-            c[nn] = sum(
-                np.vdot(vs[a], vs[nn - a]) for a in range(0, nn + 1) if nn - a < len(vs) and a < len(vs)
-            )
+        v_ser = np.stack(vs[: n_store + 1], axis=1)
+        # norm series ||v(eps)||^2 = sum c_n eps^n and its inverse d_ser = 1/c
+        gram = np.fliplr(v_ser.conj().T @ v_ser)
+        c = np.array([np.trace(gram, offset=n_store - nn) for nn in range(n_store + 1)])
         d_ser = np.zeros(n_store + 1, dtype=complex)
         d_ser[0] = 1.0
         for nn in range(1, n_store + 1):
             d_ser[nn] = -np.sum(c[1 : nn + 1] * d_ser[nn - 1 :: -1][: nn])
+        # G_r = sum_{a+b<=r} d_ser[r-a-b] v_a v_b^H in the index basis
+        v_rot = _rotate_vec_from_eigenbasis(state, v_ser)
         g_mats = []
-        g_norms = np.zeros(n_store)
         for r in range(1, n_store + 1):
-            acc = np.zeros((d, d), dtype=complex)
-            for a in range(0, r + 1):
-                for b in range(0, r - a + 1):
-                    coef = d_ser[r - a - b]
-                    if coef == 0.0:
-                        continue
-                    acc += coef * np.outer(vs[a], vs[b].conj())
-            g_r = _rotate_mat_from_eigenbasis(state, acc)
-            g_mats.append(g_r)
-            g_norms[r - 1] = float(np.linalg.norm(g_r))
+            v_r = v_rot[:, : r + 1]
+            g_mats.append((v_r @ hankel(d_ser[r::-1])) @ v_r.conj().T)
+        g_norms = np.array([np.linalg.norm(g_r) for g_r in g_mats])
 
     oracle_lambda = None
     oracle_count = None
@@ -548,9 +538,8 @@ def contour_coeff_series(
             break
         prev = cur
     g = prev
-    assert np.max(np.abs(g.imag)) <= 1e-9 * max(1.0, float(np.max(np.abs(g)))), (
-        "trace coefficients must be real"
-    )
+    if not np.max(np.abs(g.imag)) <= 1e-9 * max(1.0, float(np.max(np.abs(g)))):
+        raise InvariantViolation("trace coefficients must be real")
     return g.real
 
 
@@ -592,8 +581,11 @@ def contour_projector_series(
         e0_prev, gs_prev = e0, gs
         if delta <= 1e-12:
             break
+    def rot(m):  # U m U^H = (U (U m)^H)^H
+        um = _rotate_vec_from_eigenbasis(state, m)
+        return _rotate_vec_from_eigenbasis(state, um.conj().T).conj().T
+
     e_total = e0_prev + sum(gs_prev)
-    rot = lambda m: _rotate_mat_from_eigenbasis(state, m)
     return rot(e_total), [rot(gm) for gm in gs_prev]
 
 
@@ -623,13 +615,13 @@ def eigenvalue_level(
     profile: ParameterProfile,
     check_oracle: bool = True,
     geometry: Level2Geometry | None = None,
-    with_projector: bool = False,
 ) -> SeriesResult:
+    """Dressed eigenvalue and unit eigenvector, without projector orders."""
     state = build_state(n, point, spec, profile, geometry)
     return generic_step(
         state,
         profile,
-        with_projector=with_projector,
+        with_projector=False,
         check_oracle=check_oracle,
     )
 

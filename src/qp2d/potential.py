@@ -39,6 +39,11 @@ class NotInSQ(KeyError):
     """The queried index is outside the support set."""
 
 
+class InvariantViolation(RuntimeError):
+    """An identity that holds by construction failed: a bug, never a
+    numerical rejection, so no rejection handler may catch it."""
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     coeffs: dict[LatticeIndex, complex]
@@ -117,8 +122,8 @@ def coefficient(spec: PotentialSpec, q: LatticeIndex) -> complex:
 
 
 def evaluate(spec: PotentialSpec, x) -> float:
-    """V at a point (or an (N,2) batch) of R^2; asserts the imaginary part
-    vanishes to rounding."""
+    """V at a point (or an (N,2) batch) of R^2; raises InvariantViolation
+    unless the imaginary part vanishes to rounding."""
     xs = np.atleast_2d(np.asarray(x, dtype=float))
     total = np.zeros(xs.shape[0], dtype=complex)
     a = spec.params.alpha
@@ -130,8 +135,8 @@ def evaluate(spec: PotentialSpec, x) -> float:
         )
         total += v * np.exp(2j * math.pi * (xs @ freq))
     scale = spec.coeff_l1
-    if scale > 0:
-        assert float(np.max(np.abs(total.imag))) < 1e-12 * scale
+    if scale > 0 and not float(np.max(np.abs(total.imag))) < 1e-12 * scale:
+        raise InvariantViolation("V(x) has a non-negligible imaginary part")
     vals = total.real
     return float(vals[0]) if np.ndim(x) == 1 else vals
 

@@ -80,25 +80,35 @@ class ParameterProfile:
         return tau_factor * self.t_star
 
     def with_k(self, k: float) -> "ParameterProfile":
-        """Regenerate the k-power thresholds at a new k, same exponents."""
-        return make_profile(
-            k,
-            tau=self.tau,
-            mu=self.mu,
-            delta=self.delta,
-            delta_star=self.delta_star,
-            core_radius=self.core_radius,
-            tilde_radius=self.tilde_radius,
-            box_r1=self.box_r1,
-            box_r2=self.box_r2,
-            m1_isolation=self.m1_isolation,
-            chain_radius=self.chain_radius,
-            m1_box_radius=self.m1_box_radius,
-            body_radius=self.body_radius,
-            r_max=self.r_max,
-            quad_nodes=self.quad_nodes,
-            eig_cap=self.eig_cap,
+        """Regenerate the k-power thresholds at a new k, same exponents; every
+        other field, overrides included, is kept."""
+        return replace(
+            self,
+            **_k_dependent(k, self.tau, self.mu, self.delta, self.delta_star, self.box_r1),
         )
+
+
+def _k_dependent(
+    k: float, tau: float, mu: float, delta: float, delta_star: float, box_r1: int
+) -> dict:
+    """The profile fields that are functions of k."""
+    if k <= 1:
+        raise ValueError("profile needs k > 1")
+    fourty = 40.0 * mu * delta
+    t1 = tau * k ** (1.0 - fourty)
+    return dict(
+        k=float(k),
+        r1_exp=math.log(max(box_r1, 2)) / math.log(k),
+        t1=t1,
+        t_star=delta_star * t1,
+        pole_window=k ** (-2.0 - fourty),
+        o2_disc_radius=2.0 / k**2,
+        interval_width=16.0 / k**2,
+        m2_disc_radius=2.0 / k**2,
+        simple_threshold=0.75 / k,
+        kappa_window_1=tau * k**(-fourty) / 16.0,
+        kappa_window_2=0.02 / k,
+    )
 
 
 def make_profile(
@@ -130,43 +140,25 @@ def make_profile(
     step-II threshold is a fixed fraction of it (a k-power below one is not
     expressible), and all box radii are explicit small integers.
     """
-    if k <= 1:
-        raise ValueError("profile needs k > 1")
     if delta is None:
         delta = 1.0 / (40.0 * mu)
-    fourty = 40.0 * mu * delta
-    t1 = tau * k ** (1.0 - fourty)
-    t_star = delta_star * t1
-    pole_window = k ** (-2.0 - fourty)
-    delta0 = gamma / 100.0
-    r1_exp = math.log(max(box_r1, 2)) / math.log(k)
-
     defaults = dict(
-        k=float(k),
         tau=float(tau),
         mu=float(mu),
         delta=float(delta),
         delta_star=float(delta_star),
-        r1_exp=r1_exp,
         gamma=float(gamma),
-        delta0=float(delta0),
-        t1=t1,
+        delta0=float(gamma / 100.0),
         core_radius=int(core_radius),
         tilde_radius=int(tilde_radius),
-        t_star=t_star,
         box_r1=int(box_r1),
         box_r2=int(box_r2),
         m1_isolation=int(m1_isolation),
         chain_radius=int(chain_radius),
         m1_box_radius=int(m1_box_radius),
         body_radius=int(body_radius),
-        pole_window=pole_window,
         pole_scan_points=400,
         pole_bisect_tol=1e-12,
-        o2_disc_radius=2.0 / k**2,
-        interval_width=16.0 / k**2,
-        m2_disc_radius=2.0 / k**2,
-        simple_threshold=0.75 / k,
         simple_nbhd=max(2, int(round(math.sqrt(box_r1)))),
         cell_black=3.0,
         cell_grey=1.5,
@@ -179,10 +171,9 @@ def make_profile(
         quad_nodes=int(quad_nodes),
         series_tol=1e-12,
         divergence_ratio=0.75,
-        kappa_window_1=tau * k**(-fourty) / 16.0,
-        kappa_window_2=0.02 / k,
         contour_margin=0.5,
         eig_cap=int(eig_cap),
+        **_k_dependent(k, tau, mu, delta, delta_star, box_r1),
     )
     defaults.update(overrides)
     return ParameterProfile(**defaults)

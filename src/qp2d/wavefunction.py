@@ -21,7 +21,7 @@ from .lattice import (
     indices_to_array,
     triple_norm,
 )
-from .perturb import Level2Geometry, projector_level
+from .perturb import Level2Geometry, eigenvalue_level
 from .potential import PotentialSpec
 from .profile import ParameterProfile
 
@@ -51,8 +51,11 @@ def synthesize(
     geometry: Level2Geometry | None = None,
 ) -> WaveFunction:
     """Unit eigenvector of the level projector, with the central coefficient
-    rotated to the positive real axis."""
-    res = projector_level(n, point, spec, profile, geometry=geometry)
+    rotated to the positive real axis.
+
+    The projector is rank one, so its range is the series eigenvector: the
+    eigen-only series gives it without building the projector orders."""
+    res = eigenvalue_level(n, point, spec, profile, check_oracle=False, geometry=geometry)
     v = res.vector.copy()
     i0 = res.indices.index(ZERO_INDEX)
     if v[i0] != 0:

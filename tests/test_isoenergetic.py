@@ -5,11 +5,13 @@ import pytest
 
 from qp2d.isoenergetic import (
     curve_delta,
+    deviation_profile,
     export_curve,
     read_curve,
     solve_radius,
     trace_curve,
 )
+from qp2d.perturb import ContourHit, LevelEvaluator
 from qp2d.profile import make_profile
 from qp2d.resonance import build_omega1, resonant_set_step1
 
@@ -118,6 +120,38 @@ class TestTraceCurve:
         for s1, s2 in zip(c1.samples, c2.samples):
             if s2.admissible:
                 assert s1.admissible
+
+
+class TestRejections:
+    """Only typed numerical rejections become holes; any other exception
+    raised while evaluating a sample is a bug and must propagate."""
+
+    @pytest.fixture()
+    def raising(self, monkeypatch):
+        def install(exc):
+            def eigenvalue(self, kappa, r_max=None):
+                raise exc("raised by the evaluator")
+
+            monkeypatch.setattr(LevelEvaluator, "eigenvalue", eigenvalue)
+
+        return install
+
+    @pytest.mark.parametrize("fn", [trace_curve, deviation_profile])
+    def test_plain_value_error_propagates(self, fn, spec, raising):
+        lam = 625.0
+        prof = make_profile(math.sqrt(lam))
+        raising(ValueError)
+        with pytest.raises(ValueError, match="raised by the evaluator"):
+            fn(1, lam, np.linspace(0, TWO_PI, 8, endpoint=False), spec, prof)
+
+    def test_typed_rejection_is_a_hole(self, spec, raising):
+        lam = 625.0
+        prof = make_profile(math.sqrt(lam))
+        raising(ContourHit)
+        grid = np.linspace(0, TWO_PI, 8, endpoint=False)
+        curve = trace_curve(1, lam, grid, spec, prof)
+        assert curve.admissible_samples == []
+        assert deviation_profile(1, lam, grid, spec, prof) == []
 
 
 class TestCurveDelta:

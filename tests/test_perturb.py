@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +13,13 @@ from qp2d.lattice import (
     ZERO_INDEX,
     dual_vector,
     enumerate_box,
+    indices_to_array,
     triple_norm,
+    triple_norm_array,
 )
 from qp2d.perturb import (
+    _rotate_to_eigenbasis,
+    _rotate_vec_from_eigenbasis,
     ContourHit,
     LevelEvaluator,
     NonConvergent,
@@ -39,6 +47,12 @@ def admissible_phi(om, rng):
         phi = float(rng.uniform(0, TWO_PI))
         if om.contains(phi):
             return phi
+
+
+def pair_norms(indices):
+    """|||s||| + |||s'||| for every entry (s, s') of a matrix over indices."""
+    norms = triple_norm_array(indices_to_array(indices))
+    return norms[:, None] + norms[None, :]
 
 
 def g2_closed_form(kappa, spec, radius):
@@ -191,11 +205,10 @@ class TestProjector:
         kap = k * np.array([math.cos(phi), math.sin(phi)])
         state = level1_state(kap, spec1, prof)
         res = generic_step(state, prof, with_projector=True, store_orders=6)
+        pair_norm = pair_norms(res.indices)
         for r, g_r in enumerate(res.g_matrices, start=1):
-            for i, s in enumerate(res.indices):
-                for j, sp in enumerate(res.indices):
-                    if r * spec1.Q < triple_norm(s) + triple_norm(sp):
-                        assert g_r[i, j] == 0.0  # bit-exact, not approximate
+            mask = r * spec1.Q < pair_norm
+            assert np.all(g_r[mask] == 0.0)  # bit-exact, not approximate
 
     def test_support_rule_quadrature_route(self, params, rng):
         g = LatticeIndex((1, 0), (0, 0))
@@ -208,11 +221,10 @@ class TestProjector:
         state = level1_state(kap, spec1, prof)
         _, gs = contour_projector_series(state, prof, r_max=4)
         scale = max(np.max(np.abs(gm)) for gm in gs)
+        pair_norm = pair_norms(state.indices)
         for r, g_r in enumerate(gs, start=1):
-            for i, s in enumerate(state.indices):
-                for j, sp in enumerate(state.indices):
-                    if r * spec1.Q < triple_norm(s) + triple_norm(sp):
-                        assert abs(g_r[i, j]) <= 1e-12 * scale
+            mask = r * spec1.Q < pair_norm
+            assert np.all(np.abs(g_r[mask]) <= 1e-12 * scale)
 
     def test_matches_oracle_eigenprojector(self, spec, params, rng):
         k = 40.0
@@ -237,6 +249,95 @@ class TestProjector:
         res = generic_step(state, prof, with_projector=True)
         e_quad, _ = contour_projector_series(state, prof, r_max=24)
         assert np.max(np.abs(e_quad - res.projector)) <= 1e-9
+
+
+def rotate_mat_from_eigenbasis(state, m):
+    """U m U^H, rows then columns, block by block."""
+    out = m.copy()
+    for pos, bu in zip(state.blocks, state.block_vecs):
+        if bu is not None:
+            out[pos, :] = bu @ out[pos, :]
+    for pos, bu in zip(state.blocks, state.block_vecs):
+        if bu is not None:
+            out[:, pos] = out[:, pos] @ bu.conj().T
+    return out
+
+
+def outer_product_orders(state, prof, n_store):
+    """Reference: the order vectors by the same recursion, then every
+    projector order as a sum of outer products in the eigenbasis, rotated
+    back as a d x d matrix.  Returns (lam, vector, G_1..G_n, norms)."""
+    w_tilde = _rotate_to_eigenbasis(state, state.w)
+    t, d = state.target, state.dim
+    denom = state.block_vals - state.lambda0
+    inv = np.zeros(d)
+    nz = np.abs(denom) > 0
+    inv[nz] = 1.0 / denom[nz]
+    inv[t] = 0.0
+    vs = [np.zeros(d, dtype=complex)]
+    vs[0][t] = 1.0
+    g = np.zeros(prof.r_max)
+    for n in range(1, prof.r_max + 1):
+        rhs = -(w_tilde @ vs[n - 1])
+        for j in range(1, n):
+            rhs += g[j - 1] * vs[n - j]
+        g[n - 1] = (-rhs[t]).real
+        rhs[t] += -rhs[t]
+        vs.append(rhs * inv)
+    lam = state.lambda0 + float(np.sum(g[1:]))
+    v = _rotate_vec_from_eigenbasis(state, np.sum(vs, axis=0))
+    v = v / np.linalg.norm(v)
+    c = [sum(np.vdot(vs[a], vs[nn - a]) for a in range(nn + 1)) for nn in range(n_store + 1)]
+    d_ser = np.zeros(n_store + 1, dtype=complex)
+    d_ser[0] = 1.0
+    for nn in range(1, n_store + 1):
+        d_ser[nn] = -sum(c[j] * d_ser[nn - j] for j in range(1, nn + 1))
+    mats = []
+    for r in range(1, n_store + 1):
+        acc = np.zeros((d, d), dtype=complex)
+        for a in range(r + 1):
+            for b in range(r - a + 1):
+                acc += d_ser[r - a - b] * np.outer(vs[a], vs[b].conj())
+        mats.append(rotate_mat_from_eigenbasis(state, acc))
+    return lam, v, mats, np.array([np.linalg.norm(m) for m in mats])
+
+
+class TestFactoredOrders:
+    """G_r = V~ C_r V~^H against the outer-product reference: only the BLAS
+    summation order differs and no term is dropped, so entries agree to a
+    few ulps of the largest entry and exact zeros stay exact."""
+
+    def check(self, state, prof, n_orders):
+        res = generic_step(state, prof, with_projector=True)
+        eig = generic_step(state, prof, with_projector=False)
+        lam, v, mats, norms = outer_product_orders(state, prof, n_orders)
+        assert res.lam == eig.lam == lam
+        assert np.array_equal(res.vector, eig.vector)
+        assert np.array_equal(res.vector, v)
+        assert np.array_equal(res.projector, np.outer(v, v.conj()))
+        assert len(res.g_matrices) == n_orders
+        for g_r, ref in zip(res.g_matrices, mats):
+            assert np.array_equal(g_r == 0, ref == 0)
+            assert np.max(np.abs(g_r - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.allclose(res.g_norms, norms, rtol=1e-13, atol=0.0)
+
+    def test_level1_all_orders(self, spec, params, rng):
+        k = 40.0
+        prof = make_profile(k)
+        phi = admissible_phi(build_omega1(k, prof, params), rng)
+        state = level1_state(k * np.array([math.cos(phi), math.sin(phi)]), spec, prof)
+        assert state.dim == 113
+        self.check(state, prof, prof.r_max)
+
+    def test_level2_blocks(self, spec, params, rng):
+        k = 40.0
+        prof = make_profile(k)
+        phi = admissible_phi(build_omega1(k, prof, params, 8.0), rng)
+        kap = k * np.array([math.cos(phi), math.sin(phi)])
+        state = build_state(2, kap, spec, prof)
+        assert state.dim == 1121
+        assert any(len(pos) > 1 for pos in state.blocks)
+        self.check(state, prof, 8)
 
 
 class TestLevels:
@@ -360,3 +461,60 @@ class TestDerivatives:
             sups.append(worst)
         # relative angular sensitivity stays far below radial
         assert all(s < 0.05 for s in sups)
+
+
+GUARDS_SCRIPT = """
+import sys
+import numpy as np
+from qp2d.lattice import LatticeIndex, QPParams
+from qp2d.perturb import contour_coeff_series, generic_step, toy_state
+from qp2d.potential import InvariantViolation, PotentialSpec, evaluate
+from qp2d.profile import make_profile
+
+if not sys.flags.optimize:
+    sys.exit("run without -O: assert statements are still live")
+prof = make_profile(10.0)
+# non-Hermitian coupling: the second-order coefficient is imaginary
+h = np.array([[0.0, 0.1], [0.1j, 1.0]])
+idx = [LatticeIndex((0, 0), (0, 0)), LatticeIndex((1, 0), (0, 0))]
+state = toy_state(h, [[0], [1]], idx, target_value=0.0, profile=prof)
+g = LatticeIndex((1, 0), (0, 0))
+params = QPParams(quadratic=(-1, 1, 2, 1), mu=2.0)
+spec = PotentialSpec(coeffs={g: 0.1, -g: 0.1j}, Q=1, generators=(), params=params)
+for name, call in [
+    ("generic_step", lambda: generic_step(state, prof, with_projector=False)),
+    ("contour_coeff_series", lambda: contour_coeff_series(state, prof, r_max=4)),
+    ("evaluate", lambda: evaluate(spec, np.array([0.1, 0.2]))),
+]:
+    try:
+        call()
+        print(name, "returned")
+    except InvariantViolation:
+        print(name, "raised")
+"""
+
+
+class TestRuntimeGuards:
+    def test_not_a_rejection_type(self):
+        from qp2d.potential import InvariantViolation
+
+        assert not issubclass(InvariantViolation, (ValueError, ArithmeticError))
+
+    def test_guards_hold_under_optimize(self):
+        # python -O strips assert statements; the guards must still raise
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", GUARDS_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n")[:3] == [
+            "generic_step raised",
+            "contour_coeff_series raised",
+            "evaluate raised",
+        ]
