@@ -1,9 +1,11 @@
 """Finite sections of the fiber operator H(kappa) on l^2(Z^4) and the dense
 exact-diagonalization oracle used to validate every perturbative result.
 
-H(kappa)_{m,m'} = |kappa + p_m|^2 delta_{m,m'} + V_{m-m'}, assembled so that
-Hermiticity is exact at the bit level (each conjugate pair of entries is
-written from a single coefficient).
+H(kappa)_{m,m'} = |kappa + p_m|^2 delta_{m,m'} + V_{m-m'}.  The off-diagonal
+coupling is kappa-independent and has a handful of entries per row, so it is
+filled once as a CSR matrix (`coupling_matrix`); the dense section is that
+matrix plus the diagonal, for the oracle.  Hermiticity is exact at the bit
+level: each conjugate pair of entries is written from a single coefficient.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .lattice import (
     LatticeIndex,
@@ -111,18 +114,34 @@ def coupling_pairs(rows: np.ndarray, spec: PotentialSpec):
     return out
 
 
+def coupling_matrix(rows: np.ndarray, spec: PotentialSpec) -> sp.csr_matrix:
+    """The off-diagonal coupling V_{m-m'} over the rows as a CSR matrix with
+    sorted column indices.  The entry above the diagonal is written from V_q
+    and its mirror from V_q.conjugate(), so the matrix is Hermitian bit for
+    bit."""
+    n = len(rows)
+    i_all, j_all, v_all = [], [], []
+    for i_idx, j_idx, v in coupling_pairs(rows, spec):
+        upper = i_idx < j_idx
+        iu, ju = i_idx[upper], j_idx[upper]
+        i_all += [iu, ju]
+        j_all += [ju, iu]
+        v_all += [np.full(len(iu), v, dtype=complex), np.full(len(iu), np.conj(v))]
+    if not v_all:
+        return sp.csr_matrix((n, n), dtype=complex)
+    return sp.csr_matrix(
+        (np.concatenate(v_all), (np.concatenate(i_all), np.concatenate(j_all))),
+        shape=(n, n),
+    )
+
+
 def assemble(kappa, indices, spec: PotentialSpec, params: QPParams) -> FiberMatrix:
     idx = list(indices)
     if len(set(idx)) != len(idx):
         raise DuplicateIndex("index list contains duplicates")
     rows = indices_to_array(idx)
-    n = len(idx)
-    h = np.zeros((n, n), dtype=complex)
+    h = coupling_matrix(rows, spec).toarray()
     np.fill_diagonal(h, diagonal_energies(kappa, rows, params))
-    for i_idx, j_idx, v in coupling_pairs(rows, spec):
-        upper = i_idx < j_idx
-        h[i_idx[upper], j_idx[upper]] = v
-        h[j_idx[upper], i_idx[upper]] = v.conjugate()
     return FiberMatrix(
         indices=tuple(idx), kappa=np.asarray(kappa, dtype=float), entries=h
     )
@@ -146,7 +165,7 @@ def eigvals_oracle(mat: FiberMatrix, cap: int = EIG_CAP_DEFAULT) -> np.ndarray:
 
 def resolvent_gap(mat: FiberMatrix, z: complex) -> float:
     """dist(z, spec(M)) = 1/||(M - z)^{-1}|| for self-adjoint M."""
-    vals = eig_oracle(mat).eigenvalues
+    vals = eigvals_oracle(mat)
     return float(np.min(np.abs(vals - z)))
 
 
@@ -156,6 +175,6 @@ def spectral_window(
     """Eigenvalues with |lambda - center| <= radius and their count."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    vals = eig_oracle(mat).eigenvalues
+    vals = eigvals_oracle(mat)
     inside = vals[np.abs(vals - center) <= radius]
     return len(inside), inside

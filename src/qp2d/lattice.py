@@ -266,6 +266,13 @@ def enumerate_box(radius: int) -> list[LatticeIndex]:
     return array_to_indices(enumerate_box_array(radius))
 
 
+@lru_cache(maxsize=32)
+def box_indices(radius: int) -> tuple[LatticeIndex, ...]:
+    """enumerate_box as a shared tuple, built on first use per radius; sorted,
+    so a filtered pass over it needs no sort."""
+    return tuple(array_to_indices(enumerate_box_array(radius)))
+
+
 def box_size(radius: int) -> int:
     return enumerate_box_array(radius).shape[0]
 

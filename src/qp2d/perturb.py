@@ -12,23 +12,36 @@ survive in the output bit-exactly.  `contour_coeff_series` and
 `contour_projector_series` evaluate the defining circle integrals by
 adaptive trapezoidal quadrature and serve as an independent route for
 cross-validation.
+
+The coupling is sparse (a handful of entries per row), so no d x d array is
+built per kappa: `LevelEvaluator` splits it once into the dense in-block
+parts of the multi-index blocks and the cross-block W as CSR, and the
+recursion applies W~ v = U^H (W (U v)) with the block-diagonal eigenbasis U
+held as CSR.  Only the oracle check (`LevelState.h_full`) and the quadrature
+routes densify.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import hankel
 
-from .fiber import FiberMatrix, assemble, diagonal_energies, eigvals_oracle
+from .fiber import (  # noqa: F401 - assemble is re-exported as perturb.assemble
+    FiberMatrix,
+    assemble,
+    coupling_matrix,
+    diagonal_energies,
+    eigvals_oracle,
+)
 from .lattice import (
     LatticeIndex,
     ZERO_INDEX,
-    array_to_indices,
+    box_indices,
     enumerate_box_array,
-    indices_to_array,
     triple_norm_array,
 )
 from .potential import InvariantViolation, PotentialSpec
@@ -69,28 +82,42 @@ class Contour:
 
 @dataclass
 class LevelState:
-    """Model/perturbation split of one truncation level.
+    """Model/perturbation split of one truncation level at one kappa.
 
-    blocks: integer position arrays partitioning range(dim); h_model keeps
-    the diagonal plus all in-block entries of h_full, so h_model + w equals
-    h_full entrywise by construction.
+    blocks: integer position arrays partitioning range(dim).  The model is
+    diag plus the in-block coupling of each multi-index block (`couplings`:
+    (positions, dense block with zero diagonal) pairs); w holds every coupling
+    entry between distinct blocks as CSR.  The three are disjoint, so they
+    add up to h_full entrywise.  block_vals are the model eigenvalues by
+    position and u the block-diagonal model eigenbasis (CSR, identity on the
+    singletons).
     """
 
     level: int
     indices: tuple[LatticeIndex, ...]
-    h_full: np.ndarray
+    diag: np.ndarray
     blocks: list[np.ndarray]
-    h_model: np.ndarray
-    w: np.ndarray
+    couplings: list[tuple[np.ndarray, np.ndarray]]
+    w: sp.csr_matrix
+    block_vals: np.ndarray
+    u: sp.csr_matrix
     target: int  # position of the target basis index (block-eigen target)
     lambda0: float
-    contour: Contour
-    block_vals: np.ndarray = field(default=None, repr=False)
-    block_vecs: list = field(default=None, repr=False)
+    contour: Contour | None
 
     @property
     def dim(self) -> int:
         return len(self.indices)
+
+    @property
+    def h_full(self) -> np.ndarray:
+        """The dense section H(kappa), built on each access: for the oracle
+        and for tests, never for the series."""
+        h = self.w.toarray()
+        for pos, blk in self.couplings:
+            h[np.ix_(pos, pos)] = blk
+        np.fill_diagonal(h, self.diag)
+        return h
 
 
 @dataclass
@@ -103,6 +130,8 @@ class SeriesResult:
     contour: Contour
     indices: tuple[LatticeIndex, ...]
     vector: np.ndarray  # unit eigenvector in the index basis
+    decay_ratio: float  # last per-order rate of |g_r| (0.0: fewer than two nonzero)
+    orders: int  # r_max, the number of orders computed
     projector: np.ndarray | None = None
     g_matrices: list[np.ndarray] | None = None
     g_norms: np.ndarray | None = None
@@ -121,54 +150,94 @@ class SeriesResult:
 # ---------------------------------------------------------------------------
 
 
-def _model_from_blocks(h_full: np.ndarray, blocks) -> np.ndarray:
-    h_model = np.zeros_like(h_full)
-    for pos in blocks:
-        sel = np.ix_(pos, pos)
-        h_model[sel] = h_full[sel]
-    return h_model
+class _BlockSplit:
+    """The kappa-independent part of a block model: the off-diagonal coupling
+    split into the dense in-block coupling of each multi-index block and the
+    cross-block rest W (CSR), and the CSR pattern of the eigenbasis U."""
 
+    def __init__(self, off: sp.csr_matrix, blocks: list[np.ndarray]):
+        d = off.shape[0]
+        self.blocks = blocks
+        multi = [pos for pos in blocks if len(pos) > 1]
+        label = np.arange(d)
+        loc = np.zeros(d, dtype=np.int64)
+        single = np.ones(d, dtype=bool)
+        for pos in multi:
+            label[pos] = pos[0]
+            loc[pos] = np.arange(len(pos))
+            single[pos] = False
+        coo = off.tocoo()
+        cross = label[coo.row] != label[coo.col]
+        self.w = sp.csr_matrix(
+            (coo.data[cross], (coo.row[cross], coo.col[cross])), shape=(d, d)
+        )
+        rr, cc, vv = coo.row[~cross], coo.col[~cross], coo.data[~cross]
+        self.couplings = []
+        for pos in multi:
+            sel = label[rr] == pos[0]
+            blk = np.zeros((len(pos), len(pos)), dtype=complex)
+            blk[loc[rr[sel]], loc[cc[sel]]] = vv[sel]
+            self.couplings.append((pos, blk))
+        # U entries in the order: singletons, then each block's U_b row-major
+        single = np.flatnonzero(single)
+        u_rows = np.concatenate([single] + [np.repeat(pos, len(pos)) for pos in multi])
+        u_cols = np.concatenate([single] + [np.tile(pos, len(pos)) for pos in multi])
+        self._order = np.lexsort((u_cols, u_rows))
+        self._cols = u_cols[self._order]
+        self._indptr = np.searchsorted(u_rows[self._order], np.arange(d + 1))
+        self._ones = np.ones(len(single), dtype=complex)
 
-def _eigendecompose_blocks(state: LevelState) -> None:
-    vals = np.empty(state.dim)
-    vecs = []
-    for pos in state.blocks:
-        if len(pos) == 1:
-            vals[pos[0]] = state.h_model[pos[0], pos[0]].real
-            vecs.append(None)
-        else:
-            bv, bu = np.linalg.eigh(state.h_model[np.ix_(pos, pos)])
+    def state(self, level: int, indices, diag: np.ndarray) -> LevelState:
+        """The model eigenpairs at one diagonal: each multi-index block is
+        eigendecomposed from its coupling plus diag(diag[pos]), entry for
+        entry the in-block part of H(kappa).  Target and contour are unset."""
+        vals = diag.real.copy()
+        parts = [self._ones]
+        for pos, blk in self.couplings:
+            bv, bu = np.linalg.eigh(blk + np.diag(diag[pos]))
             vals[pos] = bv
-            vecs.append(bu)
-    state.block_vals = vals
-    state.block_vecs = vecs
+            parts.append(bu.ravel())
+        d = len(diag)
+        u = sp.csr_matrix(
+            (np.concatenate(parts)[self._order], self._cols, self._indptr), shape=(d, d)
+        )
+        return LevelState(
+            level=level,
+            indices=indices,
+            diag=diag,
+            blocks=self.blocks,
+            couplings=self.couplings,
+            w=self.w,
+            block_vals=vals,
+            u=u,
+            target=-1,
+            lambda0=math.nan,
+            contour=None,
+        )
 
 
-def _rotate_to_eigenbasis(state: LevelState, mat: np.ndarray) -> np.ndarray:
-    out = mat.copy()
-    for pos, bu in zip(state.blocks, state.block_vecs):
-        if bu is not None:
-            out[pos, :] = bu.conj().T @ out[pos, :]
-    for pos, bu in zip(state.blocks, state.block_vecs):
-        if bu is not None:
-            out[:, pos] = out[:, pos] @ bu
-    return out
+def _aim(state: LevelState, target: int, lambda0: float, gap: float,
+         profile: ParameterProfile) -> LevelState:
+    """Fix the target and a contour of contour_margin * gap around lambda0."""
+    state.target = target
+    state.lambda0 = lambda0
+    state.contour = Contour(lambda0, profile.contour_margin * gap, profile.quad_nodes)
+    return state
 
 
-def _rotate_vec_from_eigenbasis(state: LevelState, v: np.ndarray) -> np.ndarray:
-    """U v for a vector, or for each column of a (d, m) array."""
-    out = v.copy()
-    for pos, bu in zip(state.blocks, state.block_vecs):
-        if bu is not None:
-            out[pos] = bu @ out[pos]
-    return out
+def _aim_nearest(state: LevelState, cand: np.ndarray, value: float,
+                 profile: ParameterProfile) -> LevelState:
+    """Target the model eigenvalue nearest value among the candidate
+    positions; the contour radius is a fraction of its model gap."""
+    target = int(cand[np.argmin(np.abs(state.block_vals[cand] - value))])
+    state.target = target
+    state.lambda0 = float(state.block_vals[target])
+    return _aim(state, target, state.lambda0, model_gap(state), profile)
 
 
 def model_gap(state: LevelState) -> float:
     """Distance from the target model eigenvalue to the rest of the model
     spectrum."""
-    if state.block_vals is None:
-        _eigendecompose_blocks(state)
     others = np.delete(state.block_vals, state.target)
     if len(others) == 0:
         return math.inf
@@ -181,37 +250,7 @@ def level1_state(
     profile: ParameterProfile,
 ) -> LevelState:
     """Diagonal model on the small box; perturbation is the whole potential."""
-    params = spec.params
-    rows = enumerate_box_array(profile.core_radius)
-    indices = tuple(array_to_indices(rows))
-    h = assemble(kappa, indices, spec, params)
-    blocks = [np.array([i]) for i in range(len(indices))]
-    h_model = np.diag(np.diag(h.entries))
-    w = h.entries - h_model
-    target = indices.index(ZERO_INDEX)
-    kap = np.asarray(kappa, dtype=float)
-    lambda0 = float(kap @ kap)
-
-    # contour radius: fraction of the gap to the nearest unperturbed level
-    # over the larger exclusion-zone box
-    big = enumerate_box_array(profile.tilde_radius)
-    nz = triple_norm_array(big) > 0
-    levels = diagonal_energies(kap, big[nz], params)
-    gap = float(np.min(np.abs(levels - lambda0)))
-    radius = profile.contour_margin * gap
-    state = LevelState(
-        level=1,
-        indices=indices,
-        h_full=h.entries,
-        blocks=blocks,
-        h_model=h_model,
-        w=w,
-        target=target,
-        lambda0=lambda0,
-        contour=Contour(lambda0, radius, profile.quad_nodes),
-    )
-    _eigendecompose_blocks(state)
-    return state
+    return build_state(1, kappa, spec, profile)
 
 
 @dataclass
@@ -224,6 +263,7 @@ class Level2Geometry:
     projector: object  # BlockProjector
     block_positions: list[np.ndarray]
     indices: tuple[LatticeIndex, ...]
+    rows: np.ndarray  # indices as an (N, 4) array
     core_positions: np.ndarray
 
 
@@ -236,73 +276,27 @@ def level2_geometry(
     decomp = classify(phi0, k, spec, profile)
     decomp = strength(decomp, k, phi0, spec, profile)
     projector = assemble_projector(decomp, k, profile, spec)
-    rows = enumerate_box_array(profile.box_r1)
-    indices = tuple(array_to_indices(rows))
+    indices = box_indices(profile.box_r1)
     pos = {m: i for i, m in enumerate(indices)}
     block_positions = []
     core_positions = None
-    covered = set()
+    single = np.ones(len(indices), dtype=bool)
     for blk in projector.blocks:
         arr = np.array(sorted(pos[m] for m in blk.indices), dtype=np.int64)
         block_positions.append(arr)
-        covered.update(arr.tolist())
+        single[arr] = False
         if blk.kind == "core":
             core_positions = arr
-    for i in range(len(indices)):
-        if i not in covered:
-            block_positions.append(np.array([i], dtype=np.int64))
+    block_positions.extend(np.flatnonzero(single)[:, None])
     return Level2Geometry(
         phi0=phi0,
         decomp=decomp,
         projector=projector,
         block_positions=block_positions,
         indices=indices,
+        rows=enumerate_box_array(profile.box_r1),
         core_positions=core_positions,
     )
-
-
-def level2_state(
-    kappa,
-    spec: PotentialSpec,
-    profile: ParameterProfile,
-    geometry: Level2Geometry | None = None,
-) -> LevelState:
-    """Block model of the r1-box: resonance blocks plus free diagonal."""
-    kap = np.asarray(kappa, dtype=float)
-    phi = math.atan2(kap[1], kap[0]) % (2 * math.pi)
-    if geometry is None:
-        geometry = level2_geometry(phi, spec, profile)
-    h = assemble(kap, geometry.indices, spec, spec.params)
-    h_model = _model_from_blocks(h.entries, geometry.block_positions)
-    w = h.entries - h_model
-
-    # target: the dressed eigenvalue of the core block nearest |kappa|^2
-    core = geometry.core_positions
-    sel = np.ix_(core, core)
-    cv, _ = np.linalg.eigh(h.entries[sel])
-    lam_free = float(kap @ kap)
-    lambda0 = float(cv[np.argmin(np.abs(cv - lam_free))])
-
-    state = LevelState(
-        level=2,
-        indices=geometry.indices,
-        h_full=h.entries,
-        blocks=geometry.block_positions,
-        h_model=h_model,
-        w=w,
-        target=-1,  # fixed after eigendecomposition
-        lambda0=lambda0,
-        contour=Contour(lambda0, 0.0, profile.quad_nodes),
-    )
-    _eigendecompose_blocks(state)
-    cand = geometry.core_positions
-    state.target = int(cand[np.argmin(np.abs(state.block_vals[cand] - lambda0))])
-    state.lambda0 = float(state.block_vals[state.target])
-    gap = model_gap(state)
-    state.contour = Contour(
-        state.lambda0, profile.contour_margin * gap, profile.quad_nodes
-    )
-    return state
 
 
 def toy_state(
@@ -313,26 +307,13 @@ def toy_state(
     profile: ParameterProfile,
     level: int = 3,
 ) -> LevelState:
-    """Caller-assembled state for structural tests of higher levels."""
-    h_model = _model_from_blocks(h_full, [np.asarray(b) for b in blocks])
-    state = LevelState(
-        level=level,
-        indices=tuple(indices),
-        h_full=h_full,
-        blocks=[np.asarray(b) for b in blocks],
-        h_model=h_model,
-        w=h_full - h_model,
-        target=-1,
-        lambda0=target_value,
-        contour=Contour(target_value, 0.0, profile.quad_nodes),
-    )
-    _eigendecompose_blocks(state)
-    state.target = int(np.argmin(np.abs(state.block_vals - target_value)))
-    state.lambda0 = float(state.block_vals[state.target])
-    state.contour = Contour(
-        state.lambda0, profile.contour_margin * model_gap(state), profile.quad_nodes
-    )
-    return state
+    """Caller-assembled state for structural tests of higher levels; the
+    caller's off-diagonal entries become the CSR coupling as they are."""
+    h = np.asarray(h_full, dtype=complex)
+    diag = np.diag(h).copy()
+    split = _BlockSplit(sp.csr_matrix(h - np.diag(diag)), [np.asarray(b) for b in blocks])
+    state = split.state(level, tuple(indices), diag)
+    return _aim_nearest(state, np.arange(len(diag)), target_value, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -340,56 +321,16 @@ def toy_state(
 # ---------------------------------------------------------------------------
 
 
-def generic_step(
-    state: LevelState,
-    profile: ParameterProfile,
-    r_max: int | None = None,
-    with_projector: bool = True,
-    store_orders: int | None = None,
-    check_oracle: bool = False,
-    strict_convergence: bool = True,
-) -> SeriesResult:
-    """Taylor coefficients of the isolated model eigenvalue under the
-    in-level perturbation, their sum, and the rank-one projector.
-
-    With with_projector it also returns the projector orders G_1..G_n (n =
-    store_orders, else r_max, capped at 8 when d > 512), each one product
-    G_r = V~ C_r V~^H: V~ = U [v_0 .. v_r] rotates the order vectors by the
-    block eigenbasis U, and the Hankel C_r[a,b] = d[r-a-b] (zero for a+b > r)
-    holds the inverse norm series d, read off the anti-diagonals of the Gram
-    matrix of the v_n.  Terms that cannot reach an entry multiply exact zeros,
-    so the support rule holds bit-exactly.
-
-    Raises ContourHit when the contour is not clear of the model spectrum and
-    NonConvergent when the coefficient magnitudes stop decaying.
-    """
-    r_max = profile.r_max if r_max is None else r_max
-    if state.block_vals is None:
-        _eigendecompose_blocks(state)
-    gap = model_gap(state)
-    if state.contour.radius <= 0 or not math.isfinite(state.contour.radius):
-        raise ContourHit("degenerate contour radius")
-    if gap <= state.contour.radius * (1.0 + 1e-8):
-        raise ContourHit(
-            f"model eigenvalue within {gap:.3g} of the contour radius "
-            f"{state.contour.radius:.3g}"
-        )
-
-    lam0 = state.lambda0
-    t = state.target
-    w_tilde = _rotate_to_eigenbasis(state, state.w)
-    d = state.dim
-    denom = state.block_vals - lam0
-    inv = np.zeros(d)
-    nz = np.abs(denom) > 0
-    inv[nz] = 1.0 / denom[nz]
-    inv[t] = 0.0
-
-    vs = [np.zeros(d, dtype=complex)]
-    vs[0][t] = 1.0
+def _rs_orders(apply_w, inv: np.ndarray, t: int, r_max: int):
+    """The Rayleigh-Schrodinger recursion in the model eigenbasis: the
+    coefficients g_1..g_r and the order vectors v_0..v_r, given v -> W~ v, the
+    reduced resolvent inv (zero at the target t) and r_max."""
+    v0 = np.zeros(len(inv), dtype=complex)
+    v0[t] = 1.0
+    vs = [v0]
     g = np.zeros(r_max, dtype=float)
     for n in range(1, r_max + 1):
-        rhs = -(w_tilde @ vs[n - 1])
+        rhs = -apply_w(vs[n - 1])
         for j in range(1, n):
             rhs += g[j - 1] * vs[n - j]
         lam_n = -(rhs[t])
@@ -397,12 +338,18 @@ def generic_step(
             raise InvariantViolation(f"g_{n} = {lam_n!r} must be real")
         g[n - 1] = lam_n.real
         rhs[t] += lam_n  # add the lam_n * v_0 term, zeroing the t-component
-        v_n = rhs * inv
-        vs.append(v_n)
+        vs.append(rhs * inv)
+    return g, vs
 
-    # decay diagnostics over the significant entries of the sequence (odd
-    # orders may vanish identically, so rates are per-order geometric means
-    # between consecutive nonzero magnitudes)
+
+def _decay(g: np.ndarray, lam0: float, profile: ParameterProfile, strict: bool):
+    """(last decay rate, converged, tail estimate) of the coefficients.
+
+    Rates are taken over the significant entries only (odd orders may vanish
+    identically), as per-order geometric means between consecutive nonzero
+    magnitudes.  Three rates in a row at or above divergence_ratio mark the
+    series unconverged, and raise NonConvergent when strict."""
+    r_max = len(g)
     mags = np.abs(g)
     floor = 1e-14 * max(1.0, abs(lam0))
     ratio = 0.0
@@ -420,7 +367,7 @@ def generic_step(
             bad_run = bad_run + 1 if rr >= profile.divergence_ratio else 0
             if bad_run >= 3:
                 converged = False
-                if strict_convergence:
+                if strict:
                     raise NonConvergent(
                         f"|g_r| rate {rr:.3f} >= {profile.divergence_ratio} "
                         "over 3 significant orders"
@@ -431,14 +378,68 @@ def generic_step(
         if last_mag is not None
         else 0.0
     )
+    return ratio, converged, tail
+
+
+def _reduced_inverse(block_vals: np.ndarray, lam0: float, t: int) -> np.ndarray:
+    denom = block_vals - lam0
+    inv = np.zeros(len(denom))
+    nz = np.abs(denom) > 0
+    inv[nz] = 1.0 / denom[nz]
+    inv[t] = 0.0
+    return inv
+
+
+def generic_step(
+    state: LevelState,
+    profile: ParameterProfile,
+    r_max: int | None = None,
+    with_projector: bool = True,
+    store_orders: int | None = None,
+    check_oracle: bool = False,
+    strict_convergence: bool = True,
+) -> SeriesResult:
+    """Taylor coefficients of the isolated model eigenvalue under the
+    in-level perturbation, their sum, and the rank-one projector.
+
+    Each order applies W~ v = U^H (W (U v)) with sparse U and W, so the cost
+    per order is a few sparse matvecs.  With with_projector it also returns
+    the projector orders G_1..G_n (n = store_orders, else r_max, capped at 8
+    when d > 512), each one product G_r = V~ C_r V~^H: V~ = U [v_0 .. v_r]
+    rotates the order vectors by the block eigenbasis U, and the Hankel
+    C_r[a,b] = d[r-a-b] (zero for a+b > r) holds the inverse norm series d,
+    read off the anti-diagonals of the Gram matrix of the v_n.  Terms that
+    cannot reach an entry multiply exact zeros, so the support rule holds
+    bit-exactly.
+
+    Raises ContourHit when the contour is not clear of the model spectrum and
+    NonConvergent when the coefficient magnitudes stop decaying.
+    """
+    r_max = profile.r_max if r_max is None else r_max
+    gap = model_gap(state)
+    if state.contour.radius <= 0 or not math.isfinite(state.contour.radius):
+        raise ContourHit("degenerate contour radius")
+    if gap <= state.contour.radius * (1.0 + 1e-8):
+        raise ContourHit(
+            f"model eigenvalue within {gap:.3g} of the contour radius "
+            f"{state.contour.radius:.3g}"
+        )
+
+    lam0 = state.lambda0
+    t = state.target
+    u, w = state.u, state.w
+    uh = u.conj().T
+    inv = _reduced_inverse(state.block_vals, lam0, t)
+    g, vs = _rs_orders(lambda v: uh @ (w @ (u @ v)), inv, t, r_max)
+    ratio, converged, tail = _decay(g, lam0, profile, strict_convergence)
     lam = lam0 + float(np.sum(g[1:]))  # the first-order term vanishes
 
-    v_eig = np.sum(vs, axis=0)
-    v_full = _rotate_vec_from_eigenbasis(state, v_eig)
+    v_full = u @ np.sum(vs, axis=0)
     v_full = v_full / np.linalg.norm(v_full)
 
     projector = g_mats = g_norms = None
     if with_projector:
+        d = state.dim
         projector = np.outer(v_full, v_full.conj())
         n_store = min(r_max, 8 if d > 512 else r_max) if store_orders is None else store_orders
         v_ser = np.stack(vs[: n_store + 1], axis=1)
@@ -450,7 +451,7 @@ def generic_step(
         for nn in range(1, n_store + 1):
             d_ser[nn] = -np.sum(c[1 : nn + 1] * d_ser[nn - 1 :: -1][: nn])
         # G_r = sum_{a+b<=r} d_ser[r-a-b] v_a v_b^H in the index basis
-        v_rot = _rotate_vec_from_eigenbasis(state, v_ser)
+        v_rot = u @ v_ser
         g_mats = []
         for r in range(1, n_store + 1):
             v_r = v_rot[:, : r + 1]
@@ -482,6 +483,8 @@ def generic_step(
         contour=state.contour,
         indices=state.indices,
         vector=v_full,
+        decay_ratio=float(ratio),
+        orders=r_max,
         projector=projector,
         g_matrices=g_mats,
         g_norms=g_norms,
@@ -493,6 +496,11 @@ def generic_step(
 # ---------------------------------------------------------------------------
 # quadrature route (independent evaluation of the defining integrals)
 # ---------------------------------------------------------------------------
+
+
+def _w_tilde_dense(state: LevelState) -> np.ndarray:
+    """W~ = U^H W U as a dense array, for the quadrature routes."""
+    return (state.u.conj().T @ state.w @ state.u).toarray()
 
 
 def _check_contour_clear(state: LevelState) -> None:
@@ -510,10 +518,8 @@ def contour_coeff_series(
     """g_r by trapezoidal quadrature of the circle integrals, nodes doubled
     until two successive evaluations agree to 1e-12 relative."""
     r_max = profile.r_max if r_max is None else r_max
-    if state.block_vals is None:
-        _eigendecompose_blocks(state)
     _check_contour_clear(state)
-    w_tilde = _rotate_to_eigenbasis(state, state.w)
+    w_tilde = _w_tilde_dense(state)
 
     def quad(n_nodes: int) -> np.ndarray:
         z, dz = state.contour.points(n_nodes)
@@ -550,10 +556,8 @@ def contour_projector_series(
     max_nodes: int = 1024,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """(E, [G_1..G_r]) by quadrature of the projector integrals."""
-    if state.block_vals is None:
-        _eigendecompose_blocks(state)
     _check_contour_clear(state)
-    w_tilde = _rotate_to_eigenbasis(state, state.w)
+    w_tilde = _w_tilde_dense(state)
     d = state.dim
 
     def quad(n_nodes: int):
@@ -561,12 +565,12 @@ def contour_projector_series(
         gs = [np.zeros((d, d), dtype=complex) for _ in range(r_max)]
         e0 = np.zeros((d, d), dtype=complex)
         for zz, dd in zip(z, dz):
-            res = np.zeros((d, d), dtype=complex)
-            np.fill_diagonal(res, 1.0 / (state.block_vals - zz))
-            x = res.copy()
+            res = 1.0 / (state.block_vals - zz)  # the diagonal resolvent
+            b = w_tilde * res[None, :]  # W~ R(z) without a dense diagonal
+            x = np.diag(res)
             e0 += -x * dd / (2j * math.pi)
             for r in range(1, r_max + 1):
-                x = x @ (w_tilde @ res)
+                x = x @ b
                 gs[r - 1] += x * dd * ((-1) ** (r + 1)) / (2j * math.pi)
         return e0, gs
 
@@ -582,8 +586,7 @@ def contour_projector_series(
         if delta <= 1e-12:
             break
     def rot(m):  # U m U^H = (U (U m)^H)^H
-        um = _rotate_vec_from_eigenbasis(state, m)
-        return _rotate_vec_from_eigenbasis(state, um.conj().T).conj().T
+        return (state.u @ (state.u @ m).conj().T).conj().T
 
     e_total = e0_prev + sum(gs_prev)
     return rot(e_total), [rot(gm) for gm in gs_prev]
@@ -601,11 +604,11 @@ def build_state(
     profile: ParameterProfile,
     geometry: Level2Geometry | None = None,
 ) -> LevelState:
-    if n == 1:
-        return level1_state(point, spec, profile)
-    if n == 2:
-        return level2_state(point, spec, profile, geometry)
-    raise ValueError("levels 1 and 2 are constructed here; use toy_state beyond")
+    if n not in (1, 2):
+        raise ValueError("levels 1 and 2 are constructed here; use toy_state beyond")
+    kap = np.asarray(point, dtype=float)
+    phi = math.atan2(kap[1], kap[0]) % (2 * math.pi)
+    return LevelEvaluator(n, phi, spec, profile, geometry).state(kap)
 
 
 def eigenvalue_level(
@@ -660,10 +663,13 @@ def eigenvalue_at(
 
 
 class LevelEvaluator:
-    """Repeated eigenvalue evaluation at a fixed angle window.
+    """The state builder of levels 1 and 2, for repeated evaluation at a
+    fixed angle window.
 
-    The off-diagonal coupling is kappa-independent, so only the diagonal and
-    the small block eigendecompositions are rebuilt per kappa.
+    Everything but the diagonal is kappa-independent: the indices, the block
+    partition, the cross-block W (CSR) and the dense in-block coupling of each
+    multi-index block are built once; `state(kappa)` adds the diagonal and
+    eigendecomposes the multi-index blocks.
     """
 
     def __init__(
@@ -679,74 +685,37 @@ class LevelEvaluator:
         self.spec = spec
         self.profile = profile
         if n == 1:
-            rows = enumerate_box_array(profile.core_radius)
-            self.indices = tuple(array_to_indices(rows))
-            self.blocks = [np.array([i]) for i in range(len(self.indices))]
             self.geometry = None
+            self.indices = box_indices(profile.core_radius)
+            self.rows = enumerate_box_array(profile.core_radius)
+            blocks = list(np.arange(len(self.indices))[:, None])
+            self.target = self.indices.index(ZERO_INDEX)
+            # the free levels of the exclusion-zone box set the contour radius
+            big = enumerate_box_array(profile.tilde_radius)
+            self._far_rows = big[triple_norm_array(big) > 0]
         elif n == 2:
             self.geometry = (
                 level2_geometry(phi, spec, profile) if geometry is None else geometry
             )
             self.indices = self.geometry.indices
-            self.blocks = self.geometry.block_positions
+            self.rows = self.geometry.rows
+            blocks = self.geometry.block_positions
         else:
             raise ValueError("evaluator supports levels 1 and 2")
-        self.rows = indices_to_array(self.indices)
-        d = len(self.indices)
-        ref = assemble(
-            profile.k * np.array([math.cos(phi), math.sin(phi)]),
-            self.indices,
-            spec,
-            spec.params,
-        ).entries
-        self.v_off = ref - np.diag(np.diag(ref))
-        in_block = np.zeros((d, d), dtype=bool)
-        for pos in self.blocks:
-            in_block[np.ix_(pos, pos)] = True
-        self.v_in = np.where(in_block, self.v_off, 0.0)
-        self.w = self.v_off - self.v_in
+        self.split = _BlockSplit(coupling_matrix(self.rows, spec), blocks)
 
     def state(self, kappa) -> LevelState:
         kap = np.asarray(kappa, dtype=float)
-        diag = diagonal_energies(kap, self.rows, self.spec.params)
-        h_model = self.v_in + np.diag(diag)
-        h_full = self.v_off + np.diag(diag)
-        if self.n == 1:
-            target = self.indices.index(ZERO_INDEX)
-            lambda0 = float(kap @ kap)
-        else:
-            target = -1
-            lambda0 = float(kap @ kap)
-        state = LevelState(
-            level=self.n,
-            indices=self.indices,
-            h_full=h_full,
-            blocks=self.blocks,
-            h_model=h_model,
-            w=self.w,
-            target=target,
-            lambda0=lambda0,
-            contour=Contour(lambda0, 0.0, self.profile.quad_nodes),
-        )
-        _eigendecompose_blocks(state)
-        if self.n == 1:
-            big = enumerate_box_array(self.profile.tilde_radius)
-            nz = triple_norm_array(big) > 0
-            levels = diagonal_energies(kap, big[nz], self.spec.params)
-            gap = float(np.min(np.abs(levels - lambda0)))
-        else:
-            cand = self.geometry.core_positions
-            state.target = int(
-                cand[np.argmin(np.abs(state.block_vals[cand] - lambda0))]
-            )
-            state.lambda0 = float(state.block_vals[state.target])
-            gap = model_gap(state)
-        state.contour = Contour(
-            state.lambda0,
-            self.profile.contour_margin * gap,
-            self.profile.quad_nodes,
-        )
-        return state
+        params = self.spec.params
+        diag = diagonal_energies(kap, self.rows, params)
+        state = self.split.state(self.n, self.indices, diag)
+        lambda0 = float(kap @ kap)
+        if self.n == 2:
+            # the dressed eigenvalue of the core block nearest |kappa|^2
+            return _aim_nearest(state, self.geometry.core_positions, lambda0, self.profile)
+        levels = diagonal_energies(kap, self._far_rows, params)
+        gap = float(np.min(np.abs(levels - lambda0)))
+        return _aim(state, self.target, lambda0, gap, self.profile)
 
     def eigenvalue(self, kappa, r_max: int | None = None) -> float:
         if self.n == 1:
@@ -761,52 +730,20 @@ class LevelEvaluator:
         return res.lam
 
     def _eigenvalue_diagonal(self, kappa, r_max: int | None) -> float:
-        """Allocation-light recursion for the all-singleton level-1 model;
-        coefficients agree with generic_step bit for bit."""
+        """Allocation-light level-1 path: no state, the same recursion and
+        stall detector on the same CSR W, so the coefficients agree with
+        generic_step bit for bit (U is the identity here)."""
         prof = self.profile
         r_max = prof.r_max if r_max is None else r_max
         kap = np.asarray(kappa, dtype=float)
         diag = diagonal_energies(kap, self.rows, self.spec.params)
-        t = self.indices.index(ZERO_INDEX)
+        t = self.target
         lam0 = float(diag[t])
-        denom = diag - lam0
-        gap = np.min(np.abs(np.delete(denom, t)))
+        gap = np.min(np.abs(np.delete(diag - lam0, t)))
         if gap <= 0.0:
             raise ContourHit("degenerate free gap at the evaluation point")
-        inv = np.zeros_like(denom)
-        nz = np.abs(denom) > 0
-        inv[nz] = 1.0 / denom[nz]
-        inv[t] = 0.0
-        w = self.w
-        vs = np.zeros(len(diag), dtype=complex)
-        vs[t] = 1.0
-        hist = [vs]
-        g = np.zeros(r_max)
-        for n in range(1, r_max + 1):
-            rhs = -(w @ hist[n - 1])
-            for j in range(1, n):
-                rhs += g[j - 1] * hist[n - j]
-            g[n - 1] = -(rhs[t]).real
-            rhs[t] += g[n - 1]
-            hist.append(rhs * inv)
-        # same stall detector as the generic engine
-        mags = np.abs(g)
-        floor = 1e-14 * max(1.0, abs(lam0))
-        last = None
-        bad = 0
-        for r in range(2, r_max + 1):
-            m_r = mags[r - 1]
-            if m_r <= floor:
-                continue
-            if last is not None:
-                rate = (m_r / last[0]) ** (1.0 / (r - last[1]))
-                bad = bad + 1 if rate >= prof.divergence_ratio else 0
-                if bad >= 3:
-                    raise NonConvergent(
-                        f"|g_r| rate {rate:.3f} >= {prof.divergence_ratio} "
-                        "over 3 significant orders"
-                    )
-            last = (m_r, r)
+        g, _ = _rs_orders(self.split.w.dot, _reduced_inverse(diag, lam0, t), t, r_max)
+        _decay(g, lam0, prof, strict=True)
         return lam0 + float(np.sum(g[1:]))
 
 

@@ -22,6 +22,7 @@ from .lattice import (
     LatticeIndex,
     QPParams,
     array_to_indices,
+    box_indices,
     dual_array,
     dual_vector,
     duals_colinear,
@@ -732,8 +733,8 @@ def _norm_ball(center: LatticeIndex, radius: int, ambient: set) -> list[LatticeI
     if radius == 0:
         return [center] if center in ambient else []
     out = []
-    for row in enumerate_box_array(radius):
-        cand = center + LatticeIndex.from_row(row)
+    for offset in box_indices(radius):
+        cand = center + offset
         if cand in ambient:
             out.append(cand)
     return out
@@ -781,11 +782,9 @@ def assemble_projector(
     """
     if not decomp.labeled():
         raise ValueError("strength labels must be attached first")
-    ambient_rows = enumerate_box_array(profile.box_r1)
-    ambient = set(array_to_indices(ambient_rows))
-    core = tuple(
-        sorted(m for m in array_to_indices(enumerate_box_array(profile.core_radius)))
-    )
+    box = box_indices(profile.box_r1)
+    ambient = set(box)
+    core = box_indices(profile.core_radius)
 
     blocks: list[Block] = [Block("core", core)]
     taken: set[LatticeIndex] = set(core)
@@ -850,7 +849,7 @@ def assemble_projector(
                     )
                 commit("nontrivial-weak", members)
 
-    complement = tuple(sorted(ambient - taken))
+    complement = tuple(m for m in box if m not in taken)  # box is sorted
     viol = orthogonality_violation(
         [b.indices for b in blocks], spec
     )
@@ -879,7 +878,7 @@ def appendix4_count(
     Scans the admissible set densely, bisects each bracketed root of the
     shifted dressed eigenvalue, and returns (count, roots).
     """
-    from .perturb import LevelEvaluator
+    from .perturb import ContourHit, LevelEvaluator, NonConvergent
 
     params = spec.params
     omega = build_omega1(k, profile, params)
@@ -912,7 +911,7 @@ def appendix4_count(
         for phi in grid:
             try:
                 vals.append(f(float(phi)))
-            except Exception:
+            except (ContourHit, NonConvergent):
                 vals.append(math.nan)
         for i in range(len(grid) - 1):
             f0, f1 = vals[i], vals[i + 1]

@@ -15,7 +15,7 @@ from .lattice import (
     LatticeIndex,
     QPParams,
     ZERO_INDEX,
-    array_to_indices,
+    box_indices,
     dual_array,
     enumerate_box_array,
     indices_to_array,
@@ -84,7 +84,7 @@ def residual(
     params = spec.params
     margin = spec.max_support_norm
     rows = enumerate_box_array(wf.box_radius + margin)
-    indices = array_to_indices(rows)
+    indices = box_indices(wf.box_radius + margin)
     diag = diagonal_energies(wf.kappa, rows, params)
     g: dict[LatticeIndex, complex] = {}
     nz = [(q, v) for q, v in spec.coeffs.items() if v != 0]
@@ -130,7 +130,11 @@ def sample(
     rows = indices_to_array(support)
     amps = np.array([wf.coeffs[m] for m in support])
     freqs = dual_array(rows, wf.params) + wf.kappa[None, :]
-    psi = (np.exp(1j * (xs @ freqs.T)) * amps[None, :]).sum(axis=1)
+    # (grid, support) is the largest array of a level-2 run: build it in place
+    terms = np.multiply(1j, xs @ freqs.T)
+    np.exp(terms, out=terms)
+    terms *= amps[None, :]
+    psi = terms.sum(axis=1)
     carrier = np.exp(-1j * (xs @ wf.kappa))
     if prev is None:
         u = carrier * psi - 1.0

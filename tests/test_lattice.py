@@ -12,7 +12,9 @@ from qp2d.lattice import (
     QPParams,
     RationalAlpha,
     ZERO_INDEX,
+    array_to_indices,
     best_rational,
+    box_indices,
     cluster_decompose,
     count_short_vectors,
     cross_combination,
@@ -67,6 +69,15 @@ class TestDualVector:
             dv = dual_vector(LatticeIndex.from_row(row), params)
             assert dv.length <= TWO_PI * math.sqrt(2.0) * n + 1e-9
             assert dv.length >= TWO_PI * c1 * float(n) ** (-params.mu) - 1e-9
+
+
+class TestBoxIndices:
+    @pytest.mark.parametrize("radius", [0, 2, 4])
+    def test_cached_box_tuple(self, radius):
+        box = box_indices(radius)
+        assert box == tuple(array_to_indices(enumerate_box_array(radius)))
+        assert box == tuple(sorted(box))
+        assert box_indices(radius) is box
 
 
 class TestTripleNorm:

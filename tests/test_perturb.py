@@ -18,8 +18,6 @@ from qp2d.lattice import (
     triple_norm_array,
 )
 from qp2d.perturb import (
-    _rotate_to_eigenbasis,
-    _rotate_vec_from_eigenbasis,
     ContourHit,
     LevelEvaluator,
     NonConvergent,
@@ -127,6 +125,27 @@ class TestSeriesStructure:
         lam64 = state.lambda0 + np.sum(g64[1:])
         lam128 = state.lambda0 + np.sum(g128[1:])
         assert abs(lam64 - lam128) <= 1e-12 * abs(lam128)
+
+    def test_decay_ratio_zero_potential(self, zero_spec, params, rng):
+        k = 40.0
+        prof = make_profile(k)
+        phi = admissible_phi(build_omega1(k, prof, params), rng)
+        kap = k * np.array([math.cos(phi), math.sin(phi)])
+        res = eigenvalue_level(1, kap, zero_spec, prof, check_oracle=False)
+        assert res.decay_ratio == 0.0
+        assert res.orders == prof.r_max == len(res.g)
+
+    def test_decay_ratio_converged_point(self, spec, params, rng):
+        # at k = 15 several orders stay above the significance floor
+        k = 15.0
+        prof = make_profile(k)
+        phi = admissible_phi(build_omega1(k, prof, params), rng)
+        kap = k * np.array([math.cos(phi), math.sin(phi)])
+        res = eigenvalue_level(1, kap, spec, prof, check_oracle=False)
+        assert res.converged
+        assert 0.0 < res.decay_ratio < prof.divergence_ratio
+        short = generic_step(level1_state(kap, spec, prof), prof, r_max=10)
+        assert short.orders == 10
 
     def test_contour_hit_raised(self, spec, params):
         h = np.diag([0.0, 1.0, 2.0]).astype(complex)
@@ -251,23 +270,11 @@ class TestProjector:
         assert np.max(np.abs(e_quad - res.projector)) <= 1e-9
 
 
-def rotate_mat_from_eigenbasis(state, m):
-    """U m U^H, rows then columns, block by block."""
-    out = m.copy()
-    for pos, bu in zip(state.blocks, state.block_vecs):
-        if bu is not None:
-            out[pos, :] = bu @ out[pos, :]
-    for pos, bu in zip(state.blocks, state.block_vecs):
-        if bu is not None:
-            out[:, pos] = out[:, pos] @ bu.conj().T
-    return out
-
-
-def outer_product_orders(state, prof, n_store):
-    """Reference: the order vectors by the same recursion, then every
-    projector order as a sum of outer products in the eigenbasis, rotated
-    back as a d x d matrix.  Returns (lam, vector, G_1..G_n, norms)."""
-    w_tilde = _rotate_to_eigenbasis(state, state.w)
+def dense_reference(state, prof):
+    """Reference: the recursion on dense arrays, W~ = U^H W U formed as a
+    d x d matrix.  Returns (lam, unit vector, [v_0 .. v_r], dense U)."""
+    u = state.u.toarray()
+    w_tilde = u.conj().T @ state.w.toarray() @ u
     t, d = state.target, state.dim
     denom = state.block_vals - state.lambda0
     inv = np.zeros(d)
@@ -285,8 +292,16 @@ def outer_product_orders(state, prof, n_store):
         rhs[t] += -rhs[t]
         vs.append(rhs * inv)
     lam = state.lambda0 + float(np.sum(g[1:]))
-    v = _rotate_vec_from_eigenbasis(state, np.sum(vs, axis=0))
-    v = v / np.linalg.norm(v)
+    v = u @ np.sum(vs, axis=0)
+    return lam, v / np.linalg.norm(v), vs, u
+
+
+def outer_product_orders(state, prof, n_store):
+    """Reference: the order vectors by the dense recursion, then every
+    projector order as a sum of outer products in the eigenbasis, rotated
+    back as a d x d matrix.  Returns (lam, vector, G_1..G_n, norms)."""
+    lam, v, vs, u = dense_reference(state, prof)
+    d = state.dim
     c = [sum(np.vdot(vs[a], vs[nn - a]) for a in range(nn + 1)) for nn in range(n_store + 1)]
     d_ser = np.zeros(n_store + 1, dtype=complex)
     d_ser[0] = 1.0
@@ -298,23 +313,34 @@ def outer_product_orders(state, prof, n_store):
         for a in range(r + 1):
             for b in range(r - a + 1):
                 acc += d_ser[r - a - b] * np.outer(vs[a], vs[b].conj())
-        mats.append(rotate_mat_from_eigenbasis(state, acc))
+        mats.append(u @ acc @ u.conj().T)
     return lam, v, mats, np.array([np.linalg.norm(m) for m in mats])
 
 
+def assert_vectors_close(v, ref):
+    """Entries within 1e-13 of the largest, exact zeros in the same places."""
+    assert np.array_equal(v == 0, ref == 0)
+    assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestFactoredOrders:
-    """G_r = V~ C_r V~^H against the outer-product reference: only the BLAS
-    summation order differs and no term is dropped, so entries agree to a
-    few ulps of the largest entry and exact zeros stay exact."""
+    """G_r = V~ C_r V~^H against the outer-product reference.  The engine
+    applies sparse W and U to vectors where the reference multiplies dense
+    matrices: only the summation order differs (CSR skips exact-zero
+    products) and no term is dropped, so values agree to a few ulps and
+    exact zeros stay exact."""
 
     def check(self, state, prof, n_orders):
         res = generic_step(state, prof, with_projector=True)
         eig = generic_step(state, prof, with_projector=False)
         lam, v, mats, norms = outer_product_orders(state, prof, n_orders)
-        assert res.lam == eig.lam == lam
+        # engine-internal identities are exact
+        assert res.lam == eig.lam
         assert np.array_equal(res.vector, eig.vector)
-        assert np.array_equal(res.vector, v)
-        assert np.array_equal(res.projector, np.outer(v, v.conj()))
+        assert np.array_equal(res.projector, np.outer(res.vector, res.vector.conj()))
+        # engine against the dense reference
+        assert abs(res.lam - lam) <= 1e-15 * abs(lam)
+        assert_vectors_close(res.vector, v)
         assert len(res.g_matrices) == n_orders
         for g_r, ref in zip(res.g_matrices, mats):
             assert np.array_equal(g_r == 0, ref == 0)
@@ -338,6 +364,64 @@ class TestFactoredOrders:
         assert state.dim == 1121
         assert any(len(pos) > 1 for pos in state.blocks)
         self.check(state, prof, 8)
+
+
+def in_block_model(h, blocks):
+    """The diagonal plus every in-block entry of h, zero elsewhere."""
+    h_model = np.zeros_like(h)
+    for pos in blocks:
+        sel = np.ix_(pos, pos)
+        h_model[sel] = h[sel]
+    return h_model
+
+
+class TestSparseState:
+    def level2_point(self, spec, params, rng):
+        k = 40.0
+        prof = make_profile(k)
+        phi = admissible_phi(build_omega1(k, prof, params, 8.0), rng)
+        return prof, k * np.array([math.cos(phi), math.sin(phi)])
+
+    def test_w_is_the_cross_block_coupling(self, spec, params, rng):
+        prof, kap = self.level2_point(spec, params, rng)
+        state = build_state(2, kap, spec, prof)
+        h = assemble(kap, list(state.indices), spec, params).entries
+        assert np.array_equal(state.w.toarray(), h - in_block_model(h, state.blocks))
+        owner = np.empty(state.dim, dtype=np.int64)
+        for b, pos in enumerate(state.blocks):
+            owner[pos] = b
+        coo = state.w.tocoo()
+        assert coo.nnz > 0
+        assert np.all(owner[coo.row] != owner[coo.col])  # no diagonal or in-block entry
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_h_full_is_assemble(self, level, spec, params, rng):
+        prof, kap = self.level2_point(spec, params, rng)
+        state = build_state(level, kap, spec, prof)
+        h = assemble(kap, list(state.indices), spec, params).entries
+        assert np.array_equal(state.h_full, h)
+
+    def test_block_eigenvalues_from_the_dense_section(self, spec, params, rng):
+        # each multi-index block is eigendecomposed from exactly the entries
+        # of the dense section, so its eigenvalues are the same bits
+        prof, kap = self.level2_point(spec, params, rng)
+        state = build_state(2, kap, spec, prof)
+        h = state.h_full
+        multi = [pos for pos in state.blocks if len(pos) > 1]
+        assert multi
+        for pos in multi:
+            assert np.array_equal(
+                np.linalg.eigh(h[np.ix_(pos, pos)])[0], state.block_vals[pos]
+            )
+
+    def test_sparse_matches_dense_level2(self, spec, params, rng):
+        for _ in range(3):
+            prof, kap = self.level2_point(spec, params, rng)
+            state = build_state(2, kap, spec, prof)
+            res = generic_step(state, prof, with_projector=False)
+            lam, v, _, _ = dense_reference(state, prof)
+            assert abs(res.lam - lam) <= 1e-15 * abs(lam)
+            assert_vectors_close(res.vector, v)
 
 
 class TestLevels:
@@ -380,10 +464,13 @@ class TestLevels:
         phi = admissible_phi(om8, rng)
         kap = k * np.array([math.cos(phi), math.sin(phi)])
         state = build_state(2, kap, spec, prof)
-        assert np.array_equal(state.h_model + state.w, state.h_full)
-        v_full = state.h_full - np.diag(np.diag(state.h_full))
-        v_model = state.h_model - np.diag(np.diag(state.h_model))
-        assert np.array_equal(state.w, v_full - v_model)
+        h_full = state.h_full
+        h_model = in_block_model(h_full, state.blocks)
+        w = state.w.toarray()
+        assert np.array_equal(h_model + w, h_full)
+        v_full = h_full - np.diag(np.diag(h_full))
+        v_model = h_model - np.diag(np.diag(h_model))
+        assert np.array_equal(w, v_full - v_model)
 
     def test_level3_toy_unique_eigenvalue(self, spec, params, rng):
         # structurally higher level: block model over a small box with an

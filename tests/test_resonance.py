@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qp2d.lattice import LatticeIndex, QPParams, dual_vector, triple_norm
+from qp2d.perturb import ContourHit, LevelEvaluator
 from qp2d.potential import build
 from qp2d.profile import make_profile
 from qp2d.resonance import (
     AngleSet,
     OverlapDetected,
     ResonantBase,
+    appendix4_count,
     assemble_projector,
     block_poles,
     build_omega1,
@@ -563,3 +565,27 @@ class TestProjector:
             for q in chain_spec.nonzero_support:
                 j = owner.get(m - q)
                 assert j is None or j == i
+
+
+class TestAppendix4Rejections:
+    """Only the evaluator's typed rejections make a scan point NaN."""
+
+    M = LatticeIndex((2, 2), (0, -1))
+
+    def test_bug_propagates(self, spec, monkeypatch):
+        def broken(self, kappa, r_max=None):
+            raise ValueError("shape mismatch")
+
+        monkeypatch.setattr(LevelEvaluator, "eigenvalue", broken)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            appendix4_count(self.M, 25.0, 0.0, spec, make_profile(25.0), scan_points=50)
+
+    def test_contour_hit_is_a_gap(self, spec, monkeypatch):
+        def rejected(self, kappa, r_max=None):
+            raise ContourHit("on the contour")
+
+        monkeypatch.setattr(LevelEvaluator, "eigenvalue", rejected)
+        count, roots = appendix4_count(
+            self.M, 25.0, 0.0, spec, make_profile(25.0), scan_points=50
+        )
+        assert (count, roots) == (0, [])
