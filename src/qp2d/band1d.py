@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fiber import assemble
 from .lattice import LatticeIndex, dual_vector, primitive_direction, triple_norm
 from .potential import PotentialSpec
 from .profile import ParameterProfile
@@ -52,6 +53,25 @@ def _check_generator(q: LatticeIndex, spec: PotentialSpec) -> None:
         raise NotGenerator(f"{q} is not primitive in its direction")
 
 
+def _section(
+    q: LatticeIndex, p_q: float, t: float, ns: np.ndarray, spec: PotentialSpec
+) -> np.ndarray:
+    """Entries (t + n*p_q)^2 delta + V_{(n-n')q} over the consecutive n in ns.
+    The entry above the diagonal is written as conj(V_{dq}), which is
+    V_{-dq} exactly for a potential closed under negation."""
+    m = len(ns)
+    h = np.zeros((m, m), dtype=complex)
+    np.fill_diagonal(h, (t + ns * p_q) ** 2)
+    for d in range(1, min(m - 1, spec.Q // triple_norm(q)) + 1):
+        v = spec.coeffs.get(q.scale(d), 0j)
+        if v == 0:
+            continue
+        i = np.arange(0, m - d)
+        h[i + d, i] = v  # row index n1 = n2 + d, entry V_{(n1-n2)q}
+        h[i, i + d] = v.conjugate()
+    return h
+
+
 def assemble_periodic(
     q: LatticeIndex, t: float, N: int, spec: PotentialSpec
 ) -> np.ndarray:
@@ -61,18 +81,7 @@ def assemble_periodic(
     if N < 1:
         raise ValueError("N >= 1 required")
     p_q = dual_vector(q, spec.params).length
-    ns = np.arange(-N, N + 1)
-    h = np.zeros((2 * N + 1, 2 * N + 1), dtype=complex)
-    np.fill_diagonal(h, (t + ns * p_q) ** 2)
-    max_mult = spec.Q // triple_norm(q)
-    for d in range(1, min(2 * N, max_mult) + 1):
-        v = spec.coeffs.get(q.scale(d), 0j)
-        if v == 0:
-            continue
-        i = np.arange(0, 2 * N + 1 - d)
-        h[i + d, i] = v  # row index n1 = n2 + d, entry V_{(n1-n2)q}
-        h[i, i + d] = v.conjugate()
-    return h
+    return _section(q, p_q, t, np.arange(-N, N + 1), spec)
 
 
 def band_function(
@@ -98,19 +107,8 @@ def band_function(
 def _window_matrix(
     cls: ClusterClass, sub: ClusterSubset, t: float, spec: PotentialSpec
 ) -> np.ndarray:
-    q = cls.direction
-    p_q = cls.p_q
     ns = np.arange(sub.n_minus, sub.n_plus + 1)
-    m = len(ns)
-    h = np.zeros((m, m), dtype=complex)
-    np.fill_diagonal(h, (t + ns * p_q) ** 2)
-    for i in range(m):
-        for j in range(i + 1, m):
-            v = spec.coeffs.get(q.scale(int(ns[i] - ns[j])), 0j)
-            if v != 0:
-                h[i, j] = v
-                h[j, i] = v.conjugate()
-    return h
+    return _section(cls.direction, cls.p_q, t, ns, spec)
 
 
 def finite_vs_periodic(
@@ -151,7 +149,6 @@ def separation_check(
     return is rounding noise."""
     if cls.trivial or cls.direction is None:
         raise ValueError("separation_check applies to non-trivial chains")
-    from .fiber import assemble  # local to avoid cycle at import time
 
     kap = np.asarray(kappa, dtype=float)
     q = cls.direction

@@ -67,9 +67,6 @@ class FiberMatrix:
     def dim(self) -> int:
         return len(self.indices)
 
-    def position(self, m: LatticeIndex) -> int:
-        return self.indices.index(m)
-
     def submatrix(self, subset) -> "FiberMatrix":
         """Principal submatrix on a subset of the index list."""
         pos = [self.indices.index(m) for m in subset]

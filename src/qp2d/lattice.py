@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 TWO_PI = 2.0 * math.pi
@@ -277,6 +278,41 @@ def box_size(radius: int) -> int:
     return enumerate_box_array(radius).shape[0]
 
 
+def triple_norm_components(
+    rows: np.ndarray, radius: int, group: np.ndarray | None = None
+) -> np.ndarray:
+    """Connected-component label per row of an (N,4) array, joining rows at
+    triple-norm distance <= radius and, when `group` (one int per row) is
+    given, rows that share a group.  Components are numbered 0, 1, ... in
+    order of their first row."""
+    n = rows.shape[0]
+    pairs = np.zeros((0, 2), dtype=np.intp)
+    if n > 1:
+        # the sup norm bounds the triple norm from below, so its pairs are
+        # candidates
+        pairs = cKDTree(rows.astype(float)).query_pairs(
+            radius, p=np.inf, output_type="ndarray"
+        )
+        d = rows[pairs[:, 0]] - rows[pairs[:, 1]]
+        pairs = pairs[triple_norm_array(d) <= radius]
+    if group is not None:
+        order = np.argsort(group, kind="stable")
+        same = group[order[1:]] == group[order[:-1]]
+        pairs = np.concatenate(
+            [pairs, np.stack([order[:-1][same], order[1:][same]], axis=1)]
+        )
+    if len(pairs) == 0:
+        return np.arange(n)  # every row alone; skips csgraph's fixed cost
+    # deferred: a module-level csgraph import adds 30-65 ms to setup_s
+    from scipy.sparse.csgraph import connected_components
+
+    graph = sp.coo_matrix(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+        shape=(n, n),
+    )
+    return connected_components(graph, directed=False)[1]
+
+
 # ---------------------------------------------------------------------------
 # Best rational approximation and the induced cluster structure.
 # ---------------------------------------------------------------------------
@@ -336,10 +372,6 @@ class ClusterGrid:
     step: float
     cluster_diameter: float
     min_separation: float
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.clusters)
 
 
 def cluster_decompose(

@@ -22,6 +22,7 @@ from .lattice import (
     indices_to_array,
     triple_norm,
     triple_norm_array,
+    triple_norm_components,
 )
 from .potential import PotentialSpec
 from .profile import ParameterProfile
@@ -33,6 +34,7 @@ from .resonance import (
     block_poles,
     build_omega1,
     classify,
+    norm_ball,
     strength,
 )
 
@@ -196,50 +198,6 @@ class RegionMap:
     def by_color(self, color: str) -> list[RegionComponent]:
         return [c for c in self.components if c.color == color]
 
-    def all_indices(self) -> set[LatticeIndex]:
-        out: set[LatticeIndex] = set()
-        for c in self.components:
-            out.update(c.indices)
-        return out
-
-
-def _norm_ball_set(
-    centers, radius: int, ambient: set
-) -> set[LatticeIndex]:
-    out: set[LatticeIndex] = set()
-    if radius == 0:
-        return {m for m in centers if m in ambient}
-    offsets = [LatticeIndex.from_row(r) for r in enumerate_box_array(radius)]
-    for c in centers:
-        for off in offsets:
-            cand = c + off
-            if cand in ambient:
-                out.add(cand)
-    return out
-
-
-def _components_by_distance(points: list[LatticeIndex], sep: int):
-    """Group points into components connected at triple-norm distance < sep."""
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if triple_norm(points[i] - points[j]) < sep:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(points[i])
-    return [sorted(g) for g in sorted(groups.values())]
-
 
 def region_map(
     m2_points,
@@ -253,9 +211,11 @@ def region_map(
     Cell counts (cell plus its 8 neighbors in the dual-plane tiling) decide
     black cells; non-black cells are subdivided, and the subcell counts decide
     grey; remaining deep resonances get point neighborhoods (white).  Merging
-    runs lighter-into-darker: white clusters near grey/black are absorbed,
-    then grey clusters near black.  Components of one color are separated by
-    at least their own scale.
+    runs lighter-into-darker: a lighter point joins the darker region when
+    the two regions' union links it to a darker point in steps shorter than
+    the lighter scale (white into grey, white into black, then grey into
+    black).  Components of one color are the classes of the same linking at
+    their own scale, ordered by their smallest index.
     """
     r2 = profile.box_r2
     ambient_rows = enumerate_box_array(r2)
@@ -274,7 +234,7 @@ def region_map(
         for r, nrm, pl in zip(ambient_rows, all_norms, p_len)
         if nrm > 0 and 0.0 < pl <= profile.simple_threshold
     ]
-    simple = _norm_ball_set(simple_centers, profile.simple_nbhd, ambient)
+    simple = norm_ball(simple_centers, profile.simple_nbhd, ambient)
 
     inner = {m for m in ambient if triple_norm(m) <= profile.box_r1}
     live = [
@@ -305,7 +265,7 @@ def region_map(
     black_pts = [
         m for m, d in live if cell_of(d, profile.cell_black) in black_cells
     ]
-    black = _norm_ball_set(black_pts, profile.black_nbhd, ambient)
+    black = norm_ball(black_pts, profile.black_nbhd, ambient)
 
     white_candidates = [
         (m, d) for m, d in live if cell_of(d, profile.cell_black) not in black_cells
@@ -320,14 +280,14 @@ def region_map(
     grey_pts = [
         m for m, d in white_candidates if cell_of(d, profile.cell_grey) in grey_cells
     ]
-    grey = _norm_ball_set(grey_pts, profile.grey_nbhd, ambient) - black
+    grey = norm_ball(grey_pts, profile.grey_nbhd, ambient) - black
 
     white_pts = [
         m
         for m, d in white_candidates
         if cell_of(d, profile.cell_grey) not in grey_cells
     ]
-    white = _norm_ball_set(white_pts, profile.white_nbhd, ambient) - black - grey
+    white = norm_ball(white_pts, profile.white_nbhd, ambient) - black - grey
 
     # non-resonant leftovers: resonance components of the r2 classification
     # that carry no deep resonance
@@ -344,18 +304,15 @@ def region_map(
             and m not in simple
             and triple_norm(m) <= r2
         ]
-        nonres = _norm_ball_set(leftovers, profile.m1_box_radius, ambient)
+        nonres = norm_ball(leftovers, profile.m1_box_radius, ambient)
         nonres -= black | grey | white | simple
 
     # merge lighter clusters into close darker regions
     def absorb(lighter: set, darker: set, sep: int) -> tuple[set, set]:
-        moved = set()
-        for comp in _components_by_distance(sorted(lighter), sep):
-            near = any(
-                triple_norm(a - b) < sep for a in comp for b in darker
-            ) if darker else False
-            if near:
-                moved.update(comp)
+        pts = sorted(lighter | darker)
+        labels = triple_norm_components(indices_to_array(pts), sep - 1)
+        dark = {lab for m, lab in zip(pts, labels) if m in darker}
+        moved = {m for m, lab in zip(pts, labels) if lab in dark and m in lighter}
         return lighter - moved, darker | moved
 
     white, grey = absorb(white, grey, max(profile.white_nbhd, 1) + 1)
@@ -366,7 +323,11 @@ def region_map(
     comps: list[RegionComponent] = []
 
     def push(color: str, region: set, sep: int) -> None:
-        for comp in _components_by_distance(sorted(region), sep):
+        pts = sorted(region)
+        groups: dict = {}
+        for m, lab in zip(pts, triple_norm_components(indices_to_array(pts), sep - 1)):
+            groups.setdefault(lab, []).append(m)
+        for comp in groups.values():
             indices = tuple(comp)
             comp_set = set(comp)
             boundary = tuple(
@@ -426,9 +387,10 @@ def region_stats(
         r1_exp = profile.r1_exp
         nbhd = max(2, profile.box_r1)
         bound = k ** (2.0 * gamma_prime * r1_exp / 3.0 + 1.0)
+        m2_rows = indices_to_array(m2_list)
         for c0 in sample_centers:
-            cnt = sum(1 for m in m2_list if triple_norm(m - c0) <= nbhd)
-            ratios.append(cnt / bound)
+            dist = triple_norm_array(m2_rows - np.array(c0.as_row()))
+            ratios.append(int(np.count_nonzero(dist <= nbhd)) / bound)
     return {
         "per_color": per_color,
         "counting_ratios": ratios,

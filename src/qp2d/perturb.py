@@ -646,22 +646,6 @@ def projector_level(
     )
 
 
-def eigenvalue_at(
-    n: int,
-    point,
-    spec: PotentialSpec,
-    profile: ParameterProfile,
-    geometry: Level2Geometry | None = None,
-) -> float:
-    """Dressed eigenvalue without projector assembly or oracle checks (the
-    inner loop of curve tracing)."""
-    state = build_state(n, point, spec, profile, geometry)
-    res = generic_step(
-        state, profile, with_projector=False, check_oracle=False
-    )
-    return res.lam
-
-
 class LevelEvaluator:
     """The state builder of levels 1 and 2, for repeated evaluation at a
     fixed angle window.
@@ -763,7 +747,9 @@ def derivative_probe(
 
     def at(rr: float, pp: float) -> float:
         pt = rr * np.array([math.cos(pp), math.sin(pp)])
-        return eigenvalue_at(n, pt, spec, profile, geometry)
+        return eigenvalue_level(
+            n, pt, spec, profile, check_oracle=False, geometry=geometry
+        ).lam
 
     dk = (at(r + h, phi) - at(r - h, phi)) / (2.0 * h)
     dphi = (at(r, phi + h) - at(r, phi - h)) / (2.0 * h)

@@ -67,10 +67,6 @@ class ParameterProfile:
     contour_margin: float
     eig_cap: int
 
-    @property
-    def k_sq(self) -> float:
-        return self.k * self.k
-
     def resonance_threshold(self, norm3: int, tau_factor: float = 1.0) -> float:
         """Threshold in the small-denominator test for an index of the given
         triple norm: the step-I value inside the exclusion zone, the sharper
@@ -177,7 +173,3 @@ def make_profile(
     )
     defaults.update(overrides)
     return ParameterProfile(**defaults)
-
-
-def adjust(profile: ParameterProfile, **changes) -> ParameterProfile:
-    return replace(profile, **changes)

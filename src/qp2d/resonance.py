@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .fiber import coupling_pairs, diagonal_energies
+from .fiber import coupling_matrix, diagonal_energies
 from .lattice import (
     LatticeIndex,
     QPParams,
@@ -32,6 +32,7 @@ from .lattice import (
     rational_ratio,
     triple_norm,
     triple_norm_array,
+    triple_norm_components,
 )
 from .potential import PotentialSpec
 from .profile import ParameterProfile
@@ -317,28 +318,6 @@ def _resonant_rows(
     return rows[np.abs(det) <= thr]
 
 
-def _chain_components(rows: np.ndarray, radius: int) -> np.ndarray:
-    """Union-find labels over rows, connecting triple-norm distance <= radius."""
-    n = rows.shape[0]
-    parent = np.arange(n)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    if n > 1:
-        tree = cKDTree(rows.astype(float))
-        for i, j in tree.query_pairs(r=radius, p=np.inf):
-            d = rows[i] - rows[j]
-            if max(abs(d[0]), abs(d[1])) + max(abs(d[2]), abs(d[3])) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    return np.array([find(i) for i in range(n)])
-
-
 def _direction_in_support(
     spec: PotentialSpec, step: LatticeIndex
 ) -> LatticeIndex | None:
@@ -417,7 +396,7 @@ def classify(
         (m1 if isolated else m2).append(m)
 
     # chain classes over M'
-    labels = _chain_components(mp_rows, eff_chain)
+    labels = triple_norm_components(mp_rows, eff_chain)
     m2_set = set(m2)
     class_labels = sorted(
         {labels[mp_keys[m]] for m in m2}
@@ -587,18 +566,13 @@ def block_poles(
     target = k * k if energy is None else energy
     if kappa_fn is None:
         kappa_fn = lambda phi: k * np.array([math.cos(phi), math.sin(phi)])
-    idx = list(block)
-    rows = indices_to_array(idx)
-    pairs = coupling_pairs(rows, spec)
-    n = len(idx)
+    rows = indices_to_array(block)
+    n = len(rows)
+    coupling = coupling_matrix(rows, spec).toarray()
 
     def eigs(phi: float) -> np.ndarray:
-        h = np.zeros((n, n), dtype=complex)
+        h = coupling.copy()
         np.fill_diagonal(h, diagonal_energies(kappa_fn(phi), rows, spec.params))
-        for i_idx, j_idx, v in pairs:
-            up = i_idx < j_idx
-            h[i_idx[up], j_idx[up]] = v
-            h[j_idx[up], i_idx[up]] = v.conjugate()
         return np.linalg.eigvalsh(h)
 
     n_scan = profile.pole_scan_points if scan_points is None else scan_points
@@ -646,7 +620,8 @@ def strength(
     profile: ParameterProfile,
 ) -> ClusterDecomposition:
     """Attach weak/strong labels to every residue window and group the strong
-    ones into adjacency clusters."""
+    ones into adjacency clusters: two strong windows are adjacent when some of
+    their members lie within the chain radius of each other."""
     window = 2.0 * profile.pole_window
     for cls in decomp.classes:
         for sub in cls.subsets:
@@ -671,32 +646,19 @@ def strength(
         for si, sub in enumerate(cls.subsets)
         if sub.strength == "strong"
     ]
-    parent = {sid: sid for sid in strong_ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def dist(a, b) -> int:
-        return min(
-            triple_norm(ma - mb)
-            for ma in decomp.classes[a[0]].subsets[a[1]].members
-            for mb in decomp.classes[b[0]].subsets[b[1]].members
-        )
-
-    eff_chain = max(profile.chain_radius, spec.max_support_norm)
-    for i in range(len(strong_ids)):
-        for j in range(i + 1, len(strong_ids)):
-            if dist(strong_ids[i], strong_ids[j]) <= eff_chain:
-                ri, rj = find(strong_ids[i]), find(strong_ids[j])
-                if ri != rj:
-                    parent[ri] = rj
+    subsets = [decomp.classes[ci].subsets[si] for ci, si in strong_ids]
+    sizes = [len(sub.members) for sub in subsets]
+    labels = triple_norm_components(
+        indices_to_array([m for sub in subsets for m in sub.members]),
+        max(profile.chain_radius, spec.max_support_norm),
+        group=np.repeat(np.arange(len(subsets)), sizes),
+    )
+    # labels follow first rows, and the rows follow strong_ids, so the
+    # clusters come out sorted
     groups: dict = {}
-    for sid in strong_ids:
-        groups.setdefault(find(sid), []).append(sid)
-    decomp.strong_clusters = [sorted(g) for g in sorted(groups.values())]
+    for sid, first in zip(strong_ids, np.cumsum([0] + sizes[:-1])):
+        groups.setdefault(labels[first], []).append(sid)
+    decomp.strong_clusters = list(groups.values())
     return decomp
 
 
@@ -714,14 +676,6 @@ class Block:
 @dataclass(frozen=True)
 class BlockProjector:
     blocks: tuple[Block, ...]
-    complement: tuple[LatticeIndex, ...]
-
-    def all_indices(self) -> list[LatticeIndex]:
-        out = []
-        for b in self.blocks:
-            out.extend(b.indices)
-        out.extend(self.complement)
-        return sorted(out)
 
     def block_of(self) -> dict[LatticeIndex, int]:
         return {
@@ -729,15 +683,10 @@ class BlockProjector:
         }
 
 
-def _norm_ball(center: LatticeIndex, radius: int, ambient: set) -> list[LatticeIndex]:
-    if radius == 0:
-        return [center] if center in ambient else []
-    out = []
-    for offset in box_indices(radius):
-        cand = center + offset
-        if cand in ambient:
-            out.append(cand)
-    return out
+def norm_ball(centers, radius: int, ambient: set) -> set[LatticeIndex]:
+    """Members of ambient within triple-norm distance radius of some center."""
+    offsets = box_indices(radius)
+    return {m for c in centers for m in (c + off for off in offsets) if m in ambient}
 
 
 def orthogonality_violation(
@@ -778,12 +727,12 @@ def assemble_projector(
     Construction order: strong-cluster neighborhoods (body first, then weak
     windows attached until nothing in the class is potential-connected to the
     block), then isolated-resonance boxes, then standalone weak windows of
-    non-trivial classes.  The small central box is always a block of its own.
+    non-trivial classes.  The small central box is always a block of its own;
+    the rest of the r1-box belongs to no block.
     """
     if not decomp.labeled():
         raise ValueError("strength labels must be attached first")
-    box = box_indices(profile.box_r1)
-    ambient = set(box)
+    ambient = set(box_indices(profile.box_r1))
     core = box_indices(profile.core_radius)
 
     blocks: list[Block] = [Block("core", core)]
@@ -803,9 +752,8 @@ def assemble_projector(
         cls = decomp.classes[ci]
         body: set[LatticeIndex] = set()
         for (gci, si) in group:
-            for m in decomp.classes[gci].subsets[si].members:
-                body.update(_norm_ball(m, profile.body_radius, ambient))
-                body.add(m)
+            members = decomp.classes[gci].subsets[si].members
+            body |= norm_ball(members, profile.body_radius, ambient) | set(members)
         if not cls.trivial:
             support = [q for q, v in spec.coeffs.items() if v != 0]
             changed = True
@@ -830,11 +778,10 @@ def assemble_projector(
     for m in decomp.m1:
         if m in taken:
             continue
-        box = set(_norm_ball(m, profile.m1_box_radius, ambient))
-        box.add(m)
-        if box & taken:
+        m1_box = norm_ball((m,), profile.m1_box_radius, ambient) | {m}
+        if m1_box & taken:
             raise OverlapDetected(f"m1 box at {m} intersects an earlier block")
-        commit("m1-box", box)
+        commit("m1-box", m1_box)
 
     # standalone weak windows of non-trivial classes
     for ci, cls in enumerate(decomp.classes):
@@ -849,7 +796,6 @@ def assemble_projector(
                     )
                 commit("nontrivial-weak", members)
 
-    complement = tuple(m for m in box if m not in taken)  # box is sorted
     viol = orthogonality_violation(
         [b.indices for b in blocks], spec
     )
@@ -857,7 +803,7 @@ def assemble_projector(
         raise OverlapDetected(
             f"blocks are connected by the potential (max |V| = {viol:.3g})"
         )
-    return BlockProjector(blocks=tuple(blocks), complement=complement)
+    return BlockProjector(blocks=tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .lattice import (
     dual_vector,
     enumerate_box,
     enumerate_box_array,
+    primitive_direction,
     triple_norm,
     triple_norm_array,
     dual_array,
@@ -157,32 +158,6 @@ def _admissible_angles(k, prof, params, rng, count, tau_factor=1.0):
         if om.contains(phi):
             out.append(phi)
     return out
-
-
-def _support_edge_angles(k, prof, spec, edge_eps=2e-4):
-    """Admissible angles just outside the resonance arcs of the potential's
-    own support vectors; the level-1 deviation peaks there, with the same
-    approach distance at every k."""
-    params = spec.params
-    om = resonance.build_omega1(k, prof, params)
-    out = []
-    for q in spec.nonzero_support:
-        dv = dual_vector(q, params)
-        thr = prof.resonance_threshold(triple_norm(q))
-        for a, b in resonance.resonance_arcs(k, dv.length, dv.angle, thr):
-            for phi in (a - edge_eps, b + edge_eps):
-                phi = float(phi % TWO_PI)
-                if om.contains(phi):
-                    out.append(phi)
-    return out
-
-
-def _deep_angles(k, prof, params, count=8, tau_factor=1.0):
-    """Midpoints of the widest admissible intervals: maximal distance from
-    every excised arc, the generic regime at comparable depth across k."""
-    om = resonance.build_omega1(k, prof, params, tau_factor)
-    ranked = sorted(om.intervals, key=lambda ab: ab[1] - ab[0], reverse=True)
-    return [0.5 * (a + b) for a, b in ranked[:count]]
 
 
 def _common_trend_angles(cfg: RunConfig, spec, count=4):
@@ -768,8 +743,6 @@ def check_isoenergetic(cfg: RunConfig) -> list[CheckRecord]:
         sup_d2 = []
         worst_res = 0.0
         nested_bad = 0
-        from .perturb import LevelEvaluator
-
         for lam in cfg.lambda_grid:
             k = math.sqrt(lam)
             prof = cfg.profile_at(k)
@@ -777,7 +750,7 @@ def check_isoenergetic(cfg: RunConfig) -> list[CheckRecord]:
             c1 = isoenergetic.trace_curve(1, lam, sub, spec, prof)
             c2 = isoenergetic.trace_curve(2, lam, sub, spec, prof)
             for s in c1.admissible_samples:
-                ev = LevelEvaluator(1, s.phi, spec, prof)
+                ev = perturb.LevelEvaluator(1, s.phi, spec, prof)
                 nu = np.array([math.cos(s.phi), math.sin(s.phi)])
                 worst_res = max(
                     worst_res, abs(ev.eigenvalue(s.kappa * nu) - lam) / lam
@@ -943,8 +916,6 @@ def check_band1d(cfg: RunConfig) -> list[CheckRecord]:
         spec = cfg.spec()
         q = None
         for cand in spec.nonzero_support:
-            from .lattice import primitive_direction
-
             if primitive_direction(cand) == cand:
                 q = cand
                 break

@@ -27,6 +27,7 @@ from qp2d.lattice import (
     rational_ratio,
     triple_norm,
     triple_norm_array,
+    triple_norm_components,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -101,6 +102,72 @@ class TestTripleNorm:
     @settings(max_examples=100, deadline=None)
     def test_symmetry(self, m):
         assert triple_norm(m) == triple_norm(-m)
+
+
+def _flood_labels(rows, radius, group=None):
+    """Brute-force reference: O(n^2) flood fill over the triple-norm (and
+    shared-group) links, numbering components in order of their first row."""
+    n = len(rows)
+
+    def linked(i, j):
+        d = [int(a) - int(b) for a, b in zip(rows[i], rows[j])]
+        near = max(abs(d[0]), abs(d[1])) + max(abs(d[2]), abs(d[3])) <= radius
+        return near or (group is not None and group[i] == group[j])
+
+    labels = [-1] * n
+    count = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if labels[j] < 0 and linked(i, j):
+                    labels[j] = count
+                    stack.append(j)
+        count += 1
+    return labels
+
+
+class TestTripleNormComponents:
+    small = st.integers(min_value=-4, max_value=4)
+
+    @given(
+        st.lists(
+            st.tuples(st.tuples(small, small, small, small), st.integers(0, 3)),
+            max_size=25,
+        ),
+        st.integers(min_value=0, max_value=4),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, points, radius, grouped):
+        rows = np.array([p for p, _ in points], dtype=np.int64).reshape(-1, 4)
+        group = np.array([g for _, g in points], dtype=np.int64) if grouped else None
+        labels = triple_norm_components(rows, radius, group=group)
+        assert labels.tolist() == _flood_labels(rows, radius, group)
+
+    def test_distance_exactly_radius(self):
+        # triple norm 3 joins at radius 3 only; sup norm 2 but triple norm 4
+        # never joins at radius 2
+        rows = np.array([[0, 0, 0, 0], [2, 0, 0, 1], [2, 0, 2, 0]])
+        assert triple_norm_components(rows[:2], 3).tolist() == [0, 0]
+        assert triple_norm_components(rows[:2], 2).tolist() == [0, 1]
+        assert triple_norm_components(rows[[0, 2]], 2).tolist() == [0, 1]
+
+    def test_group_joins_far_rows(self):
+        rows = np.array([[0, 0, 0, 0], [9, 9, 0, 0], [0, 0, 9, 9], [9, 0, 9, 0]])
+        assert triple_norm_components(rows, 1).tolist() == [0, 1, 2, 3]
+        group = np.array([5, 7, 5, 7])
+        assert triple_norm_components(rows, 1, group=group).tolist() == [0, 1, 0, 1]
+
+    def test_labels_follow_first_rows(self):
+        rows = np.array(
+            [[9, 0, 0, 0], [0, 0, 0, 0], [9, 1, 0, 0], [5, 5, 5, 5], [0, 1, 0, 0]]
+        )
+        assert triple_norm_components(rows, 1).tolist() == [0, 1, 0, 2, 1]
 
 
 class TestEnumerateBox:
