@@ -2,9 +2,10 @@
 exact-diagonalization oracle used to validate every perturbative result.
 
 H(kappa)_{m,m'} = |kappa + p_m|^2 delta_{m,m'} + V_{m-m'}.  The off-diagonal
-coupling is kappa-independent and has a handful of entries per row, so it is
-filled once as a CSR matrix (`coupling_matrix`); the dense section is that
-matrix plus the diagonal, for the oracle.  Hermiticity is exact at the bit
+coupling is kappa-independent and has a handful of entries per row: its
+pairs come from one `lattice.row_positions` lookup of every support shift
+(`coupling_pairs`), filled once as a CSR matrix (`coupling_matrix`); the
+dense section is that matrix plus the diagonal, for the oracle.  Hermiticity is exact at the bit
 level: each conjugate pair of entries is written from a single coefficient.
 """
 
@@ -20,6 +21,7 @@ from .lattice import (
     QPParams,
     dual_array,
     indices_to_array,
+    row_positions,
 )
 from .potential import PotentialSpec
 
@@ -32,29 +34,7 @@ class DimensionCap(ValueError):
     pass
 
 
-class PackOverflow(ValueError):
-    """A lattice coordinate is too large for the packed row key."""
-
-
 EIG_CAP_DEFAULT = 4096
-
-_PACK_BASE = 4096  # coordinates must stay below half of this
-
-
-def pack_rows(rows: np.ndarray) -> np.ndarray:
-    """Injective int64 key per lattice row, for O(log n) pair matching.
-
-    Raises PackOverflow when a coordinate reaches +-_PACK_BASE/2, where
-    distinct rows would share a key."""
-    b = _PACK_BASE
-    h = b // 2
-    top = int(np.max(np.abs(rows), initial=0))
-    if top >= h:
-        raise PackOverflow(f"coordinate {top} outside +-{h - 1}")
-    out = rows[:, 0] + h
-    for c in range(1, 4):
-        out = out * b + (rows[:, c] + h)
-    return out
 
 
 @dataclass(frozen=True)
@@ -93,21 +73,13 @@ def diagonal_energies(kappa, rows: np.ndarray, params: QPParams) -> np.ndarray:
 def coupling_pairs(rows: np.ndarray, spec: PotentialSpec):
     """All (i, j, V_q) with rows[i] - rows[j] = q over the nonzero support,
     one entry per ordered pair."""
-    keys = pack_rows(rows)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
+    support = spec.nonzero_support
+    shifted = rows[None, :, :] - indices_to_array(support)[:, None, :]
     out = []
-    for q in spec.nonzero_support:
-        v = spec.coeffs[q]
-        q_row = np.array(q.as_row(), dtype=np.int64)
-        target = pack_rows(rows - q_row[None, :])
-        pos = np.searchsorted(sorted_keys, target)
-        pos_c = np.clip(pos, 0, len(keys) - 1)
-        hit = sorted_keys[pos_c] == target
-        i_idx = np.nonzero(hit)[0]
-        j_idx = order[pos_c[hit]]
+    for q, pos in zip(support, row_positions(rows, shifted)):
+        i_idx = np.flatnonzero(pos >= 0)
         if len(i_idx):
-            out.append((i_idx, j_idx, v))
+            out.append((i_idx, pos[i_idx], spec.coeffs[q]))
     return out
 
 

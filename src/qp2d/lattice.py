@@ -3,6 +3,11 @@ p_m = 2*pi*(s1 + alpha*s2) in R^2, box enumeration in the triple norm
 |||m||| = |s1|_inf + |s2|_inf, best rational approximation of alpha, and the
 cluster geometry of the lattice image at a given approximation scale.
 
+Point sets are (N, 4) integer rows.  `row_positions` is the one lookup of
+rows among rows, by packed int64 keys; the geometry keeps a set as sorted
+positions into `enumerate_box_array(R)`, whose ascending order is
+`LatticeIndex` order.  `LatticeIndex` is the scalar API surface.
+
 alpha is represented exactly, either as a quadratic irrational (a + b*sqrt(d))/c
 or as a continued-fraction prefix, so that colinearity questions reduce to
 integer arithmetic and best approximants are exact convergents.
@@ -32,6 +37,10 @@ class NoApproximant(Exception):
 
 class RationalAlpha(ValueError):
     """The descriptor denotes a rational number."""
+
+
+class PackOverflow(ValueError):
+    """A lattice coordinate is too large for the packed row key."""
 
 
 @dataclass(frozen=True, order=True)
@@ -235,7 +244,42 @@ def array_to_indices(rows: np.ndarray) -> list[LatticeIndex]:
 
 
 def triple_norm_array(rows: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(rows[:, :2]), axis=1) + np.max(np.abs(rows[:, 2:]), axis=1)
+    """|||m||| of each row of an (..., 4) array."""
+    return np.max(np.abs(rows[..., :2]), axis=-1) + np.max(np.abs(rows[..., 2:]), axis=-1)
+
+
+_PACK_BASE = 4096  # coordinates must stay below half of this
+
+
+def pack_rows(rows: np.ndarray) -> np.ndarray:
+    """Injective int64 key per row of an (..., 4) array; keys increase in
+    LatticeIndex order.
+
+    Raises PackOverflow when a coordinate reaches +-_PACK_BASE/2, where
+    distinct rows would share a key."""
+    b = _PACK_BASE
+    h = b // 2
+    top = int(np.max(np.abs(rows), initial=0))
+    if top >= h:
+        raise PackOverflow(f"coordinate {top} outside +-{h - 1}")
+    out = rows[..., 0] + h
+    for c in range(1, 4):
+        out = out * b + (rows[..., c] + h)
+    return out
+
+
+def row_positions(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Position in `rows` (N, 4) of each row of `query` (..., 4), or -1 where
+    it is absent; the result has shape (...).  A row that occurs more than
+    once in `rows` gets one of its positions."""
+    keys = pack_rows(rows)
+    target = pack_rows(query)
+    if len(keys) == 0:
+        return np.full(target.shape, -1, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    at = np.minimum(np.searchsorted(sorted_keys, target), len(keys) - 1)
+    return np.where(sorted_keys[at] == target, order[at], -1)
 
 
 def dual_array(rows: np.ndarray, params: QPParams) -> np.ndarray:

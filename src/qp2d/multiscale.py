@@ -20,6 +20,7 @@ from .lattice import (
     dual_array,
     enumerate_box_array,
     indices_to_array,
+    row_positions,
     triple_norm,
     triple_norm_array,
     triple_norm_components,
@@ -216,135 +217,104 @@ def region_map(
     the lighter scale (white into grey, white into black, then grey into
     black).  Components of one color are the classes of the same linking at
     their own scale, ordered by their smallest index.
+
+    Regions are sorted positions into enumerate_box_array(r2); deep
+    resonances outside the box act as centers only.
     """
     r2 = profile.box_r2
-    ambient_rows = enumerate_box_array(r2)
-    ambient = set(array_to_indices(ambient_rows))
-    m2_list = sorted(set(m2_points))
-    m2_rows = indices_to_array(m2_list) if m2_list else np.zeros((0, 4), np.int64)
-    duals = dual_array(m2_rows, spec.params) if m2_list else np.zeros((0, 2))
-
-    all_duals = dual_array(ambient_rows, spec.params)
-    all_norms = triple_norm_array(ambient_rows)
-    p_len = np.linalg.norm(all_duals, axis=1)
+    box = enumerate_box_array(r2)
+    m2_rows = indices_to_array(sorted(set(m2_points)))
+    m2_pos = row_positions(box, m2_rows)
+    duals = dual_array(m2_rows, spec.params)
+    box_norms = triple_norm_array(box)
+    p_len = np.linalg.norm(dual_array(box, spec.params), axis=1)
 
     # simple region: small dual length, fat neighborhoods
-    simple_centers = [
-        LatticeIndex.from_row(r)
-        for r, nrm, pl in zip(ambient_rows, all_norms, p_len)
-        if nrm > 0 and 0.0 < pl <= profile.simple_threshold
-    ]
-    simple = norm_ball(simple_centers, profile.simple_nbhd, ambient)
+    simple_centers = box[(box_norms > 0) & (p_len > 0.0) & (p_len <= profile.simple_threshold)]
+    simple = norm_ball(simple_centers, profile.simple_nbhd, r2)
 
-    inner = {m for m in ambient if triple_norm(m) <= profile.box_r1}
-    live = [
-        (m, d)
-        for m, d in zip(m2_list, duals)
-        if m not in simple and m not in inner
-    ]
+    # the inner region is the r1-box inside the r2-box
+    inner = triple_norm_array(m2_rows) <= min(profile.box_r1, r2)
+    live = ~np.isin(m2_pos, simple) & ~inner
 
-    def cell_of(d, side):
-        return (int(math.floor(d[0] / side)), int(math.floor(d[1] / side)))
+    def crowded(mask, side: float, n_max: int):
+        """The points of mask whose dual-plane cell, with its 8 neighbors,
+        holds more than n_max points of mask."""
+        cells = [(int(math.floor(d[0] / side)), int(math.floor(d[1] / side))) for d in duals]
+        counts: dict = {}
+        for c in (c for c, keep in zip(cells, mask) if keep):
+            counts[c] = counts.get(c, 0) + 1
+        dense = {
+            c
+            for c in counts
+            if sum(
+                counts.get((c[0] + dx, c[1] + dy), 0)
+                for dx in (-1, 0, 1)
+                for dy in (-1, 0, 1)
+            )
+            > n_max
+        }
+        return mask & np.array([c in dense for c in cells], dtype=bool)
 
-    counts_black: dict = {}
-    for _, d in live:
-        counts_black[cell_of(d, profile.cell_black)] = (
-            counts_black.get(cell_of(d, profile.cell_black), 0) + 1
-        )
+    in_black = crowded(live, profile.cell_black, profile.n_black)
+    black = norm_ball(m2_rows[in_black], profile.black_nbhd, r2)
 
-    def nbhd_count(counts, cell):
-        return sum(
-            counts.get((cell[0] + dx, cell[1] + dy), 0)
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-        )
+    white_candidates = live & ~in_black
+    in_grey = crowded(white_candidates, profile.cell_grey, profile.n_grey)
+    grey = np.setdiff1d(norm_ball(m2_rows[in_grey], profile.grey_nbhd, r2), black)
 
-    black_cells = {
-        c for c in counts_black if nbhd_count(counts_black, c) > profile.n_black
-    }
-    black_pts = [
-        m for m, d in live if cell_of(d, profile.cell_black) in black_cells
-    ]
-    black = norm_ball(black_pts, profile.black_nbhd, ambient)
-
-    white_candidates = [
-        (m, d) for m, d in live if cell_of(d, profile.cell_black) not in black_cells
-    ]
-    counts_grey: dict = {}
-    for _, d in white_candidates:
-        cg = cell_of(d, profile.cell_grey)
-        counts_grey[cg] = counts_grey.get(cg, 0) + 1
-    grey_cells = {
-        c for c in counts_grey if nbhd_count(counts_grey, c) > profile.n_grey
-    }
-    grey_pts = [
-        m for m, d in white_candidates if cell_of(d, profile.cell_grey) in grey_cells
-    ]
-    grey = norm_ball(grey_pts, profile.grey_nbhd, ambient) - black
-
-    white_pts = [
-        m
-        for m, d in white_candidates
-        if cell_of(d, profile.cell_grey) not in grey_cells
-    ]
-    white = norm_ball(white_pts, profile.white_nbhd, ambient) - black - grey
+    white = norm_ball(m2_rows[white_candidates & ~in_grey], profile.white_nbhd, r2)
+    white = np.setdiff1d(white, np.union1d(black, grey))
 
     # non-resonant leftovers: resonance components of the r2 classification
     # that carry no deep resonance
-    nonres: set[LatticeIndex] = set()
+    nonres = np.zeros(0, dtype=np.int64)
     if decomp is not None:
-        m2set = set(m2_list)
-        tw = set(decomp.trivial_weak_points())
-        leftovers = [
-            m
-            for m in decomp.m_set
-            if m not in m2set
-            and m not in tw
-            and m not in inner
-            and m not in simple
-            and triple_norm(m) <= r2
-        ]
-        nonres = norm_ball(leftovers, profile.m1_box_radius, ambient)
-        nonres -= black | grey | white | simple
+        m_rows = indices_to_array(decomp.m_set)
+        m_norms = triple_norm_array(m_rows)
+        keep = (
+            (row_positions(m2_rows, m_rows) < 0)
+            & (row_positions(indices_to_array(decomp.trivial_weak_points()), m_rows) < 0)
+            & (m_norms > profile.box_r1)
+            & (m_norms <= r2)
+            & ~np.isin(row_positions(box, m_rows), simple)
+        )
+        nonres = np.setdiff1d(
+            norm_ball(m_rows[keep], profile.m1_box_radius, r2),
+            np.concatenate([black, grey, white, simple]),
+        )
 
     # merge lighter clusters into close darker regions
-    def absorb(lighter: set, darker: set, sep: int) -> tuple[set, set]:
-        pts = sorted(lighter | darker)
-        labels = triple_norm_components(indices_to_array(pts), sep - 1)
-        dark = {lab for m, lab in zip(pts, labels) if m in darker}
-        moved = {m for m, lab in zip(pts, labels) if lab in dark and m in lighter}
-        return lighter - moved, darker | moved
+    def absorb(lighter, darker, sep: int):
+        pts = np.union1d(lighter, darker)
+        labels = triple_norm_components(box[pts], sep - 1)
+        dark = labels[np.isin(pts, darker)]
+        moved = pts[np.isin(labels, dark) & np.isin(pts, lighter)]
+        return np.setdiff1d(lighter, moved), np.union1d(darker, moved)
 
     white, grey = absorb(white, grey, max(profile.white_nbhd, 1) + 1)
     white, black = absorb(white, black, max(profile.white_nbhd, 1) + 1)
     grey, black = absorb(grey, black, max(profile.grey_nbhd, 1) + 1)
 
-    m2set = set(m2_list)
+    support = indices_to_array(spec.nonzero_support)
     comps: list[RegionComponent] = []
 
-    def push(color: str, region: set, sep: int) -> None:
-        pts = sorted(region)
-        groups: dict = {}
-        for m, lab in zip(pts, triple_norm_components(indices_to_array(pts), sep - 1)):
-            groups.setdefault(lab, []).append(m)
-        for comp in groups.values():
-            indices = tuple(comp)
-            comp_set = set(comp)
-            boundary = tuple(
-                m
-                for m in comp
-                if any(
-                    (m + q) not in comp_set
-                    for q, v in spec.coeffs.items()
-                    if v != 0
-                )
-            )
+    def push(color: str, region, sep: int) -> None:
+        labels = triple_norm_components(box[region], sep - 1)
+        # labels are numbered by first row, and regions are sorted
+        for lab in np.unique(labels):
+            comp = region[labels == lab]
+            rows = box[comp]
+            outward = row_positions(rows, rows[None, :, :] + support[:, None, :]) < 0
+            indices = tuple(array_to_indices(rows))
             comps.append(
                 RegionComponent(
                     color=color,
                     indices=indices,
-                    boundary=boundary,
-                    n_resonant_points=sum(1 for m in comp if m in m2set),
+                    boundary=tuple(
+                        m for m, out in zip(indices, outward.any(axis=0)) if out
+                    ),
+                    n_resonant_points=int(np.count_nonzero(np.isin(comp, m2_pos))),
                 )
             )
 
@@ -407,21 +377,15 @@ def boundary_check(
     that every outward connection leaves from a boundary index; returns the
     largest violating |V| entry (0.0 when all identities hold).
     """
-    owner: dict[LatticeIndex, int] = {}
-    for i, c in enumerate(rmap.components):
-        for m in c.indices:
-            owner[m] = i
-    support = [(q, abs(v)) for q, v in spec.coeffs.items() if v != 0]
-    worst = 0.0
-    for i, c in enumerate(rmap.components):
-        bset = set(c.boundary)
-        cset = set(c.indices)
-        for m in c.indices:
-            for q, mag in support:
-                nb = m + q
-                o = owner.get(nb)
-                if o is not None and o != i:
-                    worst = max(worst, mag)  # cross-component connection
-                if o is None and nb not in cset and m not in bset:
-                    worst = max(worst, mag)  # outward edge from non-boundary
-    return worst
+    comps = rmap.components
+    rows = indices_to_array([m for c in comps for m in c.indices])
+    owner = np.repeat(np.arange(len(comps)), [len(c.indices) for c in comps])
+    on_boundary = row_positions(rows, indices_to_array([m for c in comps for m in c.boundary]))
+    interior = np.ones(len(rows), dtype=bool)
+    interior[on_boundary[on_boundary >= 0]] = False
+    support = spec.nonzero_support
+    nb = row_positions(rows, rows[None, :, :] + indices_to_array(support)[:, None, :])
+    # a neighbor in another component, or outside every component from an
+    # interior index
+    bad = np.where(nb >= 0, owner[nb] != owner, interior).any(axis=1)
+    return max((abs(spec.coeffs[q]) for q, b in zip(support, bad) if b), default=0.0)

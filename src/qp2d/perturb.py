@@ -42,6 +42,8 @@ from .lattice import (
     ZERO_INDEX,
     box_indices,
     enumerate_box_array,
+    indices_to_array,
+    row_positions,
     triple_norm_array,
 )
 from .potential import InvariantViolation, PotentialSpec
@@ -277,12 +279,13 @@ def level2_geometry(
     decomp = strength(decomp, k, phi0, spec, profile)
     projector = assemble_projector(decomp, k, profile, spec)
     indices = box_indices(profile.box_r1)
-    pos = {m: i for i, m in enumerate(indices)}
+    rows = enumerate_box_array(profile.box_r1)
     block_positions = []
     core_positions = None
     single = np.ones(len(indices), dtype=bool)
     for blk in projector.blocks:
-        arr = np.array(sorted(pos[m] for m in blk.indices), dtype=np.int64)
+        # block indices are sorted, so their positions ascend
+        arr = row_positions(rows, indices_to_array(blk.indices))
         block_positions.append(arr)
         single[arr] = False
         if blk.kind == "core":
@@ -294,7 +297,7 @@ def level2_geometry(
         projector=projector,
         block_positions=block_positions,
         indices=indices,
-        rows=enumerate_box_array(profile.box_r1),
+        rows=rows,
         core_positions=core_positions,
     )
 

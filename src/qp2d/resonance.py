@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .fiber import coupling_matrix, diagonal_energies
+from .fiber import coupling_matrix, coupling_pairs, diagonal_energies
 from .lattice import (
     LatticeIndex,
     QPParams,
@@ -30,6 +30,7 @@ from .lattice import (
     indices_to_array,
     primitive_direction,
     rational_ratio,
+    row_positions,
     triple_norm,
     triple_norm_array,
     triple_norm_components,
@@ -683,36 +684,24 @@ class BlockProjector:
         }
 
 
-def norm_ball(centers, radius: int, ambient: set) -> set[LatticeIndex]:
-    """Members of ambient within triple-norm distance radius of some center."""
-    offsets = box_indices(radius)
-    return {m for c in centers for m in (c + off for off in offsets) if m in ambient}
+def norm_ball(center_rows: np.ndarray, radius: int, box_radius: int) -> np.ndarray:
+    """Sorted positions in enumerate_box_array(box_radius) of the points
+    within triple-norm distance radius of some center row."""
+    pos = row_positions(
+        enumerate_box_array(box_radius),
+        center_rows[:, None, :] + enumerate_box_array(radius)[None, :, :],
+    )
+    return np.unique(pos[pos >= 0])
 
 
-def orthogonality_violation(
-    blocks,
-    spec: PotentialSpec,
-    core: tuple[LatticeIndex, ...] | None = None,
-) -> float:
+def orthogonality_violation(blocks, spec: PotentialSpec) -> float:
     """Max |V_{m-m'}| over pairs in distinct blocks (0.0 when orthogonal)."""
-    owner: dict[LatticeIndex, int] = {}
-    for i, blk in enumerate(blocks):
-        for m in blk:
-            owner[m] = i
+    rows = indices_to_array([m for blk in blocks for m in blk])
+    owner = np.repeat(np.arange(len(blocks)), [len(blk) for blk in blocks])
     worst = 0.0
-    support = [(q, abs(v)) for q, v in spec.coeffs.items() if v != 0]
-    for i, blk in enumerate(blocks):
-        for m in blk:
-            for q, mag in support:
-                other = owner.get(m - q)
-                if other is not None and other != i:
-                    worst = max(worst, mag)
-    if core is not None:
-        core_set = set(core)
-        for m in owner:
-            for q, mag in support:
-                if (m - q) in core_set:
-                    worst = max(worst, mag)
+    for i, j, v in coupling_pairs(rows, spec):
+        if np.any(owner[i] != owner[j]):
+            worst = max(worst, abs(v))
     return worst
 
 
@@ -732,56 +721,64 @@ def assemble_projector(
     """
     if not decomp.labeled():
         raise ValueError("strength labels must be attached first")
-    ambient = set(box_indices(profile.box_r1))
+    r1 = profile.box_r1
+    box = enumerate_box_array(r1)
     core = box_indices(profile.core_radius)
 
     blocks: list[Block] = [Block("core", core)]
-    taken: set[LatticeIndex] = set(core)
+    taken = np.zeros(len(box), dtype=bool)
+    taken[row_positions(box, enumerate_box_array(profile.core_radius))] = True
 
-    def commit(kind: str, members: set) -> None:
-        members &= ambient
-        if members & taken:
-            raise OverlapDetected(f"{kind} block intersects an earlier block")
-        blocks.append(Block(kind, tuple(sorted(members))))
-        taken.update(members)
+    def commit(kind: str, members: np.ndarray, what: str) -> None:
+        """members: sorted positions in the r1-box."""
+        if taken[members].any():
+            raise OverlapDetected(f"{what} intersects an earlier block")
+        blocks.append(Block(kind, tuple(array_to_indices(box[members]))))
+        taken[members] = True
 
-    # strong clusters with attached weak windows
+    def in_box(rows: np.ndarray) -> np.ndarray:
+        pos = row_positions(box, rows)
+        return np.unique(pos[pos >= 0])
+
+    # a weak window touches the body when a member, or a member shifted by a
+    # support vector, lies in it
+    support = indices_to_array(q for q, v in spec.coeffs.items() if v != 0)
+    shifts = np.concatenate([np.zeros((1, 4), np.int64), support, -support])
+
+    # strong clusters with attached weak windows; class members come from the
+    # 2*r1 classification, so the body is kept as rows, not box positions
     attached: set[tuple[int, int]] = set()
     for group in decomp.strong_clusters:
         ci = group[0][0]
         cls = decomp.classes[ci]
-        body: set[LatticeIndex] = set()
-        for (gci, si) in group:
-            members = decomp.classes[gci].subsets[si].members
-            body |= norm_ball(members, profile.body_radius, ambient) | set(members)
+        members = indices_to_array(
+            m for gci, si in group for m in decomp.classes[gci].subsets[si].members
+        )
+        body = np.concatenate(
+            [box[norm_ball(members, profile.body_radius, r1)], members]
+        )
         if not cls.trivial:
-            support = [q for q, v in spec.coeffs.items() if v != 0]
             changed = True
             while changed:
                 changed = False
                 for si, sub in enumerate(cls.subsets):
                     if sub.strength != "weak" or (ci, si) in attached:
                         continue
-                    touches = any(
-                        (m - q) in body or (m + q) in body or m in body
-                        for m in sub.members
-                        for q in support
-                    )
-                    if touches:
-                        body.update(sub.members)
+                    sub_rows = indices_to_array(sub.members)
+                    near = sub_rows[None, :, :] + shifts[:, None, :]
+                    if np.any(row_positions(body, near) >= 0):
+                        body = np.concatenate([body, sub_rows])
                         attached.add((ci, si))
                         changed = True
         kind = "trivial-strong" if cls.trivial else "nontrivial-strong"
-        commit(kind, body)
+        commit(kind, in_box(body), f"{kind} block")
 
     # isolated resonances not swallowed by a strong neighborhood
     for m in decomp.m1:
-        if m in taken:
+        m_row = indices_to_array((m,))
+        if taken[in_box(m_row)].any():
             continue
-        m1_box = norm_ball((m,), profile.m1_box_radius, ambient) | {m}
-        if m1_box & taken:
-            raise OverlapDetected(f"m1 box at {m} intersects an earlier block")
-        commit("m1-box", m1_box)
+        commit("m1-box", norm_ball(m_row, profile.m1_box_radius, r1), f"m1 box at {m}")
 
     # standalone weak windows of non-trivial classes
     for ci, cls in enumerate(decomp.classes):
@@ -789,12 +786,11 @@ def assemble_projector(
             continue
         for si, sub in enumerate(cls.subsets):
             if sub.strength == "weak" and (ci, si) not in attached:
-                members = set(sub.members)
-                if members & taken:
-                    raise OverlapDetected(
-                        f"weak window at {sub.central} intersects an earlier block"
-                    )
-                commit("nontrivial-weak", members)
+                commit(
+                    "nontrivial-weak",
+                    in_box(indices_to_array(sub.members)),
+                    f"weak window at {sub.central}",
+                )
 
     viol = orthogonality_violation(
         [b.indices for b in blocks], spec
@@ -831,20 +827,22 @@ def appendix4_count(
     dv = dual_vector(m, params)
     # one evaluator serves every momentum: the coupling block is fixed, only
     # the diagonal depends on the point; a short series suffices for root
-    # bracketing, and adjacent scan points share the radius
+    # bracketing
     ev = LevelEvaluator(1, 0.0, spec, profile)
     lam_target = k * k
-    warm = {"kap": k}
 
     def f(phi: float) -> float:
+        # every call starts from k, so a value does not depend on the
+        # evaluation order
         nu = np.array([math.cos(phi), math.sin(phi)])
-        kap = warm["kap"]
+        kap = k
         for _ in range(6):
             r = ev.eigenvalue(kap * nu, r_max=14) - lam_target
             if abs(r) <= 1e-10 * lam_target:
                 break
             kap -= r / (2.0 * kap)
-        warm["kap"] = kap
+        else:
+            raise NonConvergent(f"radius Newton at phi={phi:.6f} left |r| = {abs(r):.3g}")
         lam = ev.eigenvalue(kap * nu + dv.p, r_max=14)
         return lam - lam_target - eps0
 

@@ -28,6 +28,7 @@ from .lattice import (
     dual_vector,
     enumerate_box,
     enumerate_box_array,
+    indices_to_array,
     primitive_direction,
     triple_norm,
     triple_norm_array,
@@ -958,42 +959,36 @@ def check_multiscale(cfg: RunConfig) -> list[CheckRecord]:
     def determinism():
         a = multiscale.region_map(m2, k, spec, prof)
         b = multiscale.region_map(m2, k, spec, prof)
-        return 0.0 if a == b else 1.0
+        return 0.0 if a == b else 1.0, a
 
-    v, rt = _timed(determinism)
+    (v, rmap), rt = _timed(determinism)
     out.append(CheckRecord("region-map-deterministic", v == 0.0, v, 0.0, rt))
 
     def separations():
-        rmap = multiscale.region_map(m2, k, spec, prof)
         seps = {
             "black": prof.black_nbhd + 1,
             "grey": prof.grey_nbhd + 1,
             "white": prof.white_nbhd + 1,
         }
-        comps = list(rmap.components)
-        for i, a in enumerate(comps):
-            for b in comps[i + 1 :]:
-                if a.color != b.color or a.color not in seps:
+        comps = [(c.color, indices_to_array(c.indices)) for c in rmap.components]
+        for i, (color, a) in enumerate(comps):
+            for other, b in comps[i + 1 :]:
+                if other != color or color not in seps:
                     continue
-                d = min(triple_norm(x - y) for x in a.indices for y in b.indices)
-                if d < seps[a.color]:
+                d = int(triple_norm_array(a[:, None, :] - b[None, :, :]).min())
+                if d < seps[color]:
                     return 1.0
         return 0.0
 
     v, rt = _timed(separations)
     out.append(CheckRecord("same-color-separation", v == 0.0, v, 0.0, rt))
 
-    def boundary():
-        rmap = multiscale.region_map(m2, k, spec, prof)
-        return multiscale.boundary_check(rmap, spec)
-
-    v, rt = _timed(boundary)
+    v, rt = _timed(lambda: multiscale.boundary_check(rmap, spec))
     out.append(
         CheckRecord("region-boundary-identities", v == 0.0, v, 0.0, rt, "exact")
     )
 
     def counting():
-        rmap = multiscale.region_map(m2, k, spec, prof)
         stats = multiscale.region_stats(
             rmap, m2, spec, prof, rng=np.random.default_rng(cfg.seed + 1)
         )

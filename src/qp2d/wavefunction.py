@@ -10,16 +10,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fiber import diagonal_energies
+from .fiber import coupling_matrix, diagonal_energies
 from .lattice import (
     LatticeIndex,
     QPParams,
     ZERO_INDEX,
-    box_indices,
+    array_to_indices,
     dual_array,
     enumerate_box_array,
     indices_to_array,
-    triple_norm,
+    row_positions,
+    triple_norm_array,
 )
 from .perturb import Level2Geometry, eigenvalue_level
 from .potential import PotentialSpec
@@ -81,23 +82,20 @@ def residual(
     magnitude).  Support outside the shell
     box_radius < |||s||| <= box_radius + Q is structurally zero.
     """
-    params = spec.params
     margin = spec.max_support_norm
     rows = enumerate_box_array(wf.box_radius + margin)
-    indices = box_indices(wf.box_radius + margin)
-    diag = diagonal_energies(wf.kappa, rows, params)
-    g: dict[LatticeIndex, complex] = {}
-    nz = [(q, v) for q, v in spec.coeffs.items() if v != 0]
-    for s, d in zip(indices, diag):
-        val = (d - wf.lam) * wf.coeff(s)
-        for q, vq in nz:
-            val += vq * wf.coeff(s - q)
-        if val != 0:
-            g[s] = val
-    l1 = float(sum(abs(v) for v in g.values()))
-    interior = max(
-        (abs(v) for s, v in g.items() if triple_norm(s) <= wf.box_radius),
-        default=0.0,
+    pos = row_positions(rows, indices_to_array(wf.coeffs))
+    if np.any(pos < 0):
+        raise ValueError("wave function has coefficients outside its box")
+    c = np.zeros(len(rows), dtype=complex)
+    c[pos] = list(wf.coeffs.values())
+    diag = diagonal_energies(wf.kappa, rows, spec.params)
+    g_vec = coupling_matrix(rows, spec) @ c + (diag - wf.lam) * c
+    nz = np.flatnonzero(g_vec)
+    g = dict(zip(array_to_indices(rows[nz]), g_vec[nz].tolist()))
+    l1 = float(np.sum(np.abs(g_vec)))
+    interior = np.max(
+        np.abs(g_vec[triple_norm_array(rows) <= wf.box_radius]), initial=0.0
     )
     return g, l1, float(interior)
 

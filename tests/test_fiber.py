@@ -6,12 +6,10 @@ import pytest
 from qp2d.fiber import (
     DimensionCap,
     DuplicateIndex,
-    PackOverflow,
     assemble,
     diagonal_energies,
     eig_oracle,
     eigvals_oracle,
-    pack_rows,
     resolvent_gap,
     spectral_window,
 )
@@ -165,19 +163,3 @@ class TestSpectralWindow:
             count, _ = spectral_window(h, c, r)
             assert count == int(np.sum(np.abs(vals - c) <= r))
 
-
-class TestPackRows:
-    def test_largest_coordinates_accepted(self):
-        rows = np.array([[2047, -2047, 0, 0], [-2047, 2047, 2047, -2047]])
-        keys = pack_rows(rows)
-        assert keys[0] != keys[1]
-
-    @pytest.mark.parametrize("c", [2048, -2048])
-    def test_boundary_rejected(self, c):
-        with pytest.raises(PackOverflow):
-            pack_rows(np.array([[0, 0, c, 0]]))
-
-    def test_collision_rejected(self):
-        # these two rows would share a key with a carry between digits
-        with pytest.raises(PackOverflow):
-            pack_rows(np.array([[0, 2048, 0, 0], [1, -2048, 0, 0]]))

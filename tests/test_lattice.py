@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qp2d.lattice import (
     ApproxPair,
     LatticeIndex,
+    PackOverflow,
     QPParams,
     RationalAlpha,
     ZERO_INDEX,
@@ -23,8 +24,10 @@ from qp2d.lattice import (
     enumerate_box,
     enumerate_box_array,
     min_dual_norm_constant,
+    pack_rows,
     primitive_direction,
     rational_ratio,
+    row_positions,
     triple_norm,
     triple_norm_array,
     triple_norm_components,
@@ -338,3 +341,59 @@ def test_dual_map_is_additive(a, b):
     db = dual_vector(b, params).p
     dab = dual_vector(a + b, params).p
     assert np.allclose(da + db, dab, atol=1e-9)
+
+
+class TestPackRows:
+    def test_largest_coordinates_accepted(self):
+        rows = np.array([[2047, -2047, 0, 0], [-2047, 2047, 2047, -2047]])
+        keys = pack_rows(rows)
+        assert keys[0] != keys[1]
+
+    @pytest.mark.parametrize("c", [2048, -2048])
+    def test_boundary_rejected(self, c):
+        with pytest.raises(PackOverflow):
+            pack_rows(np.array([[0, 0, c, 0]]))
+
+    def test_collision_rejected(self):
+        # these two rows would share a key with a carry between digits
+        with pytest.raises(PackOverflow):
+            pack_rows(np.array([[0, 2048, 0, 0], [1, -2048, 0, 0]]))
+
+    def test_keys_follow_index_order(self):
+        rows = enumerate_box_array(2)
+        assert np.all(np.diff(pack_rows(rows)) > 0)
+
+
+row_sets = st.lists(st.tuples(coord, coord, coord, coord), max_size=30, unique=True)
+
+
+class TestRowPositions:
+    @given(rows=row_sets, query=st.lists(st.tuples(coord, coord, coord, coord), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dict_reference(self, rows, query):
+        ref = {r: i for i, r in enumerate(rows)}
+        got = row_positions(
+            np.array(rows, dtype=np.int64).reshape(-1, 4),
+            np.array(query, dtype=np.int64).reshape(-1, 4),
+        )
+        assert got.tolist() == [ref.get(r, -1) for r in query]
+
+    def test_query_shape_kept(self):
+        rows = enumerate_box_array(1)
+        shifts = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [5, 0, 0, 0]])
+        got = row_positions(rows, rows[None, :, :] + shifts[:, None, :])
+        assert got.shape == (3, len(rows))
+        assert got[0].tolist() == list(range(len(rows)))
+        assert np.all(got[2] == -1)
+
+    def test_empty_rows(self):
+        got = row_positions(np.zeros((0, 4), np.int64), np.zeros((2, 3, 4), np.int64))
+        assert got.shape == (2, 3) and np.all(got == -1)
+
+    @pytest.mark.parametrize("c", [2048, -2048])
+    def test_overflow_rejected(self, c):
+        rows = enumerate_box_array(1)
+        with pytest.raises(PackOverflow):
+            row_positions(rows, np.array([[0, c, 0, 0]]))
+        with pytest.raises(PackOverflow):
+            row_positions(np.array([[0, 0, 0, c]]), rows)

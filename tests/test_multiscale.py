@@ -5,12 +5,15 @@ import pytest
 
 from qp2d.lattice import (
     LatticeIndex,
+    ZERO_INDEX,
     dual_array,
     enumerate_box_array,
     triple_norm,
     triple_norm_array,
 )
 from qp2d.multiscale import (
+    RegionComponent,
+    RegionMap,
     boundary_check,
     build_m2set,
     local_pole_discs,
@@ -18,6 +21,7 @@ from qp2d.multiscale import (
     region_stats,
     second_resonant_set,
 )
+from qp2d.potential import build
 from qp2d.profile import make_profile
 from qp2d.resonance import build_omega1, classify
 
@@ -188,6 +192,30 @@ class TestRegionMap:
         rmap = region_map(m2, 40.0, spec, prof)
         for c in rmap.by_color("white"):
             assert c.n_resonant_points <= max(prof.n_grey, 1) * 9
+
+
+def planted_map(*parts) -> RegionMap:
+    """RegionMap from (indices, boundary) pairs."""
+    return RegionMap(
+        tuple(RegionComponent("white", tuple(ix), tuple(bd), 0) for ix, bd in parts),
+        r2_radius=8,
+    )
+
+
+class TestBoundaryCheck:
+    def test_planted_cross_component_coupling(self, spec):
+        for q in spec.nonzero_support:
+            rmap = planted_map(([ZERO_INDEX], [ZERO_INDEX]), ([q], [q]))
+            assert boundary_check(rmap, spec) == abs(spec.coeffs[q])
+
+    def test_planted_interior_leak(self, params):
+        g = LatticeIndex((1, 0), (0, 0))
+        one_pair = build([(g, 0.075 + 0.025j)], Q=4, params=params)
+        whole = ([ZERO_INDEX, g], [ZERO_INDEX, g])
+        assert boundary_check(planted_map(whole), one_pair) == 0.0
+        # g + g leaves the component from g, which is not on the boundary
+        leak = ([ZERO_INDEX, g], [ZERO_INDEX])
+        assert boundary_check(planted_map(leak), one_pair) == abs(0.075 + 0.025j)
 
 
 class TestRegionStats:

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qp2d.lattice import LatticeIndex, QPParams, dual_vector, triple_norm
+from qp2d.lattice import (
+    LatticeIndex,
+    QPParams,
+    ZERO_INDEX,
+    array_to_indices,
+    box_indices,
+    dual_vector,
+    enumerate_box_array,
+    indices_to_array,
+    triple_norm,
+)
 from qp2d.perturb import ContourHit, LevelEvaluator
 from qp2d.potential import build
 from qp2d.profile import make_profile
@@ -20,6 +30,8 @@ from qp2d.resonance import (
     classify,
     detuning,
     disc_radius,
+    norm_ball,
+    orthogonality_violation,
     resonant_set_step1,
     step1_arcs,
     step1_resonant,
@@ -567,6 +579,48 @@ class TestProjector:
                 assert j is None or j == i
 
 
+coord = st.integers(min_value=-6, max_value=6)
+lattice_points = st.builds(
+    LatticeIndex, st.tuples(coord, coord), st.tuples(coord, coord)
+)
+
+
+def norm_ball_reference(centers, radius: int, ambient: set) -> set:
+    """The set formula norm_ball replaced: members of ambient within
+    triple-norm distance radius of some center."""
+    offsets = box_indices(radius)
+    return {m for c in centers for m in (c + off for off in offsets) if m in ambient}
+
+
+class TestNormBall:
+    @given(
+        centers=st.lists(lattice_points, max_size=6),
+        radius=st.integers(0, 2),
+        box_radius=st.integers(0, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_set_formula(self, centers, radius, box_radius):
+        got = norm_ball(indices_to_array(centers), radius, box_radius)
+        assert np.all(np.diff(got) > 0)
+        box = enumerate_box_array(box_radius)
+        ambient = set(box_indices(box_radius))
+        assert array_to_indices(box[got]) == sorted(
+            norm_ball_reference(centers, radius, ambient)
+        )
+
+
+class TestOrthogonalityViolation:
+    def test_planted_coupling(self, spec):
+        far = LatticeIndex((9, 9), (0, 0))
+        for q in spec.nonzero_support:
+            blocks = [(ZERO_INDEX, far), (ZERO_INDEX - q,)]
+            assert orthogonality_violation(blocks, spec) == abs(spec.coeffs[q])
+
+    def test_coupling_inside_one_block_allowed(self, spec):
+        blocks = [tuple(box_indices(1)), (LatticeIndex((9, 9), (0, 0)),)]
+        assert orthogonality_violation(blocks, spec) == 0.0
+
+
 class TestAppendix4Rejections:
     """Only the evaluator's typed rejections make a scan point NaN."""
 
@@ -585,6 +639,18 @@ class TestAppendix4Rejections:
             raise ContourHit("on the contour")
 
         monkeypatch.setattr(LevelEvaluator, "eigenvalue", rejected)
+        count, roots = appendix4_count(
+            self.M, 25.0, 0.0, spec, make_profile(25.0), scan_points=50
+        )
+        assert (count, roots) == (0, [])
+
+    def test_newton_stall_is_a_gap(self, spec, monkeypatch):
+        # the true derivative is kappa, so the 2*kappa guess only halves the
+        # error per step and the radius never reaches tolerance in 6 steps
+        def half(self, kappa, r_max=None):
+            return float(kappa @ kappa) / 2.0
+
+        monkeypatch.setattr(LevelEvaluator, "eigenvalue", half)
         count, roots = appendix4_count(
             self.M, 25.0, 0.0, spec, make_profile(25.0), scan_points=50
         )

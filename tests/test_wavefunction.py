@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from qp2d.fiber import assemble, eig_oracle
-from qp2d.lattice import ZERO_INDEX, array_to_indices, enumerate_box_array, triple_norm
+from qp2d.fiber import assemble, diagonal_energies, eig_oracle
+from qp2d.lattice import (
+    ZERO_INDEX,
+    array_to_indices,
+    box_indices,
+    enumerate_box_array,
+    triple_norm,
+)
 from qp2d.profile import make_profile
 from qp2d.resonance import build_omega1
 from qp2d.wavefunction import residual, residual_l2, sample, synthesize, unit_cell_grid
@@ -88,6 +94,44 @@ class TestResidual:
         wf = synthesize(1, kap, spec, prof)
         _, l1, _ = residual(wf, spec)
         assert l1 >= residual_l2(wf, spec) - 1e-15
+
+
+def residual_reference(wf, spec):
+    """The per-index loop residual replaced, and the roundoff scale
+    |d_s - lam||c_s| + sum_q |V_q||c_{s-q}| of each entry."""
+    radius = wf.box_radius + spec.max_support_norm
+    diag = diagonal_energies(wf.kappa, enumerate_box_array(radius), spec.params)
+    nz = [(q, v) for q, v in spec.coeffs.items() if v != 0]
+    g, scale = {}, {}
+    for s, d in zip(box_indices(radius), diag):
+        val = (d - wf.lam) * wf.coeff(s)
+        scale[s] = abs(d - wf.lam) * abs(wf.coeff(s))
+        for q, vq in nz:
+            val += vq * wf.coeff(s - q)
+            scale[s] += abs(vq) * abs(wf.coeff(s - q))
+        if val != 0:
+            g[s] = val
+    return g, scale
+
+
+class TestResidualReference:
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_within_summation_bound(self, spec, params, rng, level):
+        kap, prof = admissible_kappa(40.0, params, rng, factor=8.0)
+        wf = synthesize(level, kap, spec, prof)
+        g, l1, interior = residual(wf, spec)
+        ref, scale = residual_reference(wf, spec)
+        eps = 2.0**-52
+        bound = {s: 4 * (1 + len(spec.nonzero_support)) * eps * a for s, a in scale.items()}
+        for s in scale:
+            assert abs(g.get(s, 0j) - ref.get(s, 0j)) <= bound[s]
+        assert set(g) <= set(scale)
+        # the entry bounds plus the roundoff of summing |g_s|
+        ref_l1 = sum(abs(v) for v in ref.values())
+        assert abs(l1 - ref_l1) <= sum(bound.values()) + len(scale) * eps * ref_l1
+        inside = [s for s in scale if triple_norm(s) <= wf.box_radius]
+        ref_interior = max(abs(ref.get(s, 0j)) for s in inside)
+        assert abs(interior - ref_interior) <= max(bound[s] for s in inside)
 
 
 class TestSample:
