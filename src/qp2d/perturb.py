@@ -17,8 +17,9 @@ The coupling is sparse (a handful of entries per row), so no d x d array is
 built per kappa: `LevelEvaluator` splits it once into the dense in-block
 parts of the multi-index blocks and the cross-block W as CSR, and the
 recursion applies W~ v = U^H (W (U v)) with the block-diagonal eigenbasis U
-held as CSR.  Only the oracle check (`LevelState.h_full`) and the quadrature
-routes densify.
+held as CSR.  The oracle check hands the section as CSR
+(`LevelState.section`) to the windowed shift-invert `eigvals_oracle`, so
+only the quadrature routes densify.
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ class LevelState:
     diag plus the in-block coupling of each multi-index block (`couplings`:
     (positions, dense block with zero diagonal) pairs); w holds every coupling
     entry between distinct blocks as CSR.  The three are disjoint, so they
-    add up to h_full entrywise.  block_vals are the model eigenvalues by
-    position and u the block-diagonal model eigenbasis (CSR, identity on the
-    singletons).
+    add up to the section entrywise (`section`; `h_full` is it dense).
+    block_vals are the model eigenvalues by position and u the block-diagonal
+    model eigenbasis (CSR, identity on the singletons).
     """
 
     level: int
@@ -112,14 +113,21 @@ class LevelState:
         return len(self.indices)
 
     @property
-    def h_full(self) -> np.ndarray:
-        """The dense section H(kappa), built on each access: for the oracle
-        and for tests, never for the series."""
-        h = self.w.toarray()
+    def section(self) -> sp.csr_matrix:
+        """H(kappa) as CSR, built on each access, for the oracle check."""
+        d = self.dim
+        coo = self.w.tocoo()
+        parts = [(coo.row, coo.col, coo.data), (np.arange(d), np.arange(d), self.diag)]
         for pos, blk in self.couplings:
-            h[np.ix_(pos, pos)] = blk
-        np.fill_diagonal(h, self.diag)
-        return h
+            i, j = np.nonzero(blk)
+            parts.append((pos[i], pos[j], blk[i, j]))
+        r, c, v = (np.concatenate(x) for x in zip(*parts))
+        return sp.csr_matrix((v, (r, c)), shape=(d, d))
+
+    @property
+    def h_full(self) -> np.ndarray:
+        """The dense section, for tests."""
+        return self.section.toarray()
 
 
 @dataclass
@@ -415,6 +423,10 @@ def generic_step(
     cannot reach an entry multiply exact zeros, so the support rule holds
     bit-exactly.
 
+    With check_oracle, `eigvals_oracle` finds the eigenvalues of the sparse
+    section inside the contour, and NotUnique is raised unless there is
+    exactly one.
+
     Raises ContourHit when the contour is not clear of the model spectrum and
     NonConvergent when the coefficient magnitudes stop decaying.
     """
@@ -464,11 +476,10 @@ def generic_step(
     oracle_lambda = None
     oracle_count = None
     if check_oracle:
-        mat = FiberMatrix(
-            indices=state.indices, kappa=np.zeros(2), entries=state.h_full
+        mat = FiberMatrix(indices=state.indices, kappa=np.zeros(2), entries=state.section)
+        inside = eigvals_oracle(
+            mat, state.contour.center, state.contour.radius, cap=profile.eig_cap
         )
-        vals = eigvals_oracle(mat, cap=profile.eig_cap)
-        inside = vals[np.abs(vals - state.contour.center) <= state.contour.radius]
         oracle_count = int(len(inside))
         if oracle_count != 1:
             raise NotUnique(

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sl
+import scipy.sparse as sp
 
 from qp2d.fiber import (
     DimensionCap,
     DuplicateIndex,
+    FiberMatrix,
     assemble,
     diagonal_energies,
     eig_oracle,
@@ -99,7 +102,8 @@ class TestOracle:
         h = assemble(kappa, enumerate_box(2), spec, params)
         sd = eig_oracle(h)
         scale = np.linalg.norm(h.entries, 2)
-        assert sd.residual_norm <= 1e-10 * scale
+        resid = h.entries @ sd.eigenvectors - sd.eigenvectors * sd.eigenvalues[None, :]
+        assert np.linalg.norm(resid, 2) <= 1e-10 * scale
         gram = sd.eigenvectors.conj().T @ sd.eigenvectors
         assert np.max(np.abs(gram - np.eye(h.dim))) <= 1e-10
 
@@ -160,6 +164,79 @@ class TestSpectralWindow:
         for _ in range(10):
             c = float(rng.uniform(vals[0], vals[-1]))
             r = float(rng.uniform(0.1, 50.0))
-            count, _ = spectral_window(h, c, r)
+            count, inside = spectral_window(h, c, r)
             assert count == int(np.sum(np.abs(vals - c) <= r))
+            # eigenvalue errors are absolute, relative to the matrix norm
+            ref = vals[np.abs(vals - c) <= r]
+            assert np.all(np.abs(inside - ref) <= 1e-13 * np.max(np.abs(vals)))
 
+
+def hermitian(rng, n, scale):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return scale * (a + a.conj().T) / 2
+
+
+def as_fiber(h):
+    return FiberMatrix(indices=tuple(range(h.shape[0])), kappa=np.zeros(2), entries=h)
+
+
+class TestWindowedOracle:
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_planted_double_eigenvalue(self, n, rng):
+        # block_diag(A, A) has every eigenvalue of A twice; the Arnoldi start
+        # vector of ones is symmetric under swapping the copies, so its
+        # Krylov space reaches the second copy only through rounding, and
+        # the count must not depend on that
+        a = np.diag(np.arange(n, dtype=float)) + hermitian(rng, n, 0.1)
+        ev = np.linalg.eigvalsh(a)
+        h = sl.block_diag(a, a)
+        for t in (0, n // 2, n - 1):
+            radius = 0.3 * np.min(np.abs(np.delete(ev, t) - ev[t]))
+            got = eigvals_oracle(as_fiber(sp.csr_matrix(h)), ev[t], radius)
+            assert len(got) == 2
+            assert np.all(np.abs(got - ev[t]) <= 1e-13 * max(1.0, abs(ev[t])))
+
+    def test_wide_window_is_the_dense_finish(self, rng):
+        # more than d/2 eigenvalues inside: eigvalsh of the same matrix
+        n = 60
+        h = sp.csr_matrix(np.diag(np.arange(n, dtype=float)) + hermitian(rng, n, 0.05))
+        vals = np.linalg.eigvalsh(h.toarray())
+        center, radius = float(vals[n // 2]), 20.0
+        got = eigvals_oracle(as_fiber(h), center, radius)
+        assert len(got) > n // 2
+        assert np.array_equal(got, vals[np.abs(vals - center) <= radius])
+
+    def test_off_diagonal_pivot_at_an_edge(self):
+        # at the shift 3 the pair [[3, 2], [2, 3]] leaves a zero diagonal
+        # entry, the LU pivots off the diagonal, and its pivot signs no
+        # longer count the eigenvalues below the shift
+        n = 30
+        h = np.diag(np.arange(n) + 0.25)
+        h[0, 0] = h[1, 1] = 3.0
+        h[0, 1] = h[1, 0] = 2.0
+        vals = np.linalg.eigvalsh(h)
+        got = eigvals_oracle(as_fiber(sp.csr_matrix(h)), 2.5, 0.5)
+        assert np.array_equal(got, vals[np.abs(vals - 2.5) <= 0.5])
+        assert len(got) == 1
+
+    def test_center_on_an_eigenvalue(self, zero_spec, params, kappa):
+        # a diagonal section shifted by one of its entries is exactly singular
+        h = assemble(kappa, enumerate_box(2), zero_spec, params)
+        d = np.sort(np.diag(h.entries).real)
+        got = eigvals_oracle(h, float(d[50]), 1e-9)
+        assert np.array_equal(got, d[np.abs(d - d[50]) <= 1e-9])
+
+    def test_empty_window(self, spec, params, kappa):
+        h = assemble(kappa, enumerate_box(2), spec, params)
+        vals = np.linalg.eigvalsh(h.entries)
+        gap = np.argmax(np.diff(vals))
+        center = float(vals[gap] + vals[gap + 1]) / 2
+        got = eigvals_oracle(h, center, 0.25 * float(vals[gap + 1] - vals[gap]))
+        assert got.shape == (0,)
+
+    def test_cap_binds_only_the_dense_finish(self, spec, params, kappa):
+        h = assemble(kappa, enumerate_box(2), spec, params)
+        vals = np.linalg.eigvalsh(h.entries)
+        assert len(eigvals_oracle(h, float(vals[40]), 1e-9, cap=5)) == 1
+        with pytest.raises(DimensionCap):
+            eigvals_oracle(h, cap=5)

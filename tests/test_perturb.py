@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qp2d.fiber import assemble, eig_oracle
+from qp2d.fiber import FiberMatrix, assemble, eig_oracle, eigvals_oracle
 from qp2d.lattice import (
     LatticeIndex,
     ZERO_INDEX,
@@ -493,6 +493,68 @@ class TestLevels:
         assert abs(res.lam - res.oracle_lambda) <= max(
             1e-9 * k * k, 10 * res.tail_estimate
         )
+
+
+class TestWindowedOracle:
+    """The shift-invert oracle in generic_step against dense eigvalsh of the
+    same section, kept here as the independent reference."""
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("k", [15.0, 25.0, 40.0, 60.0])
+    def test_matches_dense(self, level, k, spec, params, rng):
+        prof = make_profile(k)
+        phi = admissible_phi(build_omega1(k, prof, params, 8.0), rng)
+        kap = k * np.array([math.cos(phi), math.sin(phi)])
+        res = eigenvalue_level(level, kap, spec, prof, check_oracle=True)
+        state = build_state(level, kap, spec, prof)
+        vals = np.linalg.eigvalsh(state.h_full)
+        inside = vals[np.abs(vals - state.contour.center) <= state.contour.radius]
+        assert state.dim == (113 if level == 1 else 1121)
+        assert res.oracle_count == len(inside) == 1
+        assert abs(res.oracle_lambda - inside[0]) <= 1e-13 * abs(inside[0])
+
+    def test_repeats_are_bit_identical(self, spec, params, rng):
+        k = 40.0
+        prof = make_profile(k)
+        phi = admissible_phi(build_omega1(k, prof, params, 8.0), rng)
+        state = build_state(2, k * np.array([math.cos(phi), math.sin(phi)]), spec, prof)
+        mat = FiberMatrix(indices=state.indices, kappa=np.zeros(2), entries=state.section)
+        runs = [
+            eigvals_oracle(mat, state.contour.center, state.contour.radius).tobytes()
+            for _ in range(10)
+        ]
+        assert len(runs[0]) > 0 and len(set(runs)) == 1
+
+    def test_planted_double_is_not_unique(self, rng):
+        # H = block_diag(A, A) with the first copy as singletons and the
+        # second as one block: the target, an eigenvalue of that block, has
+        # W~ v_0 = 0 (an all-zero, converged series), while its contour holds
+        # the eigenvalue twice
+        n = 20
+        prof = make_profile(10.0)
+        c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = np.diag(np.arange(n, dtype=float)) + 0.05 * (c + c.conj().T)
+        h = np.zeros((2 * n, 2 * n), dtype=complex)
+        h[:n, :n] = h[n:, n:] = a
+        blocks = [[i] for i in range(n)] + [list(range(n, 2 * n))]
+        idx = [LatticeIndex((i, 0), (0, 0)) for i in range(2 * n)]
+        lam = float(np.linalg.eigvalsh(a)[n // 2])
+        state = toy_state(h, blocks, idx, target_value=lam, profile=prof)
+        mat = FiberMatrix(indices=state.indices, kappa=np.zeros(2), entries=state.section)
+        assert len(eigvals_oracle(mat, state.contour.center, state.contour.radius)) == 2
+        with pytest.raises(NotUnique):
+            generic_step(state, prof, with_projector=False, check_oracle=True)
+
+    def test_larger_box_level2(self, spec, params, rng):
+        # d = 4817 is beyond the dense cap: the sparse route decides alone
+        k = 40.0
+        prof = make_profile(k, box_r1=6)
+        phi = admissible_phi(build_omega1(k, prof, params, 8.0), rng)
+        kap = k * np.array([math.cos(phi), math.sin(phi)])
+        res = eigenvalue_level(2, kap, spec, prof, check_oracle=True)
+        assert len(res.indices) == 4817 > prof.eig_cap
+        assert res.oracle_count == 1
+        assert res.delta_vs_oracle <= max(1e-9 * k * k, 10 * res.tail_estimate)
 
 
 class TestDerivatives:
