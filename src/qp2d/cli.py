@@ -45,6 +45,21 @@ def _out_path(cfg: RunConfig, flag_value: str | None, default_name: str) -> str:
     return os.path.join(base, default_name)
 
 
+def _base_angle(phi, k, prof, params, rng, tau_factor: float) -> float | None:
+    """phi if set, else the first uniform draw in the tau_factor good set at
+    k; None, after a message, when that set has measure zero."""
+    if phi is not None:
+        return phi
+    om = resonance.build_omega1(k, prof, params, tau_factor)
+    phi = 0.0
+    while not om.contains(phi):
+        if om.measure == 0.0:
+            print(f"no base angle: the good set at k={k:g} has measure 0", file=sys.stderr)
+            return None
+        phi = float(rng.uniform(0, TWO_PI))
+    return phi
+
+
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     out_path = _out_path(cfg, args.out, "verify-report.jsonl")
@@ -86,12 +101,9 @@ def cmd_regions(args) -> int:
     spec = cfg.spec()
     params = cfg.params()
     rng = cfg.rng()
-    om8 = resonance.build_omega1(k, prof, params, 8.0)
-    phi0 = args.phi
+    phi0 = _base_angle(args.phi, k, prof, params, rng, 8.0)
     if phi0 is None:
-        phi0 = 0.0
-        while not om8.contains(phi0):
-            phi0 = float(rng.uniform(0, TWO_PI))
+        return EXIT_NONCONVERGENT
     try:
         m2, dec = multiscale.build_m2set(phi0, k, None, spec, prof)
     except (resonance.ResonantBase, resonance.OverlapDetected) as exc:
@@ -135,12 +147,9 @@ def cmd_resonance_map(args) -> int:
     params = cfg.params()
     rng = cfg.rng()
     om1 = resonance.build_omega1(k, prof, params)
-    om8 = resonance.build_omega1(k, prof, params, 8.0)
-    phi0 = args.phi
+    phi0 = _base_angle(args.phi, k, prof, params, rng, 8.0)
     if phi0 is None:
-        phi0 = 0.0
-        while not om8.contains(phi0):
-            phi0 = float(rng.uniform(0, TWO_PI))
+        return EXIT_NONCONVERGENT
     try:
         dec = resonance.classify(phi0, k, spec, prof)
         dec = resonance.strength(dec, k, phi0, spec, prof)
@@ -194,12 +203,9 @@ def cmd_eigen(args) -> int:
     spec = cfg.spec()
     params = cfg.params()
     rng = cfg.rng()
-    phi = args.phi
+    phi = _base_angle(args.phi, k, prof, params, rng, 8.0 if args.level == 2 else 1.0)
     if phi is None:
-        om = resonance.build_omega1(k, prof, params, 8.0 if args.level == 2 else 1.0)
-        phi = 0.0
-        while not om.contains(phi):
-            phi = float(rng.uniform(0, TWO_PI))
+        return EXIT_NONCONVERGENT
     kap = k * np.array([math.cos(phi), math.sin(phi)])
     try:
         res = perturb.eigenvalue_level(
@@ -237,12 +243,9 @@ def cmd_wavefunction(args) -> int:
     spec = cfg.spec()
     params = cfg.params()
     rng = cfg.rng()
-    phi = args.phi
+    phi = _base_angle(args.phi, k, prof, params, rng, 8.0 if args.level == 2 else 1.0)
     if phi is None:
-        om = resonance.build_omega1(k, prof, params, 8.0 if args.level == 2 else 1.0)
-        phi = 0.0
-        while not om.contains(phi):
-            phi = float(rng.uniform(0, TWO_PI))
+        return EXIT_NONCONVERGENT
     kap = k * np.array([math.cos(phi), math.sin(phi)])
     try:
         wf = wavefunction.synthesize(args.level, kap, spec, prof)

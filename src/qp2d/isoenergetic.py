@@ -13,6 +13,7 @@ import numpy as np
 
 from .perturb import (
     ContourHit,
+    Level2Geometry,
     LevelEvaluator,
     NonConvergent,
     NotUnique,
@@ -109,13 +110,46 @@ def _newton_solve(
     return 0.5 * (lo + hi)
 
 
+def _at_energy(
+    n: int, lam: float, spec: PotentialSpec, profile: ParameterProfile
+) -> tuple[float, ParameterProfile, LevelEvaluator]:
+    """(k, the profile at k, the level-1 evaluator) for lambda = k^2.  The
+    level-1 evaluator depends on no angle, so one serves a whole call."""
+    if n not in (1, 2):
+        raise ValueError(f"level {n}: radii are solved at levels 1 and 2")
+    k = math.sqrt(lam)
+    prof = profile if profile.k == k else profile.with_k(k)
+    return k, prof, LevelEvaluator(spec, prof)
+
+
+def _level1_radius(ev1: LevelEvaluator, nu: np.ndarray, lam: float) -> float:
+    """kappa_1 along nu: Newton from sqrt(lambda) within kappa_window_1."""
+    return _newton_solve(
+        lambda kap: ev1.eigenvalue(kap * nu),
+        math.sqrt(lam),
+        lam,
+        ev1.profile.kappa_window_1,
+    )
+
+
+def _admissible_geometry(
+    phi: float, spec: PotentialSpec, prof: ParameterProfile
+) -> Level2Geometry:
+    """The level-2 geometry at phi; ResonantBase when phi lies in a pole disc
+    of its local resonance blocks."""
+    geometry = level2_geometry(phi, spec, prof)
+    discs = local_pole_discs(phi, prof.k, spec, prof, geometry=geometry)
+    if any(abs(phi - p) <= r for p, r in discs):
+        raise ResonantBase("inside a second-level pole disc")
+    return geometry
+
+
 def solve_radius(
     n: int,
     lam: float,
     phi: float,
     spec: PotentialSpec,
     profile: ParameterProfile,
-    evaluator: LevelEvaluator | None = None,
     check_unique: bool = False,
 ) -> float:
     """The radius kappa(lambda, phi) with lambda_n(kappa*nu) = lambda.
@@ -123,20 +157,14 @@ def solve_radius(
     Newton from sqrt(lambda) (level 1) or from the level-1 radius (level 2),
     derivative approximated by 2*kappa; residual at exit <= 1e-9*lambda.
     """
-    k = math.sqrt(lam)
-    prof = profile if profile.k == k else profile.with_k(k)
-    if evaluator is None:
-        evaluator = LevelEvaluator(n, phi, spec, prof)
+    k, prof, ev1 = _at_energy(n, lam, spec, profile)
     nu = np.array([math.cos(phi), math.sin(phi)])
-    f = lambda kap: evaluator.eigenvalue(kap * nu)
     if n == 1:
-        start, half = k, prof.kappa_window_1
+        ev, start, half = ev1, k, prof.kappa_window_1
     else:
-        ev1 = LevelEvaluator(1, phi, spec, prof)
-        start = _newton_solve(
-            lambda kap: ev1.eigenvalue(kap * nu), k, lam, prof.kappa_window_1
-        )
-        half = prof.kappa_window_2
+        ev = LevelEvaluator(spec, prof, level2_geometry(phi, spec, prof))
+        start, half = _level1_radius(ev1, nu, lam), prof.kappa_window_2
+    f = lambda kap: ev.eigenvalue(kap * nu)
     root = _newton_solve(f, start, lam, half)
     if check_unique:
         grid = np.linspace(start - half, start + half, 7)
@@ -161,7 +189,9 @@ def _holes_from_flags(grid: np.ndarray, ok: list[bool]):
             holes.append((float(start), float(phi)))
             start = None
     if start is not None:
-        holes.append((float(start), float(grid[-1]) + float(grid[1] - grid[0])))
+        # a trailing hole runs one grid step on; on a one-angle grid, the circle
+        step = float(grid[1] - grid[0]) if len(grid) > 1 else TWO_PI
+        holes.append((float(start), float(grid[-1]) + step))
     return holes
 
 
@@ -178,15 +208,11 @@ def trace_curve(
     Level-1 admissibility is the step-I good set; level 2 additionally
     excises the pole discs of the local resonance blocks.
     """
-    k = math.sqrt(lam)
-    prof = profile if profile.k == k else profile.with_k(k)
+    k, prof, ev1 = _at_energy(n, lam, spec, profile)
     grid = np.asarray(phi_grid, dtype=float)
     if omega is None:
         omega = build_omega1(k, prof, spec.params)
-    base = k
     samples: list[CurveSample] = []
-    flags: list[bool] = []
-    kappas: list[float] = []
     for phi in grid:
         phi = float(phi)
         good = omega.contains(phi)
@@ -194,36 +220,22 @@ def trace_curve(
         h = math.nan
         if good:
             try:
-                geometry = None
-                if n == 2:
-                    geometry = level2_geometry(phi, spec, prof)
-                    discs = local_pole_discs(phi, k, spec, prof, geometry=geometry)
-                    if any(abs(phi - p) <= r for p, r in discs):
-                        raise ResonantBase("inside a second-level pole disc")
-                ev1 = LevelEvaluator(1, phi, spec, prof)
                 nu = np.array([math.cos(phi), math.sin(phi)])
-                k1 = _newton_solve(
-                    lambda kap: ev1.eigenvalue(kap * nu),
-                    k,
-                    lam,
-                    prof.kappa_window_1,
-                )
+                geometry = _admissible_geometry(phi, spec, prof) if n == 2 else None
+                k1 = _level1_radius(ev1, nu, lam)
                 if n == 1:
-                    kappa, base_here = k1, base
+                    kappa, h = k1, k1 - k
                 else:
-                    ev2 = LevelEvaluator(2, phi, spec, prof, geometry=geometry)
+                    ev2 = LevelEvaluator(spec, prof, geometry)
                     kappa = _newton_solve(
                         lambda kap: ev2.eigenvalue(kap * nu),
                         k1,
                         lam,
                         prof.kappa_window_2,
                     )
-                    base_here = k1
-                h = kappa - base_here
+                    h = kappa - k1
             except REJECTIONS:
                 good = False
-        flags.append(good)
-        kappas.append(kappa)
         samples.append(CurveSample(phi, kappa, h, math.nan, good))
 
     # centered differences between adjacent admissible samples
@@ -241,7 +253,7 @@ def trace_curve(
         level=n,
         lam=lam,
         samples=tuple(out),
-        holes=tuple(_holes_from_flags(grid, flags)),
+        holes=tuple(_holes_from_flags(grid, [s.admissible for s in samples])),
     )
 
 
@@ -260,8 +272,7 @@ def deviation_profile(
     both eigenvalues evaluated at the level-1 radius, so the difference is a
     pure correction sum and survives far below the radius-solver tolerance.
     """
-    k = math.sqrt(lam)
-    prof = profile if profile.k == k else profile.with_k(k)
+    k, prof, ev1 = _at_energy(n, lam, spec, profile)
     omega = build_omega1(k, prof, spec.params)
     out: list[tuple[float, float]] = []
     for phi in np.asarray(phi_grid, dtype=float):
@@ -271,26 +282,14 @@ def deviation_profile(
         try:
             nu = np.array([math.cos(phi), math.sin(phi)])
             if n == 1:
-                ev = LevelEvaluator(1, phi, spec, prof)
-                dev = (ev.eigenvalue(k * nu) - lam) / (2.0 * k)
+                dev = (ev1.eigenvalue(k * nu) - lam) / (2.0 * k)
             else:
-                geometry = level2_geometry(phi, spec, prof)
-                discs = local_pole_discs(phi, k, spec, prof, geometry=geometry)
-                if any(abs(phi - p) <= r for p, r in discs):
-                    continue
-                ev1 = LevelEvaluator(1, phi, spec, prof)
-                k1 = _newton_solve(
-                    lambda kap: ev1.eigenvalue(kap * nu),
-                    k,
-                    lam,
-                    prof.kappa_window_1,
-                )
-                ev2 = LevelEvaluator(2, phi, spec, prof, geometry=geometry)
+                geometry = _admissible_geometry(phi, spec, prof)
+                k1 = _level1_radius(ev1, nu, lam)
                 res = generic_step(
-                    ev2.state(k1 * nu),
+                    LevelEvaluator(spec, prof, geometry).state(k1 * nu),
                     prof,
                     with_projector=False,
-                    check_oracle=False,
                 )
                 dev = (res.lam - res.lambda_base) / (2.0 * k1)
             out.append((phi, dev))

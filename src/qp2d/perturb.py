@@ -254,15 +254,6 @@ def model_gap(state: LevelState) -> float:
     return float(np.min(np.abs(others - state.lambda0)))
 
 
-def level1_state(
-    kappa,
-    spec: PotentialSpec,
-    profile: ParameterProfile,
-) -> LevelState:
-    """Diagonal model on the small box; perturbation is the whole potential."""
-    return build_state(1, kappa, spec, profile)
-
-
 @dataclass
 class Level2Geometry:
     """Resonance classification, labels and blocks at a base angle, reusable
@@ -353,19 +344,18 @@ def _rs_orders(apply_w, inv: np.ndarray, t: int, r_max: int):
     return g, vs
 
 
-def _decay(g: np.ndarray, lam0: float, profile: ParameterProfile, strict: bool):
-    """(last decay rate, converged, tail estimate) of the coefficients.
+def _decay(g: np.ndarray, lam0: float, profile: ParameterProfile):
+    """(last decay rate, tail estimate) of the coefficients.
 
     Rates are taken over the significant entries only (odd orders may vanish
     identically), as per-order geometric means between consecutive nonzero
-    magnitudes.  Three rates in a row at or above divergence_ratio mark the
-    series unconverged, and raise NonConvergent when strict."""
+    magnitudes.  Three rates in a row at or above divergence_ratio raise
+    NonConvergent."""
     r_max = len(g)
     mags = np.abs(g)
     floor = 1e-14 * max(1.0, abs(lam0))
     ratio = 0.0
     bad_run = 0
-    converged = True
     last_mag = None
     last_ord = None
     for r in range(2, r_max + 1):
@@ -377,19 +367,17 @@ def _decay(g: np.ndarray, lam0: float, profile: ParameterProfile, strict: bool):
             ratio = rr
             bad_run = bad_run + 1 if rr >= profile.divergence_ratio else 0
             if bad_run >= 3:
-                converged = False
-                if strict:
-                    raise NonConvergent(
-                        f"|g_r| rate {rr:.3f} >= {profile.divergence_ratio} "
-                        "over 3 significant orders"
-                    )
+                raise NonConvergent(
+                    f"|g_r| rate {rr:.3f} >= {profile.divergence_ratio} "
+                    "over 3 significant orders"
+                )
         last_mag, last_ord = m_r, r
     tail = (
         last_mag * min(ratio, 0.95) ** max(r_max - last_ord, 0) / (1.0 - min(ratio, 0.95))
         if last_mag is not None
         else 0.0
     )
-    return ratio, converged, tail
+    return ratio, tail
 
 
 def _reduced_inverse(block_vals: np.ndarray, lam0: float, t: int) -> np.ndarray:
@@ -408,7 +396,6 @@ def generic_step(
     with_projector: bool = True,
     store_orders: int | None = None,
     check_oracle: bool = False,
-    strict_convergence: bool = True,
 ) -> SeriesResult:
     """Taylor coefficients of the isolated model eigenvalue under the
     in-level perturbation, their sum, and the rank-one projector.
@@ -446,7 +433,7 @@ def generic_step(
     uh = u.conj().T
     inv = _reduced_inverse(state.block_vals, lam0, t)
     g, vs = _rs_orders(lambda v: uh @ (w @ (u @ v)), inv, t, r_max)
-    ratio, converged, tail = _decay(g, lam0, profile, strict_convergence)
+    ratio, tail = _decay(g, lam0, profile)
     lam = lam0 + float(np.sum(g[1:]))  # the first-order term vanishes
 
     v_full = u @ np.sum(vs, axis=0)
@@ -493,7 +480,7 @@ def generic_step(
         lambda_base=lam0,
         g=g,
         tail_estimate=float(tail),
-        converged=converged,
+        converged=True,  # _decay raised NonConvergent otherwise
         contour=state.contour,
         indices=state.indices,
         vector=v_full,
@@ -611,6 +598,23 @@ def contour_projector_series(
 # ---------------------------------------------------------------------------
 
 
+def _evaluator_at(
+    n: int,
+    point,
+    spec: PotentialSpec,
+    profile: ParameterProfile,
+    geometry: Level2Geometry | None,
+) -> LevelEvaluator:
+    """The level-n evaluator for a point: level 2 uses geometry, or else the
+    geometry at the point's own angle; level 1 ignores geometry."""
+    if n not in (1, 2):
+        raise ValueError("levels 1 and 2 are constructed here; use toy_state beyond")
+    if n == 2 and geometry is None:
+        kap = np.asarray(point, dtype=float)
+        geometry = level2_geometry(math.atan2(kap[1], kap[0]) % (2 * math.pi), spec, profile)
+    return LevelEvaluator(spec, profile, geometry if n == 2 else None)
+
+
 def build_state(
     n: int,
     point,
@@ -618,11 +622,7 @@ def build_state(
     profile: ParameterProfile,
     geometry: Level2Geometry | None = None,
 ) -> LevelState:
-    if n not in (1, 2):
-        raise ValueError("levels 1 and 2 are constructed here; use toy_state beyond")
-    kap = np.asarray(point, dtype=float)
-    phi = math.atan2(kap[1], kap[0]) % (2 * math.pi)
-    return LevelEvaluator(n, phi, spec, profile, geometry).state(kap)
+    return _evaluator_at(n, point, spec, profile, geometry).state(point)
 
 
 def eigenvalue_level(
@@ -661,8 +661,12 @@ def projector_level(
 
 
 class LevelEvaluator:
-    """The state builder of levels 1 and 2, for repeated evaluation at a
-    fixed angle window.
+    """The state builder of levels 1 and 2, for repeated evaluation.
+
+    With no geometry it is level 1, the diagonal model on the small box,
+    which depends on no angle: one evaluator serves every kappa.  With a
+    Level2Geometry it is level 2, for kappa in the small angular window of
+    the geometry's base angle.
 
     Everything but the diagonal is kappa-independent: the indices, the block
     partition, the cross-block W (CSR) and the dense in-block coupling of each
@@ -672,18 +676,14 @@ class LevelEvaluator:
 
     def __init__(
         self,
-        n: int,
-        phi: float,
         spec: PotentialSpec,
         profile: ParameterProfile,
         geometry: Level2Geometry | None = None,
     ):
-        self.n = n
-        self.phi = phi
         self.spec = spec
         self.profile = profile
-        if n == 1:
-            self.geometry = None
+        self.geometry = geometry
+        if geometry is None:
             self.indices = box_indices(profile.core_radius)
             self.rows = enumerate_box_array(profile.core_radius)
             blocks = list(np.arange(len(self.indices))[:, None])
@@ -691,24 +691,19 @@ class LevelEvaluator:
             # the free levels of the exclusion-zone box set the contour radius
             big = enumerate_box_array(profile.tilde_radius)
             self._far_rows = big[triple_norm_array(big) > 0]
-        elif n == 2:
-            self.geometry = (
-                level2_geometry(phi, spec, profile) if geometry is None else geometry
-            )
-            self.indices = self.geometry.indices
-            self.rows = self.geometry.rows
-            blocks = self.geometry.block_positions
         else:
-            raise ValueError("evaluator supports levels 1 and 2")
+            self.indices = geometry.indices
+            self.rows = geometry.rows
+            blocks = geometry.block_positions
         self.split = _BlockSplit(coupling_matrix(self.rows, spec), blocks)
 
     def state(self, kappa) -> LevelState:
         kap = np.asarray(kappa, dtype=float)
         params = self.spec.params
         diag = diagonal_energies(kap, self.rows, params)
-        state = self.split.state(self.n, self.indices, diag)
+        state = self.split.state(1 if self.geometry is None else 2, self.indices, diag)
         lambda0 = float(kap @ kap)
-        if self.n == 2:
+        if self.geometry is not None:
             # the dressed eigenvalue of the core block nearest |kappa|^2
             return _aim_nearest(state, self.geometry.core_positions, lambda0, self.profile)
         levels = diagonal_energies(kap, self._far_rows, params)
@@ -716,7 +711,7 @@ class LevelEvaluator:
         return _aim(state, self.target, lambda0, gap, self.profile)
 
     def eigenvalue(self, kappa, r_max: int | None = None) -> float:
-        if self.n == 1:
+        if self.geometry is None:
             return self._eigenvalue_diagonal(kappa, r_max)
         res = generic_step(
             self.state(kappa),
@@ -741,7 +736,7 @@ class LevelEvaluator:
         if gap <= 0.0:
             raise ContourHit("degenerate free gap at the evaluation point")
         g, _ = _rs_orders(self.split.w.dot, _reduced_inverse(diag, lam0, t), t, r_max)
-        _decay(g, lam0, prof, strict=True)
+        _decay(g, lam0, prof)
         return lam0 + float(np.sum(g[1:]))
 
 
@@ -753,17 +748,16 @@ def derivative_probe(
     h: float = 1e-4,
     geometry: Level2Geometry | None = None,
 ) -> tuple[float, float]:
-    """(d lambda/d kappa, d lambda / d phi) by central differences."""
+    """(d lambda/d kappa, d lambda / d phi) by central differences, the four
+    probes on one evaluator (level 2: geometry, else the point's own)."""
     kap = np.asarray(point, dtype=float)
     r = float(np.hypot(kap[0], kap[1]))
     phi = math.atan2(kap[1], kap[0])
-    nu = np.array([math.cos(phi), math.sin(phi)])
+    ev = _evaluator_at(n, kap, spec, profile, geometry)
 
     def at(rr: float, pp: float) -> float:
         pt = rr * np.array([math.cos(pp), math.sin(pp)])
-        return eigenvalue_level(
-            n, pt, spec, profile, check_oracle=False, geometry=geometry
-        ).lam
+        return generic_step(ev.state(pt), profile, with_projector=False).lam
 
     dk = (at(r + h, phi) - at(r - h, phi)) / (2.0 * h)
     dphi = (at(r, phi + h) - at(r, phi - h)) / (2.0 * h)

@@ -60,20 +60,11 @@ class ParameterProfile:
     # perturbation engine
     r_max: int
     quad_nodes: int
-    series_tol: float
     divergence_ratio: float
     kappa_window_1: float
     kappa_window_2: float
     contour_margin: float
     eig_cap: int
-
-    def resonance_threshold(self, norm3: int, tau_factor: float = 1.0) -> float:
-        """Threshold in the small-denominator test for an index of the given
-        triple norm: the step-I value inside the exclusion zone, the sharper
-        step-II value beyond it (half-open at the boundary)."""
-        if norm3 <= self.tilde_radius:
-            return tau_factor * self.t1
-        return tau_factor * self.t_star
 
     def with_k(self, k: float) -> "ParameterProfile":
         """Regenerate the k-power thresholds at a new k, same exponents; every
@@ -165,7 +156,6 @@ def make_profile(
         white_nbhd=1,
         r_max=int(r_max),
         quad_nodes=int(quad_nodes),
-        series_tol=1e-12,
         divergence_ratio=0.75,
         contour_margin=0.5,
         eig_cap=int(eig_cap),

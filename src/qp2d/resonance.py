@@ -828,7 +828,7 @@ def appendix4_count(
     # one evaluator serves every momentum: the coupling block is fixed, only
     # the diagonal depends on the point; a short series suffices for root
     # bracketing
-    ev = LevelEvaluator(1, 0.0, spec, profile)
+    ev = LevelEvaluator(spec, profile)
     lam_target = k * k
 
     def f(phi: float) -> float:

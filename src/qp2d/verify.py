@@ -108,6 +108,12 @@ class RunConfig:
             raise ConfigError(f"unknown config fields: {sorted(bad)}")
         if "alpha" not in raw:
             raise ConfigError("config requires an 'alpha' descriptor")
+        # k is set per run and mu at the top level
+        bad = set(raw.get("profile", {})) - (
+            set(ParameterProfile.__dataclass_fields__) - {"k", "mu"}
+        )
+        if bad:
+            raise ConfigError(f"unknown profile overrides: {sorted(bad)}")
         return RunConfig(**raw)
 
     def params(self) -> QPParams:
@@ -689,7 +695,7 @@ def check_series_structure(cfg: RunConfig) -> list[CheckRecord]:
     def support():
         sharp = build([(LatticeIndex((1, 0), (0, 0)), 0.05)], Q=1, params=params)
         prof_wide = make_profile(k, mu=cfg.mu, core_radius=4)
-        state = perturb.level1_state(kap, sharp, prof_wide)
+        state = perturb.build_state(1, kap, sharp, prof_wide)
         res = perturb.generic_step(state, prof_wide, with_projector=True, store_orders=6)
         norms = triple_norm_array(
             np.array([m.as_row() for m in res.indices], dtype=np.int64)
@@ -750,8 +756,8 @@ def check_isoenergetic(cfg: RunConfig) -> list[CheckRecord]:
             sub = grid[:: max(1, len(grid) // 80)]
             c1 = isoenergetic.trace_curve(1, lam, sub, spec, prof)
             c2 = isoenergetic.trace_curve(2, lam, sub, spec, prof)
+            ev = perturb.LevelEvaluator(spec, prof)
             for s in c1.admissible_samples:
-                ev = perturb.LevelEvaluator(1, s.phi, spec, prof)
                 nu = np.array([math.cos(s.phi), math.sin(s.phi)])
                 worst_res = max(
                     worst_res, abs(ev.eigenvalue(s.kappa * nu) - lam) / lam

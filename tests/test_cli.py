@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import qp2d
 from qp2d.cli import (
     EXIT_CONFIG_ERROR,
+    EXIT_NONCONVERGENT,
     EXIT_PASS,
     main,
 )
@@ -41,6 +45,13 @@ class TestConfig:
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"alpha": {"cf": [0, 2, 2]}, "bogus": 1}))
+        assert main(["eigen", "--config", str(path)]) == EXIT_CONFIG_ERROR
+
+    def test_unknown_profile_override_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({"alpha": {"quadratic": [-1, 1, 2, 1]}, "profile": {"gama": 0.3}})
+        )
         assert main(["eigen", "--config", str(path)]) == EXIT_CONFIG_ERROR
 
     def test_missing_alpha_rejected(self, tmp_path):
@@ -143,6 +154,29 @@ class TestSubcommands:
         assert {"n_resonant", "n_isolated", "classes", "strong_clusters"} <= set(
             payload["decomposition"]
         )
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["regions"],
+            ["resonance-map"],
+            ["eigen", "--level", "2"],
+            ["wavefunction", "--level", "2"],
+        ],
+    )
+    def test_empty_good_set_exits_nonconvergent(self, command, tmp_path):
+        # at k = 3 the 8 tau good set has measure 0, so no base angle exists
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qp2d.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-m", "qp2d.cli", *command, "--k", "3",
+             "--out", str(tmp_path / "out")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == EXIT_NONCONVERGENT, out.stderr
+        assert "measure 0" in out.stderr
 
     def test_determinism_same_seed(self, config_file, tmp_path):
         a = str(tmp_path / "a.json")

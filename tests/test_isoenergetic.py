@@ -43,7 +43,7 @@ class TestSolveRadius:
             if not om.contains(phi):
                 continue
             kappa = solve_radius(1, lam, phi, spec, prof)
-            ev = LevelEvaluator(1, phi, spec, prof)
+            ev = LevelEvaluator(spec, prof)
             nu = np.array([math.cos(phi), math.sin(phi)])
             assert abs(ev.eigenvalue(kappa * nu) - lam) <= 1e-9 * lam
             done += 1
@@ -111,6 +111,16 @@ class TestTraceCurve:
             if not s.admissible:
                 assert math.isnan(s.kappa)
 
+    def test_one_angle_hole_is_the_circle(self, spec, params):
+        lam = 1600.0
+        k = math.sqrt(lam)
+        prof = make_profile(k)
+        a, b = resonant_set_step1(k, prof, params).intervals[0]
+        phi = 0.5 * (a + b)
+        assert not build_omega1(k, prof, params).contains(phi)
+        curve = trace_curve(1, lam, [phi], spec, prof)
+        assert curve.holes == ((phi, phi + TWO_PI),)
+
     def test_level2_subset_of_level1(self, spec, params):
         lam = 1600.0
         prof = make_profile(math.sqrt(lam))
@@ -120,6 +130,29 @@ class TestTraceCurve:
         for s1, s2 in zip(c1.samples, c2.samples):
             if s2.admissible:
                 assert s1.admissible
+
+
+class TestEvaluatorReuse:
+    """The level-1 model depends on no angle, so a call builds it once."""
+
+    @pytest.mark.parametrize(
+        "fn, n", [(trace_curve, 2), (deviation_profile, 1), (deviation_profile, 2)]
+    )
+    def test_one_level1_build_per_call(self, fn, n, spec, monkeypatch):
+        level1_builds = []
+        init = LevelEvaluator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            level1_builds.append(self.geometry is None)
+
+        monkeypatch.setattr(LevelEvaluator, "__init__", counting_init)
+        lam = 1600.0
+        prof = make_profile(math.sqrt(lam))
+        out = fn(n, lam, np.linspace(0, TWO_PI, 24, endpoint=False), spec, prof)
+        solved = out.admissible_samples if fn is trace_curve else out
+        assert len(solved) >= 2
+        assert level1_builds.count(True) == 1
 
 
 class TestRejections:

@@ -28,7 +28,6 @@ from qp2d.perturb import (
     derivative_probe,
     eigenvalue_level,
     generic_step,
-    level1_state,
     level2_geometry,
     projector_level,
     toy_state,
@@ -107,7 +106,7 @@ class TestSeriesStructure:
         om = build_omega1(k, prof, params)
         phi = admissible_phi(om, rng)
         kap = k * np.array([math.cos(phi), math.sin(phi)])
-        state = level1_state(kap, spec, prof)
+        state = build_state(1, kap, spec, prof)
         res = generic_step(state, prof, with_projector=False)
         gq = contour_coeff_series(state, prof, r_max=10)
         scale = np.max(np.abs(gq)) + 1e-300
@@ -119,7 +118,7 @@ class TestSeriesStructure:
         om = build_omega1(k, prof, params)
         phi = admissible_phi(om, rng)
         kap = k * np.array([math.cos(phi), math.sin(phi)])
-        state = level1_state(kap, spec, prof)
+        state = build_state(1, kap, spec, prof)
         g64 = contour_coeff_series(state, prof, r_max=6, max_nodes=64)
         g128 = contour_coeff_series(state, prof, r_max=6, max_nodes=128)
         lam64 = state.lambda0 + np.sum(g64[1:])
@@ -144,7 +143,7 @@ class TestSeriesStructure:
         res = eigenvalue_level(1, kap, spec, prof, check_oracle=False)
         assert res.converged
         assert 0.0 < res.decay_ratio < prof.divergence_ratio
-        short = generic_step(level1_state(kap, spec, prof), prof, r_max=10)
+        short = generic_step(build_state(1, kap, spec, prof), prof, r_max=10)
         assert short.orders == 10
 
     def test_contour_hit_raised(self, spec, params):
@@ -222,7 +221,7 @@ class TestProjector:
         om = build_omega1(k, prof, params)
         phi = admissible_phi(om, rng)
         kap = k * np.array([math.cos(phi), math.sin(phi)])
-        state = level1_state(kap, spec1, prof)
+        state = build_state(1, kap, spec1, prof)
         res = generic_step(state, prof, with_projector=True, store_orders=6)
         pair_norm = pair_norms(res.indices)
         for r, g_r in enumerate(res.g_matrices, start=1):
@@ -237,7 +236,7 @@ class TestProjector:
         om = build_omega1(k, prof, params)
         phi = admissible_phi(om, rng)
         kap = k * np.array([math.cos(phi), math.sin(phi)])
-        state = level1_state(kap, spec1, prof)
+        state = build_state(1, kap, spec1, prof)
         _, gs = contour_projector_series(state, prof, r_max=4)
         scale = max(np.max(np.abs(gm)) for gm in gs)
         pair_norm = pair_norms(state.indices)
@@ -264,7 +263,7 @@ class TestProjector:
         om = build_omega1(k, prof, params)
         phi = admissible_phi(om, rng)
         kap = k * np.array([math.cos(phi), math.sin(phi)])
-        state = level1_state(kap, spec, prof)
+        state = build_state(1, kap, spec, prof)
         res = generic_step(state, prof, with_projector=True)
         e_quad, _ = contour_projector_series(state, prof, r_max=24)
         assert np.max(np.abs(e_quad - res.projector)) <= 1e-9
@@ -351,7 +350,7 @@ class TestFactoredOrders:
         k = 40.0
         prof = make_profile(k)
         phi = admissible_phi(build_omega1(k, prof, params), rng)
-        state = level1_state(k * np.array([math.cos(phi), math.sin(phi)]), spec, prof)
+        state = build_state(1, k * np.array([math.cos(phi), math.sin(phi)]), spec, prof)
         assert state.dim == 113
         self.check(state, prof, prof.r_max)
 
@@ -436,7 +435,7 @@ class TestLevels:
             kap = (k + rng.uniform(-1e-3, 1e-3)) * np.array(
                 [math.cos(phi), math.sin(phi)]
             )
-            ev = LevelEvaluator(1, phi, spec, prof)
+            ev = LevelEvaluator(spec, prof)
             fast = ev.eigenvalue(kap)
             slow = generic_step(
                 ev.state(kap), prof, with_projector=False
