@@ -72,9 +72,14 @@ class SpectralData:
 
 def diagonal_energies(kappa, rows: np.ndarray, params: QPParams) -> np.ndarray:
     """|kappa + p_m|^2 for each row."""
+    return shifted_energies(kappa, dual_array(rows, params))
+
+
+def shifted_energies(kappa, duals: np.ndarray) -> np.ndarray:
+    """|kappa + p|^2 for each dual row p; (B, N) for a (B, 2) block of kappas."""
     kap = np.asarray(kappa, dtype=float)
-    shifted = dual_array(rows, params) + kap
-    return np.einsum("ij,ij->i", shifted, shifted)
+    shifted = (duals + kap[..., None, :]).reshape(-1, 2)
+    return np.einsum("ij,ij->i", shifted, shifted).reshape(kap.shape[:-1] + (len(duals),))
 
 
 def coupling_pairs(rows: np.ndarray, spec: PotentialSpec):

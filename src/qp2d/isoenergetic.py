@@ -1,6 +1,6 @@
-"""Isoenergetic curves: solve the dressed-eigenvalue equation
-lambda_n(kappa * nu(phi)) = lambda for the radius kappa at each admissible
-angle and trace the resulting distorted circle with holes.
+"""Isoenergetic curves: solve lambda_n(kappa * nu(phi)) = lambda for the
+radius kappa at each admissible angle, the level-1 radii of a whole grid in
+one lockstep Newton, and trace the resulting distorted circle with holes.
 """
 
 from __future__ import annotations
@@ -79,35 +79,73 @@ class IsoCurve:
         return float(sum(b - a for a, b in self.holes))
 
 
-def _newton_solve(
-    f, start: float, lam: float, halfwidth: float, max_iter: int = 25
-) -> float:
-    """Newton with derivative 2*kappa, bisection fallback on the bracket."""
+def _rejected(value) -> bool:
+    """Whether a value is a typed rejection; another exception is raised."""
+    if isinstance(value, BaseException) and not isinstance(value, REJECTIONS):
+        raise value
+    return isinstance(value, REJECTIONS)
+
+
+def _newton_solve(f, starts, lam: float, halfwidth: float, max_iter: int = 25) -> list:
+    """Newton with derivative 2*kappa, bisection fallback on the bracket
+    start +- halfwidth, in lockstep over columns: f(cols, radii) gives per
+    entry column cols[i]'s value at radii[i], or its typed rejection.  Per
+    column, the root once |f - lam| <= 1e-9*lam, or the rejection: f's, or
+    NoRoot when the bracket ends share a sign or 200 bisections miss."""
     tol = 1e-9 * lam
-    kappa = start
-    lo, hi = start - halfwidth, start + halfwidth
-    for _ in range(max_iter):
-        r = f(kappa) - lam
-        if abs(r) <= tol:
-            return kappa
-        kappa -= r / (2.0 * kappa)
-        if not (lo <= kappa <= hi):
-            break
-    flo, fhi = f(lo) - lam, f(hi) - lam
-    if flo * fhi > 0:
-        raise NoRoot(
-            f"no bracketed root in [{lo:.9g}, {hi:.9g}] (f ends {flo:.3g}, {fhi:.3g})"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid) - lam
-        if abs(fm) <= tol:
-            return mid
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+
+    def column(kappa: float):  # yields each radius it needs, receives f - lam there
+        lo, hi = kappa - halfwidth, kappa + halfwidth
+        for _ in range(max_iter):
+            r = yield kappa
+            if abs(r) <= tol:
+                return kappa
+            kappa -= r / (2.0 * kappa)
+            if not (lo <= kappa <= hi):
+                break
+        flo = yield lo
+        fhi = yield hi
+        if flo * fhi > 0:
+            raise NoRoot(f"no bracketed root in [{lo:.9g}, {hi:.9g}]: f ends {flo:.3g}, {fhi:.3g}")
+        for _ in range(201):  # 200 bisections, then the last midpoint's check
+            mid = 0.5 * (lo + hi)
+            fm = yield mid
+            if abs(fm) <= tol:
+                return mid
+            if flo * fm <= 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        raise NoRoot(f"bisection ended at {mid:.9g} with |f - lambda| = {abs(fm):.3g}")
+
+    cols = [column(float(s)) for s in starts]
+    out: list = [None] * len(cols)
+    asked = {i: next(c) for i, c in enumerate(cols)}
+    while asked:
+        vals = f(np.array(list(asked)), np.array(list(asked.values())))
+        for i, v in zip(list(asked), vals):
+            try:
+                asked[i] = cols[i].throw(v) if _rejected(v) else cols[i].send(v - lam)
+                continue
+            except StopIteration as stop:
+                out[i] = stop.value
+            except REJECTIONS as exc:
+                out[i] = exc
+            del asked[i]
+    return out
+
+
+def _newton_root(f, start: float, lam: float, halfwidth: float) -> float:
+    """_newton_solve on one column: its root, or its rejection raised."""
+    (root,) = _newton_solve(f, [start], lam, halfwidth)
+    if _rejected(root):
+        raise root
+    return root
+
+
+def _along(ev: LevelEvaluator, nus: np.ndarray):
+    """The f of _newton_solve whose column c at radius r is ev at r*nus[c]."""
+    return lambda cols, radii: ev.eigenvalues(radii[:, None] * nus[cols])
 
 
 def _at_energy(
@@ -122,26 +160,37 @@ def _at_energy(
     return k, prof, LevelEvaluator(spec, prof)
 
 
-def _level1_radius(ev1: LevelEvaluator, nu: np.ndarray, lam: float) -> float:
-    """kappa_1 along nu: Newton from sqrt(lambda) within kappa_window_1."""
-    return _newton_solve(
-        lambda kap: ev1.eigenvalue(kap * nu),
-        math.sqrt(lam),
-        lam,
-        ev1.profile.kappa_window_1,
-    )
+def _admissible(n: int, phis, omega: AngleSet, spec, prof) -> tuple[list, np.ndarray, dict]:
+    """(grid positions, their nu(phi) rows, {position: level-2 evaluator or
+    None}) of the angles in omega that level 2 admits too: their geometry
+    exists and puts them outside the pole discs of its local resonance blocks."""
+    evaluators, built = {}, {}
+    for i, phi in enumerate(phis):
+        if not omega.contains(phi):
+            continue
+        try:
+            geo = level2_geometry(phi, spec, prof) if n == 2 else None
+            discs = local_pole_discs(phi, prof.k, spec, prof, geometry=geo) if geo else []
+        except REJECTIONS:
+            continue
+        if not any(abs(phi - p) <= r for p, r in discs):
+            evaluators[i] = _level2_evaluator(built, geo, spec, prof) if geo else None
+    idx = list(evaluators)
+    nus = np.array([[math.cos(phis[i]), math.sin(phis[i])] for i in idx]).reshape(-1, 2)
+    return idx, nus, evaluators
 
 
-def _admissible_geometry(
-    phi: float, spec: PotentialSpec, prof: ParameterProfile
-) -> Level2Geometry:
-    """The level-2 geometry at phi; ResonantBase when phi lies in a pole disc
-    of its local resonance blocks."""
-    geometry = level2_geometry(phi, spec, prof)
-    discs = local_pole_discs(phi, prof.k, spec, prof, geometry=geometry)
-    if any(abs(phi - p) <= r for p, r in discs):
-        raise ResonantBase("inside a second-level pole disc")
-    return geometry
+def _level2_evaluator(built: dict, geometry: Level2Geometry, spec, prof) -> LevelEvaluator:
+    """geometry's evaluator from the caller's own dict: an evaluator depends
+    on its geometry only through the rows (the profile's box_r1 box) and the
+    block and core positions, so geometries of one partition share one (and
+    the others are freed)."""
+    pos = geometry.block_positions
+    sizes = np.array([len(p) for p in pos])
+    key = tuple(a.tobytes() for a in (sizes, np.concatenate(pos), geometry.core_positions))
+    if key not in built:
+        built[key] = LevelEvaluator(spec, prof, geometry)
+    return built[key]
 
 
 def solve_radius(
@@ -158,17 +207,15 @@ def solve_radius(
     derivative approximated by 2*kappa; residual at exit <= 1e-9*lambda.
     """
     k, prof, ev1 = _at_energy(n, lam, spec, profile)
-    nu = np.array([math.cos(phi), math.sin(phi)])
-    if n == 1:
-        ev, start, half = ev1, k, prof.kappa_window_1
-    else:
+    nu = np.array([[math.cos(phi), math.sin(phi)]])
+    ev, start, half = ev1, k, prof.kappa_window_1
+    if n == 2:
         ev = LevelEvaluator(spec, prof, level2_geometry(phi, spec, prof))
-        start, half = _level1_radius(ev1, nu, lam), prof.kappa_window_2
-    f = lambda kap: ev.eigenvalue(kap * nu)
-    root = _newton_solve(f, start, lam, half)
+        start, half = _newton_root(_along(ev1, nu), k, lam, half), prof.kappa_window_2
+    root = _newton_root(_along(ev, nu), start, lam, half)
     if check_unique:
         grid = np.linspace(start - half, start + half, 7)
-        vals = [f(float(g)) - lam for g in grid]
+        vals = [ev.eigenvalue(float(g) * nu[0]) - lam for g in grid]
         crossings = sum(
             1 for a, b in zip(vals, vals[1:]) if a == 0 or a * b < 0
         )
@@ -206,54 +253,41 @@ def trace_curve(
     """Radius samples over the grid with admissibility flags and holes.
 
     Level-1 admissibility is the step-I good set; level 2 additionally
-    excises the pole discs of the local resonance blocks.
+    excises the pole discs of the local resonance blocks.  One lockstep Newton
+    solves every level-1 radius; level 2 solves per angle, one evaluator per
+    block partition.
     """
     k, prof, ev1 = _at_energy(n, lam, spec, profile)
     grid = np.asarray(phi_grid, dtype=float)
     if omega is None:
         omega = build_omega1(k, prof, spec.params)
-    samples: list[CurveSample] = []
-    for phi in grid:
-        phi = float(phi)
-        good = omega.contains(phi)
-        kappa = math.nan
-        h = math.nan
-        if good:
-            try:
-                nu = np.array([math.cos(phi), math.sin(phi)])
-                geometry = _admissible_geometry(phi, spec, prof) if n == 2 else None
-                k1 = _level1_radius(ev1, nu, lam)
-                if n == 1:
-                    kappa, h = k1, k1 - k
-                else:
-                    ev2 = LevelEvaluator(spec, prof, geometry)
-                    kappa = _newton_solve(
-                        lambda kap: ev2.eigenvalue(kap * nu),
-                        k1,
-                        lam,
-                        prof.kappa_window_2,
-                    )
-                    h = kappa - k1
-            except REJECTIONS:
-                good = False
-        samples.append(CurveSample(phi, kappa, h, math.nan, good))
+    phis = [float(phi) for phi in grid]
+    idx, nus, evaluators = _admissible(n, phis, omega, spec, prof)
+    solved: dict[int, tuple[float, float]] = {}
+    level1 = _newton_solve(_along(ev1, nus), [k] * len(idx), lam, prof.kappa_window_1)
+    for i, nu, k1 in zip(idx, nus, level1):
+        if _rejected(k1):
+            continue
+        if n == 1:
+            solved[i] = (k1, k1 - k)
+            continue
+        (kappa,) = _newton_solve(_along(evaluators[i], nu[None]), [k1], lam, prof.kappa_window_2)
+        if not _rejected(kappa):
+            solved[i] = (kappa, kappa - k1)
 
-    # centered differences between adjacent admissible samples
-    out: list[CurveSample] = []
-    for i, s in enumerate(samples):
-        d = math.nan
-        if s.admissible:
-            il, ir = i - 1, i + 1
-            if 0 <= il and ir < len(samples):
-                sl, sr = samples[il], samples[ir]
-                if sl.admissible and sr.admissible:
-                    d = (sr.kappa - sl.kappa) / (sr.phi - sl.phi)
-        out.append(CurveSample(s.phi, s.kappa, s.h, d, s.admissible))
+    def slope(i: int) -> float:  # centered difference between admissible neighbours
+        if i - 1 in solved and i in solved and i + 1 in solved:
+            return (solved[i + 1][0] - solved[i - 1][0]) / (phis[i + 1] - phis[i - 1])
+        return math.nan
+
     return IsoCurve(
         level=n,
         lam=lam,
-        samples=tuple(out),
-        holes=tuple(_holes_from_flags(grid, [s.admissible for s in samples])),
+        samples=tuple(
+            CurveSample(phi, *solved.get(i, (math.nan, math.nan)), slope(i), i in solved)
+            for i, phi in enumerate(phis)
+        ),
+        holes=tuple(_holes_from_flags(grid, [i in solved for i in range(len(phis))])),
     )
 
 
@@ -274,27 +308,21 @@ def deviation_profile(
     """
     k, prof, ev1 = _at_energy(n, lam, spec, profile)
     omega = build_omega1(k, prof, spec.params)
+    phis = [float(phi) for phi in np.asarray(phi_grid, dtype=float)]
+    idx, nus, evaluators = _admissible(n, phis, omega, spec, prof)
+    if n == 1:
+        lams = ev1.eigenvalues(k * nus)
+        return [(phis[i], (v - lam) / (2.0 * k)) for i, v in zip(idx, lams) if not _rejected(v)]
     out: list[tuple[float, float]] = []
-    for phi in np.asarray(phi_grid, dtype=float):
-        phi = float(phi)
-        if not omega.contains(phi):
+    level1 = _newton_solve(_along(ev1, nus), [k] * len(idx), lam, prof.kappa_window_1)
+    for i, nu, k1 in zip(idx, nus, level1):
+        if _rejected(k1):
             continue
         try:
-            nu = np.array([math.cos(phi), math.sin(phi)])
-            if n == 1:
-                dev = (ev1.eigenvalue(k * nu) - lam) / (2.0 * k)
-            else:
-                geometry = _admissible_geometry(phi, spec, prof)
-                k1 = _level1_radius(ev1, nu, lam)
-                res = generic_step(
-                    LevelEvaluator(spec, prof, geometry).state(k1 * nu),
-                    prof,
-                    with_projector=False,
-                )
-                dev = (res.lam - res.lambda_base) / (2.0 * k1)
-            out.append((phi, dev))
+            res = generic_step(evaluators[i].state(k1 * nu), prof, with_projector=False)
         except REJECTIONS:
             continue
+        out.append((phis[i], (res.lam - res.lambda_base) / (2.0 * k1)))
     return out
 
 

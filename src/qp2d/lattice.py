@@ -3,10 +3,10 @@ p_m = 2*pi*(s1 + alpha*s2) in R^2, box enumeration in the triple norm
 |||m||| = |s1|_inf + |s2|_inf, best rational approximation of alpha, and the
 cluster geometry of the lattice image at a given approximation scale.
 
-Point sets are (N, 4) integer rows.  `row_positions` is the one lookup of
-rows among rows, by packed int64 keys; the geometry keeps a set as sorted
-positions into `enumerate_box_array(R)`, whose ascending order is
-`LatticeIndex` order.  `LatticeIndex` is the scalar API surface.
+Point sets are (N, 4) integer rows; `row_positions` finds rows among rows by
+packed int64 keys, a set is sorted positions into `enumerate_box_array(R)`
+(`LatticeIndex` order), and `box_table` caches a box's nonzero rows with
+their norms and duals.  `LatticeIndex` is the scalar API surface.
 
 alpha is represented exactly, either as a quadratic irrational (a + b*sqrt(d))/c
 or as a continued-fraction prefix, so that colinearity questions reduce to
@@ -320,6 +320,18 @@ def box_indices(radius: int) -> tuple[LatticeIndex, ...]:
 
 def box_size(radius: int) -> int:
     return enumerate_box_array(radius).shape[0]
+
+
+@lru_cache(maxsize=32)
+def box_table(radius: int, params: QPParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, triple norms, duals) of the nonzero rows of the box |||m||| <=
+    radius, in box order and read-only; built on first use per argument pair."""
+    rows = enumerate_box_array(radius)
+    rows = rows[triple_norm_array(rows) > 0]
+    table = (rows, triple_norm_array(rows), dual_array(rows, params))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
 def triple_norm_components(

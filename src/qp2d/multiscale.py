@@ -17,6 +17,7 @@ import numpy as np
 from .lattice import (
     LatticeIndex,
     array_to_indices,
+    box_table,
     dual_array,
     enumerate_box_array,
     indices_to_array,
@@ -226,11 +227,11 @@ def region_map(
     m2_rows = indices_to_array(sorted(set(m2_points)))
     m2_pos = row_positions(box, m2_rows)
     duals = dual_array(m2_rows, spec.params)
-    box_norms = triple_norm_array(box)
-    p_len = np.linalg.norm(dual_array(box, spec.params), axis=1)
+    nonzero, _, nonzero_duals = box_table(r2, spec.params)
+    p_len = np.linalg.norm(nonzero_duals, axis=1)
 
     # simple region: small dual length, fat neighborhoods
-    simple_centers = box[(box_norms > 0) & (p_len > 0.0) & (p_len <= profile.simple_threshold)]
+    simple_centers = nonzero[(p_len > 0.0) & (p_len <= profile.simple_threshold)]
     simple = norm_ball(simple_centers, profile.simple_nbhd, r2)
 
     # the inner region is the r1-box inside the r2-box

@@ -13,13 +13,13 @@ survive in the output bit-exactly.  `contour_coeff_series` and
 adaptive trapezoidal quadrature and serve as an independent route for
 cross-validation.
 
-The coupling is sparse (a handful of entries per row), so no d x d array is
-built per kappa: `LevelEvaluator` splits it once into the dense in-block
-parts of the multi-index blocks and the cross-block W as CSR, and the
-recursion applies W~ v = U^H (W (U v)) with the block-diagonal eigenbasis U
-held as CSR.  The oracle check hands the section as CSR
-(`LevelState.section`) to the windowed shift-invert `eigvals_oracle`, so
-only the quadrature routes densify.
+The coupling is sparse, so no d x d array is built per kappa:
+`LevelEvaluator` splits it once into the dense in-block parts of the
+multi-index blocks and the cross-block W as CSR, the recursion applies
+W~ v = U^H (W (U v)) with the block eigenbasis U as CSR, and at level 1
+`eigenvalues` runs it on a block of kappas, one W V product per order.  The
+oracle check hands the section as CSR (`LevelState.section`) to the windowed
+shift-invert `eigvals_oracle`, so only the quadrature routes densify.
 """
 
 from __future__ import annotations
@@ -35,17 +35,17 @@ from .fiber import (  # noqa: F401 - assemble is re-exported as perturb.assemble
     FiberMatrix,
     assemble,
     coupling_matrix,
-    diagonal_energies,
     eigvals_oracle,
+    shifted_energies,
 )
 from .lattice import (
     LatticeIndex,
     ZERO_INDEX,
     box_indices,
+    box_table,
     enumerate_box_array,
     indices_to_array,
     row_positions,
-    triple_norm_array,
 )
 from .potential import InvariantViolation, PotentialSpec
 from .profile import ParameterProfile
@@ -326,21 +326,23 @@ def toy_state(
 def _rs_orders(apply_w, inv: np.ndarray, t: int, r_max: int):
     """The Rayleigh-Schrodinger recursion in the model eigenbasis: the
     coefficients g_1..g_r and the order vectors v_0..v_r, given v -> W~ v, the
-    reduced resolvent inv (zero at the target t) and r_max."""
-    v0 = np.zeros(len(inv), dtype=complex)
+    reduced resolvent inv (zero at the target t) and r_max; a (d, B) inv runs B
+    columns that share t, each bit-identical to its own run, with g (r_max, B)."""
+    v0 = np.zeros(inv.shape, dtype=complex)
     v0[t] = 1.0
     vs = [v0]
-    g = np.zeros(r_max, dtype=float)
+    lams = np.zeros((r_max,) + inv.shape[1:], dtype=complex)
+    g = np.zeros(lams.shape, dtype=float)
     for n in range(1, r_max + 1):
         rhs = -apply_w(vs[n - 1])
         for j in range(1, n):
             rhs += g[j - 1] * vs[n - j]
-        lam_n = -(rhs[t])
-        if not abs(lam_n.imag) <= 1e-10 * max(1.0, abs(lam_n)):
-            raise InvariantViolation(f"g_{n} = {lam_n!r} must be real")
+        lams[n - 1] = lam_n = -(rhs[t])
         g[n - 1] = lam_n.real
         rhs[t] += lam_n  # add the lam_n * v_0 term, zeroing the t-component
         vs.append(rhs * inv)
+    if not np.all(np.abs(lams.imag) <= 1e-10 * np.fmax(1.0, np.abs(lams))):
+        raise InvariantViolation(f"the coefficients {lams!r} must be real")
     return g, vs
 
 
@@ -380,9 +382,10 @@ def _decay(g: np.ndarray, lam0: float, profile: ParameterProfile):
     return ratio, tail
 
 
-def _reduced_inverse(block_vals: np.ndarray, lam0: float, t: int) -> np.ndarray:
+def _reduced_inverse(block_vals: np.ndarray, lam0, t: int) -> np.ndarray:
+    """1/(block_vals - lam0) off the target row t and zero denominators."""
     denom = block_vals - lam0
-    inv = np.zeros(len(denom))
+    inv = np.zeros(denom.shape)
     nz = np.abs(denom) > 0
     inv[nz] = 1.0 / denom[nz]
     inv[t] = 0.0
@@ -683,61 +686,75 @@ class LevelEvaluator:
         self.spec = spec
         self.profile = profile
         self.geometry = geometry
+        radius = profile.core_radius if geometry is None else profile.box_r1
         if geometry is None:
-            self.indices = box_indices(profile.core_radius)
-            self.rows = enumerate_box_array(profile.core_radius)
+            self.indices = box_indices(radius)
+            self.rows = enumerate_box_array(radius)
             blocks = list(np.arange(len(self.indices))[:, None])
             self.target = self.indices.index(ZERO_INDEX)
             # the free levels of the exclusion-zone box set the contour radius
-            big = enumerate_box_array(profile.tilde_radius)
-            self._far_rows = big[triple_norm_array(big) > 0]
+            self._far_duals = box_table(profile.tilde_radius, spec.params)[2]
         else:
             self.indices = geometry.indices
             self.rows = geometry.rows
             blocks = geometry.block_positions
+        # the table's duals, with the zero row's (0, 0) at the middle of the box
+        self._duals = np.insert(box_table(radius, spec.params)[2], len(self.rows) // 2, 0, axis=0)
         self.split = _BlockSplit(coupling_matrix(self.rows, spec), blocks)
 
     def state(self, kappa) -> LevelState:
         kap = np.asarray(kappa, dtype=float)
-        params = self.spec.params
-        diag = diagonal_energies(kap, self.rows, params)
+        diag = shifted_energies(kap, self._duals)
         state = self.split.state(1 if self.geometry is None else 2, self.indices, diag)
         lambda0 = float(kap @ kap)
         if self.geometry is not None:
             # the dressed eigenvalue of the core block nearest |kappa|^2
             return _aim_nearest(state, self.geometry.core_positions, lambda0, self.profile)
-        levels = diagonal_energies(kap, self._far_rows, params)
+        levels = shifted_energies(kap, self._far_duals)
         gap = float(np.min(np.abs(levels - lambda0)))
         return _aim(state, self.target, lambda0, gap, self.profile)
 
     def eigenvalue(self, kappa, r_max: int | None = None) -> float:
         if self.geometry is None:
-            return self._eigenvalue_diagonal(kappa, r_max)
-        res = generic_step(
-            self.state(kappa),
-            self.profile,
-            r_max=r_max,
-            with_projector=False,
-            check_oracle=False,
-        )
-        return res.lam
+            (lam,) = self.eigenvalues(np.asarray(kappa, dtype=float)[None], r_max)
+            if isinstance(lam, Exception):
+                raise lam
+            return lam
+        return generic_step(self.state(kappa), self.profile, r_max, with_projector=False).lam
 
-    def _eigenvalue_diagonal(self, kappa, r_max: int | None) -> float:
-        """Allocation-light level-1 path: no state, the same recursion and
-        stall detector on the same CSR W, so the coefficients agree with
-        generic_step bit for bit (U is the identity here)."""
-        prof = self.profile
-        r_max = prof.r_max if r_max is None else r_max
-        kap = np.asarray(kappa, dtype=float)
-        diag = diagonal_energies(kap, self.rows, self.spec.params)
+    def eigenvalues(self, kappas, r_max: int | None = None) -> list:
+        """`eigenvalue` at each row of a (B, 2) block of kappas: per row the
+        value, or the ContourHit / NonConvergent it raises there.  Level 2
+        goes row by row; level 1 runs the recursion on the block, one W V
+        product per order on generic_step's CSR W (U is the identity here),
+        each column bit-identical to generic_step."""
+        if self.geometry is not None:
+            out = []
+            for kap in kappas:
+                try:
+                    out.append(self.eigenvalue(kap, r_max))
+                except (ContourHit, NonConvergent) as exc:
+                    out.append(exc)
+            return out
+        r_max = self.profile.r_max if r_max is None else r_max
+        diag = shifted_energies(kappas, self._duals)
         t = self.target
-        lam0 = float(diag[t])
-        gap = np.min(np.abs(np.delete(diag - lam0, t)))
-        if gap <= 0.0:
-            raise ContourHit("degenerate free gap at the evaluation point")
-        g, _ = _rs_orders(self.split.w.dot, _reduced_inverse(diag, lam0, t), t, r_max)
-        _decay(g, lam0, prof)
-        return lam0 + float(np.sum(g[1:]))
+        lam0 = diag[:, t]
+        dist = np.abs(diag - lam0[:, None])
+        dist[:, t] = np.inf
+        hit = dist.min(axis=1) <= 0.0
+        out = [ContourHit("degenerate free gap at kappa") if h else None for h in hit]
+        live = np.flatnonzero(~hit)
+        # one column runs on vectors, where numpy's scalar operands are cheapest
+        block = diag[live[0]] if len(live) == 1 else np.ascontiguousarray(diag[live].T)
+        g, _ = _rs_orders(self.split.w.dot, _reduced_inverse(block, lam0[live], t), t, r_max)
+        for b, col in zip(live, g.reshape(r_max, len(live)).T.copy()):
+            try:
+                _decay(col, lam0[b], self.profile)
+                out[b] = float(lam0[b]) + float(np.sum(col[1:]))
+            except NonConvergent as exc:
+                out[b] = exc
+        return out
 
 
 def derivative_probe(

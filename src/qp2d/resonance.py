@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .fiber import coupling_matrix, coupling_pairs, diagonal_energies
+from .fiber import coupling_matrix, coupling_pairs, diagonal_energies, shifted_energies
 from .lattice import (
     LatticeIndex,
     QPParams,
     array_to_indices,
     box_indices,
-    dual_array,
+    box_table,
     dual_vector,
     duals_colinear,
     enumerate_box_array,
@@ -32,7 +32,6 @@ from .lattice import (
     rational_ratio,
     row_positions,
     triple_norm,
-    triple_norm_array,
     triple_norm_components,
 )
 from .potential import PotentialSpec
@@ -59,6 +58,10 @@ class AngleSet:
     """Disjoint sorted sub-intervals of [0, 2*pi)."""
 
     intervals: tuple[tuple[float, float], ...]
+    _starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_starts", tuple(a for a, _ in self.intervals))
 
     @staticmethod
     def from_raw(raw) -> "AngleSet":
@@ -100,8 +103,7 @@ class AngleSet:
 
     def contains(self, phi: float) -> bool:
         x = phi % TWO_PI
-        starts = [a for a, _ in self.intervals]
-        i = bisect_right(starts, x) - 1
+        i = bisect_right(self._starts, x) - 1
         return i >= 0 and x <= self.intervals[i][1]
 
     def union(self, other: "AngleSet") -> "AngleSet":
@@ -205,10 +207,7 @@ def step1_arcs(
 
     Returns a list of (m, p, phi_m, arcs) for m in the zone, nonzero.
     """
-    rows = enumerate_box_array(profile.tilde_radius)
-    norms = triple_norm_array(rows)
-    rows = rows[norms > 0]
-    duals = dual_array(rows, params)
+    rows, _, duals = box_table(profile.tilde_radius, params)
     ps = np.linalg.norm(duals, axis=1)
     angs = np.arctan2(duals[:, 1], duals[:, 0])
     thr = tau_factor * profile.t1
@@ -309,12 +308,9 @@ class ClusterDecomposition:
 def _resonant_rows(
     phi0: float, k: float, radius: int, profile: ParameterProfile, params: QPParams
 ) -> np.ndarray:
-    rows = enumerate_box_array(radius)
-    norms = triple_norm_array(rows)
-    rows = rows[norms > 0]
-    norms = norms[norms > 0]
+    rows, norms, duals = box_table(radius, params)
     kvec = k * np.array([math.cos(phi0), math.sin(phi0)])
-    det = diagonal_energies(kvec, rows, params) - k * k
+    det = shifted_energies(kvec, duals) - k * k
     thr = np.where(norms <= profile.tilde_radius, profile.t1, profile.t_star)
     return rows[np.abs(det) <= thr]
 
@@ -355,10 +351,8 @@ def classify(
     """
     params = spec.params
     r1 = profile.box_r1 if box_radius is None else box_radius
-    base_rows = enumerate_box_array(profile.tilde_radius)
-    base_norms = triple_norm_array(base_rows)
     kvec = k * np.array([math.cos(phi0), math.sin(phi0)])
-    det0 = diagonal_energies(kvec, base_rows[base_norms > 0], params) - k * k
+    det0 = shifted_energies(kvec, box_table(profile.tilde_radius, params)[2]) - k * k
     if np.any(np.abs(det0) <= 8.0 * profile.t1):
         raise ResonantBase(
             f"phi0={phi0:.6f} lies in the step-I resonant set at tau=8"

@@ -3,9 +3,10 @@ bracketed radius solver's failure modes."""
 
 import math
 
+import numpy as np
 import pytest
 
-from qp2d.isoenergetic import NoRoot, _newton_solve
+from qp2d.isoenergetic import NoRoot, _newton_root
 from qp2d.lattice import LatticeIndex, dual_vector
 from qp2d.profile import make_profile
 from qp2d.resonance import appendix4_count, build_omega1, tangent_angles
@@ -77,11 +78,18 @@ class TestAppendix4Count:
 class TestNewtonBracket:
     def test_no_root_in_bracket(self):
         with pytest.raises(NoRoot):
-            _newton_solve(lambda x: x * x, start=5.0, lam=1.0, halfwidth=0.5)
+            _newton_root(lambda cols, x: x * x, start=5.0, lam=1.0, halfwidth=0.5)
 
     def test_falls_back_to_bisection(self):
         # derivative guess 2*kappa is wrong for this function; bisection
         # still lands on the root
         f = lambda x: 100.0 * (x - 3.02) + 7.0
-        root = _newton_solve(f, start=3.0, lam=7.0, halfwidth=0.1)
+        root = _newton_root(lambda cols, x: f(x), start=3.0, lam=7.0, halfwidth=0.1)
         assert f(root) - 7.0 == pytest.approx(0.0, abs=1e-9 * 7.0)
+
+    def test_jump_is_not_a_root(self):
+        # f jumps across lam at 3.2 without reaching it: bisection closes in
+        # on the jump, and its last midpoint must not come back as a root
+        f = lambda cols, x: np.where(x < 3.2, 0.0, 10.0)
+        with pytest.raises(NoRoot):
+            _newton_root(f, start=3.0, lam=5.0, halfwidth=0.5)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from qp2d.fiber import FiberMatrix, eigvals_oracle
 from qp2d.isoenergetic import (
+    _newton_solve,
     curve_delta,
     deviation_profile,
     export_curve,
@@ -11,7 +13,14 @@ from qp2d.isoenergetic import (
     solve_radius,
     trace_curve,
 )
-from qp2d.perturb import ContourHit, LevelEvaluator
+from qp2d.perturb import (
+    ContourHit,
+    LevelEvaluator,
+    NonConvergent,
+    build_state,
+    generic_step,
+    level2_geometry,
+)
 from qp2d.profile import make_profile
 from qp2d.resonance import build_omega1, resonant_set_step1
 
@@ -75,6 +84,69 @@ class TestSolveRadius:
         assert abs(kappa - k) <= prof.kappa_window_1
 
 
+class TestLockstepNewton:
+    """One lockstep solve over columns equals each column's own solve."""
+
+    LAM, HALF = 4.0, 0.1
+
+    @staticmethod
+    def toy(cols, radii, seen=None):
+        out = []
+        for c, x in zip(cols, radii):
+            if seen is not None:
+                seen.setdefault(int(c), []).append(float(x))
+            if c == 3 and x < 1.96:
+                out.append(NonConvergent("toy rejection"))
+            else:
+                out.append([x * x, x * x + 0.3, 100.0 * (x - 2.02) + 4.0, x * x + 0.2][c])
+        return out
+
+    def test_columns_match_their_own_solves(self):
+        seen = {}
+        out = _newton_solve(
+            lambda c, x: self.toy(c, x, seen), [2.0] * 4, self.LAM, self.HALF
+        )
+        # column 0 converges at step 0, column 1 after several Newton steps
+        assert out[0] == 2.0 and seen[0] == [2.0]
+        assert len(seen[1]) > 2 and abs(out[1] ** 2 + 0.3 - self.LAM) <= 1e-9 * self.LAM
+        # column 2's Newton leaves its bracket: both ends, then bisection
+        assert 2.0 - self.HALF in seen[2] and 2.0 + self.HALF in seen[2]
+        assert abs(100.0 * (out[2] - 2.02)) <= 1e-9 * self.LAM
+        # column 3 is rejected at its second evaluation, and only column 3
+        assert isinstance(out[3], NonConvergent) and len(seen[3]) == 2
+        for c in range(3):
+            own = _newton_solve(
+                lambda cols, x: self.toy([c] * len(x), x), [2.0], self.LAM, self.HALF
+            )
+            assert isinstance(out[c], float) and own == [out[c]]
+
+    def test_plain_exception_value_propagates(self):
+        with pytest.raises(ValueError, match="not a rejection"):
+            _newton_solve(lambda c, x: [ValueError("not a rejection")], [2.0], 4.0, 0.1)
+
+
+class TestRadiusAgainstOracle:
+    """The solved radii checked by the windowed oracle on the section, not
+    by the solver's own stopping rule."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_oracle_eigenvalue_at_lambda(self, n, spec):
+        lam = 1600.0
+        prof = make_profile(math.sqrt(lam))
+        curve = trace_curve(n, lam, np.linspace(0, TWO_PI, 41, endpoint=False), spec, prof)
+        picks = curve.admissible_samples[::4]
+        assert len(picks) >= 5
+        for s in picks:
+            point = s.kappa * np.array([math.cos(s.phi), math.sin(s.phi)])
+            geometry = level2_geometry(s.phi, spec, prof) if n == 2 else None
+            state = build_state(n, point, spec, prof, geometry)
+            tail = generic_step(state, prof, with_projector=False).tail_estimate
+            mat = FiberMatrix(indices=state.indices, kappa=point, entries=state.section)
+            inside = eigvals_oracle(mat, lam, state.contour.radius)
+            assert len(inside) == 1
+            assert abs(inside[0] - lam) <= max(1e-9 * lam, 10.0 * tail)
+
+
 class TestTraceCurve:
     def test_zero_potential_circle(self, zero_spec, params):
         lam = 625.0
@@ -133,7 +205,8 @@ class TestTraceCurve:
 
 
 class TestEvaluatorReuse:
-    """The level-1 model depends on no angle, so a call builds it once."""
+    """The level-1 model depends on no angle, so a call builds it once; a
+    level-2 evaluator is built once per block partition."""
 
     @pytest.mark.parametrize(
         "fn, n", [(trace_curve, 2), (deviation_profile, 1), (deviation_profile, 2)]
@@ -154,6 +227,31 @@ class TestEvaluatorReuse:
         assert len(solved) >= 2
         assert level1_builds.count(True) == 1
 
+    @pytest.mark.parametrize("fn", [trace_curve, deviation_profile])
+    def test_one_level2_build_per_partition(self, fn, spec, monkeypatch):
+        partitions = []
+        init = LevelEvaluator.__init__
+
+        def counting_init(self, spec, profile, geometry=None):
+            init(self, spec, profile, geometry)
+            if geometry is not None:
+                partitions.append(tuple(tuple(pos) for pos in geometry.block_positions))
+
+        monkeypatch.setattr(LevelEvaluator, "__init__", counting_init)
+        lam = 1600.0
+        prof = make_profile(math.sqrt(lam))
+        grid = np.linspace(0, TWO_PI, 24, endpoint=False)
+        out = fn(2, lam, grid, spec, prof)
+        solved = [s.phi for s in out.admissible_samples] if fn is trace_curve else [p for p, _ in out]
+        assert len(solved) >= 2
+        # one build per distinct partition, and every solved angle's partition
+        # among them
+        assert len(partitions) == len(set(partitions))
+        for phi in solved:
+            geometry = level2_geometry(phi, spec, prof)
+            assert tuple(tuple(pos) for pos in geometry.block_positions) in partitions
+        assert len(partitions) < len(solved)
+
 
 class TestRejections:
     """Only typed numerical rejections become holes; any other exception
@@ -165,7 +263,11 @@ class TestRejections:
             def eigenvalue(self, kappa, r_max=None):
                 raise exc("raised by the evaluator")
 
+            def eigenvalues(self, kappas, r_max=None):
+                return [exc("raised by the evaluator") for _ in kappas]
+
             monkeypatch.setattr(LevelEvaluator, "eigenvalue", eigenvalue)
+            monkeypatch.setattr(LevelEvaluator, "eigenvalues", eigenvalues)
 
         return install
 

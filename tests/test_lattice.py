@@ -16,9 +16,11 @@ from qp2d.lattice import (
     array_to_indices,
     best_rational,
     box_indices,
+    box_table,
     cluster_decompose,
     count_short_vectors,
     cross_combination,
+    dual_array,
     dual_vector,
     duals_colinear,
     enumerate_box,
@@ -82,6 +84,25 @@ class TestBoxIndices:
         assert box == tuple(array_to_indices(enumerate_box_array(radius)))
         assert box == tuple(sorted(box))
         assert box_indices(radius) is box
+
+
+class TestBoxTable:
+    @pytest.mark.parametrize("radius", [0, 2, 3, 4])
+    def test_matches_direct_recomputation(self, radius, params):
+        rows, norms, duals = box_table(radius, params)
+        box = enumerate_box_array(radius)
+        keep = triple_norm_array(box) > 0
+        assert np.array_equal(rows, box[keep])
+        assert np.array_equal(norms, triple_norm_array(box)[keep])
+        # bit for bit: the duals are dual_array's own values
+        assert duals.tobytes() == dual_array(box, params)[keep].tobytes()
+        # the zero row, left out, sits at the middle of the sorted box
+        assert not box[len(box) // 2].any() and len(rows) == len(box) - 1
+        assert box_table(radius, params) is box_table(radius, params)
+        assert not any(a.flags.writeable for a in (rows, norms, duals))
+
+    def test_one_table_per_params(self, params, golden):
+        assert not np.array_equal(box_table(2, params)[2], box_table(2, golden)[2])
 
 
 class TestTripleNorm:

@@ -11,6 +11,7 @@ from qp2d.fiber import FiberMatrix, assemble, eig_oracle, eigvals_oracle
 from qp2d.lattice import (
     LatticeIndex,
     ZERO_INDEX,
+    dual_array,
     dual_vector,
     enumerate_box,
     indices_to_array,
@@ -441,6 +442,34 @@ class TestLevels:
                 ev.state(kap), prof, with_projector=False
             ).lam
             assert fast == slow
+
+    def test_batch_eigenvalues_identical(self, spec, params, rng):
+        # a block of kappas gives each row's one-column value or rejection
+        # bit for bit, whatever the block's make-up
+        k = 40.0
+        prof = make_profile(k)
+        ev = LevelEvaluator(spec, prof)
+        phis = rng.uniform(0, TWO_PI, 240)
+        radii = k + rng.uniform(-0.05, 0.05, 240)
+        kaps = radii[:, None] * np.stack([np.cos(phis), np.sin(phis)], axis=1)
+        # kappa = -p_m/2 puts the free level of m on the target's exactly
+        m = indices_to_array([LatticeIndex((1, 0), (0, 0))])
+        kaps[7] = -0.5 * dual_array(m, params)[0]
+
+        def one(kap):
+            try:
+                return ev.eigenvalue(kap)
+            except (ContourHit, NonConvergent) as exc:
+                return type(exc)
+
+        def typed(values):
+            return [type(v) if isinstance(v, Exception) else v for v in values]
+
+        want = [one(kap) for kap in kaps]
+        assert want[7] is ContourHit
+        assert typed(ev.eigenvalues(kaps)) == want
+        assert typed(ev.eigenvalues(kaps[::-1]))[::-1] == want
+        assert typed(ev.eigenvalues(kaps[5:9])) == want[5:9]
 
     def test_level2_same_code_path(self, spec, params, rng):
         k = 40.0

@@ -103,6 +103,23 @@ class TestAngleSet:
         assert s.contains(0.2) and s.contains(TWO_PI - 0.2)
         assert not s.contains(1.0)
 
+    def test_contains_edges_and_wrap(self):
+        s = AngleSet(((0.0, 0.25), (0.5, 1.0), (6.0, TWO_PI)))
+        # intervals are closed at both ends
+        assert s.contains(0.5) and s.contains(1.0) and s.contains(0.25)
+        assert not s.contains(math.nextafter(0.5, 0.0))
+        assert not s.contains(math.nextafter(1.0, 2.0))
+        assert not s.contains(math.nextafter(0.25, 1.0))
+        # angles wrap at 2*pi
+        assert s.contains(0.0) and s.contains(TWO_PI) and s.contains(-0.1)
+        assert s.contains(TWO_PI + 0.1) and not s.contains(TWO_PI + 0.3)
+        # the same answers as a scan of the intervals, and an unchanged value
+        for phi in np.linspace(-7.0, 14.0, 2001):
+            x = phi % TWO_PI
+            assert s.contains(phi) == any(a <= x <= b for a, b in s.intervals)
+        assert s == AngleSet(s.intervals) and hash(s) == hash(AngleSet(s.intervals))
+        assert s.complement().contains(0.3) and not s.complement().contains(0.7)
+
     def test_complement_involution(self):
         s = AngleSet.from_raw([(0.1, 0.4), (2.0, 2.7)])
         assert s.complement().complement().intervals == s.intervals
