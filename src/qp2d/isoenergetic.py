@@ -86,7 +86,7 @@ def _rejected(value) -> bool:
     return isinstance(value, REJECTIONS)
 
 
-def _newton_solve(f, starts, lam: float, halfwidth: float, max_iter: int = 25) -> list:
+def _newton_solve(f, starts, lam: float, halfwidth: float) -> list:
     """Newton with derivative 2*kappa, bisection fallback on the bracket
     start +- halfwidth, in lockstep over columns: f(cols, radii) gives per
     entry column cols[i]'s value at radii[i], or its typed rejection.  Per
@@ -96,7 +96,7 @@ def _newton_solve(f, starts, lam: float, halfwidth: float, max_iter: int = 25) -
 
     def column(kappa: float):  # yields each radius it needs, receives f - lam there
         lo, hi = kappa - halfwidth, kappa + halfwidth
-        for _ in range(max_iter):
+        for _ in range(25):
             r = yield kappa
             if abs(r) <= tol:
                 return kappa

@@ -6,7 +6,10 @@ cluster geometry of the lattice image at a given approximation scale.
 Point sets are (N, 4) integer rows; `row_positions` finds rows among rows by
 packed int64 keys, a set is sorted positions into `enumerate_box_array(R)`
 (`LatticeIndex` order), and `box_table` caches a box's nonzero rows with
-their norms and duals.  `LatticeIndex` is the scalar API surface.
+their norms and duals.  `cluster_decompose` labels residue clusters with
+`np.unique` over their keys, takes diameters from per-cluster bounding boxes
+and the separation from one exact k-d tree search.  `LatticeIndex` is the
+scalar API surface, built only for what a function returns.
 
 alpha is represented exactly, either as a quadratic irrational (a + b*sqrt(d))/c
 or as a continued-fraction prefix, so that colinearity questions reduce to
@@ -240,7 +243,7 @@ def indices_to_array(indices) -> np.ndarray:
 
 
 def array_to_indices(rows: np.ndarray) -> list[LatticeIndex]:
-    return [LatticeIndex.from_row(r) for r in rows]
+    return [LatticeIndex((a, b), (c, d)) for a, b, c, d in np.asarray(rows).tolist()]
 
 
 def triple_norm_array(rows: np.ndarray) -> np.ndarray:
@@ -430,72 +433,64 @@ class ClusterGrid:
     min_separation: float
 
 
-def cluster_decompose(
-    box, approx: ApproxPair, params: QPParams, brute_force_cap: int = 20000
-) -> ClusterGrid:
+def cluster_decompose(box, approx: ApproxPair, params: QPParams) -> ClusterGrid:
+    """Residue clusters of a point set (an (N,4) array or LatticeIndex
+    iterable) at the approximation scale (q, p), with their largest diameter
+    and smallest separation in units of s1 + alpha*s2.
+
+    Clusters are keyed in order of their first member in LatticeIndex order.
+    The separation is exact: a k-d tree query for each point's k nearest
+    points, k doubled until every point sees one of another cluster, and
+    those distances taken by the all-pairs norm expression.  One cluster has
+    separation inf.
+    """
     rows = box if isinstance(box, np.ndarray) else indices_to_array(box)
-    if rows.shape[0] == 0:
-        return ClusterGrid({}, abs(approx.eps_q) * approx.q, 0.0, math.inf)
+    step = abs(approx.eps_q) * approx.q
+    n = rows.shape[0]
+    if n == 0:
+        return ClusterGrid({}, step, 0.0, math.inf)
     q, p = approx.q, approx.p
     s2 = rows[:, 2:]
     s2p = np.floor_divide(s2, q)
-    s2pp = s2 - q * s2p
-    s_key = rows[:, :2] - p * s2p
+    keys = np.concatenate([rows[:, :2] - p * s2p, s2 - q * s2p], axis=1)
     points = (rows[:, :2] + params.alpha * s2).astype(float)
+    uniq, labels = np.unique(keys, axis=0, return_inverse=True)
+    labels = labels.reshape(-1)
 
-    keys = np.concatenate([s_key, s2pp], axis=1)
-    order = np.lexsort((rows[:, 3], rows[:, 2], rows[:, 1], rows[:, 0]))
-    clusters: dict = {}
-    labels = np.empty(rows.shape[0], dtype=np.int64)
-    key_ids: dict = {}
-    for i in range(rows.shape[0]):
-        kk = tuple(int(v) for v in keys[i])
-        if kk not in key_ids:
-            key_ids[kk] = len(key_ids)
-        labels[i] = key_ids[kk]
-    for i in order:
-        kk = tuple(int(v) for v in keys[i])
-        key = ((kk[0], kk[1]), (kk[2], kk[3]))
-        clusters.setdefault(key, []).append(LatticeIndex.from_row(rows[i]))
+    # clusters by their first member, each a run of sorted members
+    order = np.lexsort(rows.T[::-1])
+    _, first = np.unique(labels[order], return_index=True)
+    grouped = array_to_indices(rows[order[np.argsort(first[labels[order]], kind="stable")]])
+    by_first = np.argsort(first)
+    ends = np.cumsum(np.bincount(labels)[by_first]).tolist()
+    clusters = {
+        ((a, b), (c, d)): grouped[start:end]
+        for (a, b, c, d), start, end in zip(uniq[by_first].tolist(), [0] + ends, ends)
+    }
 
-    diam = 0.0
-    for lab in range(len(key_ids)):
-        pts = points[labels == lab]
-        if pts.shape[0] > 1:
-            lo = pts.min(axis=0)
-            hi = pts.max(axis=0)
-            # members sit on an axis-aligned square lattice, so the bounding
-            # box diagonal is attained
-            diam = max(diam, float(np.hypot(*(hi - lo))))
+    # the diagonal of a cluster's bounding box bounds its diameter from above
+    # (tests find it attained, against all pairs)
+    lo = np.full((len(uniq), 2), np.inf)
+    hi = np.full((len(uniq), 2), -np.inf)
+    np.minimum.at(lo, labels, points)
+    np.maximum.at(hi, labels, points)
+    diam = max(0.0, float(np.hypot(*(hi - lo).T).max()))
 
     min_sep = math.inf
-    n = rows.shape[0]
-    if len(key_ids) > 1:
-        if n <= brute_force_cap:
-            blk = 2048
-            for i0 in range(0, n, blk):
-                pi = points[i0 : i0 + blk]
-                li = labels[i0 : i0 + blk]
-                d = np.linalg.norm(pi[:, None, :] - points[None, :, :], axis=-1)
-                cross = li[:, None] != labels[None, :]
-                if cross.any():
-                    min_sep = min(min_sep, float(d[cross].min()))
-        else:
-            # nearest clusters by centroid, exact point distances among those
-            cents = np.zeros((len(key_ids), 2))
-            for lab in range(len(key_ids)):
-                cents[lab] = points[labels == lab].mean(axis=0)
-            tree = cKDTree(cents)
-            _, nbr = tree.query(cents, k=min(9, len(key_ids)))
-            for lab in range(len(key_ids)):
-                for other in np.atleast_1d(nbr[lab])[1:]:
-                    a = points[labels == lab]
-                    b = points[labels == int(other)]
-                    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
-                    min_sep = min(min_sep, float(d.min()))
+    if len(uniq) > 1:
+        tree = cKDTree(points)
+        kk = 1
+        while True:
+            kk = min(2 * kk, n)
+            nbr = tree.query(points, k=kk)[1]
+            cross = labels[nbr] != labels[:, None]
+            if kk == n or cross.any(axis=1).all():
+                break
+        i, j = np.nonzero(cross)
+        min_sep = float(np.linalg.norm(points[i] - points[nbr[i, j]], axis=-1).min())
     return ClusterGrid(
         clusters=clusters,
-        step=abs(approx.eps_q) * q,
+        step=step,
         cluster_diameter=diam,
         min_separation=min_sep,
     )

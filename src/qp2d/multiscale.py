@@ -22,7 +22,6 @@ from .lattice import (
     enumerate_box_array,
     indices_to_array,
     row_positions,
-    triple_norm,
     triple_norm_array,
     triple_norm_components,
 )
@@ -48,40 +47,11 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 
-def pole_discs_from_blocks(
-    blocks,
-    phi0: float,
-    k: float,
-    spec: PotentialSpec,
-    profile: ParameterProfile,
-    kappa_fn=None,
-    scan_points: int = 64,
-) -> list[tuple[float, float]]:
-    """(pole, disc radius) pairs of the given resonance blocks inside the
-    local window around phi0."""
-    half = profile.interval_width / 2.0
-    discs = []
-    for block in blocks:
-        for pole, _ in block_poles(
-            block,
-            k,
-            (phi0 - half, phi0 + half),
-            spec,
-            profile,
-            kappa_fn=kappa_fn,
-            scan_points=scan_points,
-        ):
-            discs.append((pole, profile.o2_disc_radius))
-    return discs
-
-
 def local_pole_discs(
     phi0: float,
     k: float,
     spec: PotentialSpec,
     profile: ParameterProfile,
-    kappa_fn=None,
-    scan_points: int = 64,
     geometry=None,
 ) -> list[tuple[float, float]]:
     """Pole discs of every resonance-block resolvent near one base angle.
@@ -89,18 +59,21 @@ def local_pole_discs(
     Returns (pole, disc radius) pairs inside the local window.  Raises
     ResonantBase when phi0 itself fails the step-I test.
     """
-    if geometry is not None:
-        blocks = [
-            blk.indices for blk in geometry.projector.blocks if blk.kind != "core"
-        ]
-    else:
+    if geometry is None:
         decomp = classify(phi0, k, spec, profile)
         decomp = strength(decomp, k, phi0, spec, profile)
         projector = assemble_projector(decomp, k, profile, spec)
-        blocks = [blk.indices for blk in projector.blocks if blk.kind != "core"]
-    return pole_discs_from_blocks(
-        blocks, phi0, k, spec, profile, kappa_fn=kappa_fn, scan_points=scan_points
-    )
+    else:
+        projector = geometry.projector
+    half = profile.interval_width / 2.0
+    return [
+        (pole, profile.o2_disc_radius)
+        for blk in projector.blocks
+        if blk.kind != "core"
+        for pole, _ in block_poles(
+            blk.indices, k, (phi0 - half, phi0 + half), spec, profile, scan_points=64
+        )
+    ]
 
 
 def second_resonant_set(
@@ -108,7 +81,6 @@ def second_resonant_set(
     phi0_grid,
     spec: PotentialSpec,
     profile: ParameterProfile,
-    kappa_fn=None,
 ) -> tuple[AngleSet, AngleSet]:
     """(O2, omega2): pole discs collected over the base-angle grid, and the
     expanded step-I good set minus those discs."""
@@ -118,7 +90,7 @@ def second_resonant_set(
         if not omega1.contains(float(phi0)):
             continue
         try:
-            discs = local_pole_discs(float(phi0), k, spec, profile, kappa_fn)
+            discs = local_pole_discs(float(phi0), k, spec, profile)
         except ResonantBase:
             continue
         for pole, rad in discs:
@@ -139,7 +111,6 @@ def build_m2set(
     r2_radius: int | None,
     spec: PotentialSpec,
     profile: ParameterProfile,
-    kappa_fn=None,
 ) -> tuple[list[LatticeIndex], ClusterDecomposition]:
     """Members of the r2-box resonant set (minus weak windows) whose local
     block resolvent has a pole within the membership disc of phi0.
@@ -151,32 +122,18 @@ def build_m2set(
     decomp = strength(decomp, k, phi0, spec, profile)
 
     half = max(profile.m2_disc_radius * 4.0, 2.0 * profile.pole_window)
-    out: set[LatticeIndex] = set()
 
     def block_has_near_pole(block) -> bool:
-        poles = block_poles(
-            block,
-            k,
-            (phi0 - half, phi0 + half),
-            spec,
-            profile,
-            kappa_fn=kappa_fn,
-            scan_points=32,
-        )
+        poles = block_poles(block, k, (phi0 - half, phi0 + half), spec, profile, scan_points=32)
         return any(abs(p - phi0) <= profile.m2_disc_radius for p, _ in poles)
 
-    for m in decomp.m1:
-        if block_has_near_pole((m,)):
-            out.add(m)
-    for cls in decomp.classes:
-        for sub in cls.subsets:
-            if sub.strength == "weak":
-                continue
-            if block_has_near_pole(sub.members):
-                out.update(sub.members)
-    inner = {m for m in out if triple_norm(m) <= profile.box_r1}
-    out -= inner
-    return sorted(out), decomp
+    blocks = [(m,) for m in decomp.m1] + [
+        sub.members for cls in decomp.classes for sub in cls.subsets if sub.strength != "weak"
+    ]
+    near = [m for block in blocks if block_has_near_pole(block) for m in block]
+    # sorted and distinct, without the inner r1-box
+    rows = np.unique(indices_to_array(near), axis=0)
+    return array_to_indices(rows[triple_norm_array(rows) > profile.box_r1]), decomp
 
 
 # ---------------------------------------------------------------------------

@@ -739,7 +739,8 @@ class LevelEvaluator:
         r_max = self.profile.r_max if r_max is None else r_max
         diag = shifted_energies(kappas, self._duals)
         t = self.target
-        lam0 = diag[:, t]
+        # lambda0 as state() takes it; diag[:, t] can differ in the last bit
+        lam0 = np.array([kap @ kap for kap in kappas])
         dist = np.abs(diag - lam0[:, None])
         dist[:, t] = np.inf
         hit = dist.min(axis=1) <= 0.0
@@ -766,16 +767,16 @@ def derivative_probe(
     geometry: Level2Geometry | None = None,
 ) -> tuple[float, float]:
     """(d lambda/d kappa, d lambda / d phi) by central differences, the four
-    probes on one evaluator (level 2: geometry, else the point's own)."""
+    probes in one call on one evaluator (level 2: geometry, else the point's
+    own); the first probe's rejection is raised."""
     kap = np.asarray(point, dtype=float)
     r = float(np.hypot(kap[0], kap[1]))
     phi = math.atan2(kap[1], kap[0])
     ev = _evaluator_at(n, kap, spec, profile, geometry)
-
-    def at(rr: float, pp: float) -> float:
-        pt = rr * np.array([math.cos(pp), math.sin(pp)])
-        return generic_step(ev.state(pt), profile, with_projector=False).lam
-
-    dk = (at(r + h, phi) - at(r - h, phi)) / (2.0 * h)
-    dphi = (at(r, phi + h) - at(r, phi - h)) / (2.0 * h)
-    return dk, dphi
+    probes = [(r + h, phi), (r - h, phi), (r, phi + h), (r, phi - h)]
+    pts = np.array([rr * np.array([math.cos(pp), math.sin(pp)]) for rr, pp in probes])
+    vals = ev.eigenvalues(pts)
+    for v in vals:
+        if isinstance(v, Exception):
+            raise v
+    return (vals[0] - vals[1]) / (2.0 * h), (vals[2] - vals[3]) / (2.0 * h)

@@ -15,7 +15,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .fiber import coupling_matrix, coupling_pairs, diagonal_energies, shifted_energies
 from .lattice import (
@@ -31,10 +30,9 @@ from .lattice import (
     primitive_direction,
     rational_ratio,
     row_positions,
-    triple_norm,
     triple_norm_components,
 )
-from .potential import PotentialSpec
+from .potential import InvariantViolation, PotentialSpec
 from .profile import ParameterProfile
 
 TWO_PI = 2.0 * math.pi
@@ -371,36 +369,21 @@ def classify(
     eff_iso = max(profile.m1_isolation, spec.max_support_norm)
     eff_chain = max(profile.chain_radius, spec.max_support_norm)
 
-    # M1: members of M isolated from every other M' point
-    mp_keys = {m: i for i, m in enumerate(m_prime)}
-    m1 = []
-    m2 = []
-    if len(m_prime) > 1:
-        tree = cKDTree(mp_rows.astype(float))
-    for m in m_set:
-        row = np.array(m.as_row(), dtype=float)
-        isolated = True
-        if len(m_prime) > 1:
-            for j in tree.query_ball_point(row, r=eff_iso, p=np.inf):
-                other = m_prime[j]
-                if other == m:
-                    continue
-                if triple_norm(m - other) <= eff_iso:
-                    isolated = False
-                    break
-        (m1 if isolated else m2).append(m)
+    # M sits inside M' (same thresholds, the r-box inside the 2r-box), so M1,
+    # the members of M isolated from every other M' point, are the M rows
+    # that are singletons of M' at the isolation scale
+    pos = row_positions(mp_rows, m_rows)
+    if np.any(pos < 0):
+        raise InvariantViolation("a resonant row of the r-box is missing from the 2r-box set")
+    iso_labels = triple_norm_components(mp_rows, eff_iso)
+    isolated = np.bincount(iso_labels)[iso_labels[pos]] == 1
+    m1 = tuple(m for m, alone in zip(m_set, isolated) if alone)
 
-    # chain classes over M'
+    # chain classes over M', one per component holding an M2 point
     labels = triple_norm_components(mp_rows, eff_chain)
-    m2_set = set(m2)
-    class_labels = sorted(
-        {labels[mp_keys[m]] for m in m2}
-    )
     classes: list[ClusterClass] = []
-    for lab in class_labels:
-        members = tuple(
-            m for i, m in enumerate(m_prime) if labels[i] == lab
-        )
+    for lab in np.unique(labels[pos[~isolated]]):
+        members = tuple(m_prime[i] for i in np.flatnonzero(labels == lab))
         base = members[0]
         colinear_ok = True
         step = None
@@ -488,16 +471,12 @@ def classify(
             cls.subsets.sort(key=lambda s: s.central)
         classes.append(cls)
 
-    # keep only classes that actually contain M2 points
-    classes = [
-        c for c in classes if any(m in m2_set for m in c.members)
-    ]
     return ClusterDecomposition(
         phi0=phi0,
         k=k,
         m_set=m_set,
         m_prime=m_prime,
-        m1=tuple(sorted(m1)),
+        m1=m1,
         classes=classes,
     )
 
@@ -546,28 +525,25 @@ def block_poles(
     phi_interval: tuple[float, float],
     spec: PotentialSpec,
     profile: ParameterProfile,
-    kappa_fn=None,
-    energy: float | None = None,
     scan_points: int | None = None,
 ) -> list[tuple[float, int]]:
-    """All phi in the interval where the block matrix has an eigenvalue equal
-    to the target energy (default k^2).
+    """All phi in the interval where the block matrix at kappa = k(phi) has
+    the eigenvalue k^2.
 
     Eigenvalue branches are sampled on a scan grid and each sign change is
     refined by bisection; branches are monotone over windows of the stated
     width, so each carries at most one crossing per sign change.
     """
     lo, hi = phi_interval
-    target = k * k if energy is None else energy
-    if kappa_fn is None:
-        kappa_fn = lambda phi: k * np.array([math.cos(phi), math.sin(phi)])
+    target = k * k
     rows = indices_to_array(block)
     n = len(rows)
     coupling = coupling_matrix(rows, spec).toarray()
 
     def eigs(phi: float) -> np.ndarray:
         h = coupling.copy()
-        np.fill_diagonal(h, diagonal_energies(kappa_fn(phi), rows, spec.params))
+        kappa = k * np.array([math.cos(phi), math.sin(phi)])
+        np.fill_diagonal(h, diagonal_energies(kappa, rows, spec.params))
         return np.linalg.eigvalsh(h)
 
     n_scan = profile.pole_scan_points if scan_points is None else scan_points
@@ -857,15 +833,18 @@ def appendix4_count(
                 continue
             lo_, hi_ = float(grid[i]), float(grid[i + 1])
             flo = f0
-            for _ in range(80):
-                mid = 0.5 * (lo_ + hi_)
-                fm = f(mid)
-                if flo * fm <= 0:
-                    hi_ = mid
-                else:
-                    lo_, flo = mid, fm
-                if hi_ - lo_ < 1e-12:
-                    break
+            try:
+                for _ in range(80):
+                    mid = 0.5 * (lo_ + hi_)
+                    fm = f(mid)
+                    if flo * fm <= 0:
+                        hi_ = mid
+                    else:
+                        lo_, flo = mid, fm
+                    if hi_ - lo_ < 1e-12:
+                        break
+            except (ContourHit, NonConvergent):
+                continue  # a rejected midpoint makes the bracket a gap, as on the grid
             roots.append(0.5 * (lo_ + hi_))
     roots.sort()
     dedup: list[float] = []

@@ -618,7 +618,7 @@ def check_lattice_counting(cfg: RunConfig) -> list[CheckRecord]:
             if abs(ap.eps_q) > (1.0 / 64.0) / (ap.q * k**r):
                 continue
             active += 1
-            grid = cluster_decompose(enumerate_box(6), ap, p)
+            grid = cluster_decompose(enumerate_box_array(6), ap, p)
             if grid.cluster_diameter >= 1.0 / (8 * ap.q):
                 worst = max(worst, 1.0)
             if grid.min_separation <= 1.0 / (2 * ap.q):

@@ -25,6 +25,7 @@ from qp2d.lattice import (
     duals_colinear,
     enumerate_box,
     enumerate_box_array,
+    indices_to_array,
     min_dual_norm_constant,
     pack_rows,
     primitive_direction,
@@ -258,7 +259,41 @@ class TestBestRational:
         assert ap.q in nums and ap.p == -nums[ap.q]
 
 
+def all_pairs_geometry(grid, params):
+    """(largest diameter, smallest separation) of a ClusterGrid's clusters
+    over all pairs of members, by the norm of each difference."""
+    labels = np.repeat(np.arange(len(grid.clusters)), [len(v) for v in grid.clusters.values()])
+    rows = indices_to_array(m for v in grid.clusters.values() for m in v)
+    points = rows[:, :2] + params.alpha * rows[:, 2:]
+    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    same = labels[:, None] == labels[None, :]
+    return float(dist[same].max()), float(dist[~same].min(initial=math.inf))
+
+
 class TestClusterDecompose:
+    @pytest.mark.parametrize(
+        "alpha, k, r",
+        [
+            (QPParams(quadratic=(-1, 1, 2, 1), mu=2.0), 2.0, 1.0),
+            (QPParams(cf_prefix=[0, 3, 300, 2, 1, 1, 1, 1], mu=2.0), 15.0, 0.6),
+        ],
+    )
+    def test_geometry_matches_all_pairs(self, alpha, k, r):
+        ap = best_rational(alpha, k, r)
+        grid = cluster_decompose(enumerate_box(4), ap, alpha)
+        diameter, separation = all_pairs_geometry(grid, alpha)
+        assert grid.cluster_diameter > 0.0 and len(grid.clusters) > 1
+        assert grid.cluster_diameter == diameter
+        assert grid.min_separation == separation
+
+    def test_single_cluster_has_no_separation(self, params):
+        rows = enumerate_box_array(2)
+        rows = rows[(rows[:, :2] == 0).all(axis=1)]
+        grid = cluster_decompose(rows, ApproxPair(q=1, p=0, eps_q=params.alpha), params)
+        assert len(grid.clusters) == 1
+        assert grid.min_separation == math.inf
+        assert grid.cluster_diameter == all_pairs_geometry(grid, params)[0] > 0.0
+
     def test_q_one_single_residue(self, params):
         box = enumerate_box(2)
         ap = ApproxPair(q=1, p=0, eps_q=params.alpha)

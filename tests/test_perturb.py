@@ -623,6 +623,29 @@ class TestDerivatives:
         dk, _ = derivative_probe(1, k * nu, spec, prof, h=h)
         assert dk == pytest.approx(expected, abs=1e-6 * max(1.0, abs(expected)))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_batch_matches_per_probe_series(self, spec, params, rng, n):
+        # one batch call gives the per-probe generic_step values bit for bit
+        k, h = 40.0, 1e-5
+        prof = make_profile(k)
+        om = build_omega1(k, prof, params, 8.0)
+        for _ in range(3):
+            phi = admissible_phi(om, rng)
+            geo = level2_geometry(phi, spec, prof) if n == 2 else None
+            ev = LevelEvaluator(spec, prof, geo)
+
+            def at(rr, pp):
+                pt = rr * np.array([math.cos(pp), math.sin(pp)])
+                return generic_step(ev.state(pt), prof, with_projector=False).lam
+
+            kap = k * np.array([math.cos(phi), math.sin(phi)])
+            r, p = float(np.hypot(kap[0], kap[1])), math.atan2(kap[1], kap[0])
+            expected = (
+                (at(r + h, p) - at(r - h, p)) / (2.0 * h),
+                (at(r, p + h) - at(r, p - h)) / (2.0 * h),
+            )
+            assert derivative_probe(n, kap, spec, prof, h=h, geometry=geo) == expected
+
     def test_angular_derivative_small_trend(self, spec, params, rng):
         sups = []
         for k in [15.0, 25.0, 40.0, 60.0]:

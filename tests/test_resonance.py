@@ -15,9 +15,11 @@ from qp2d.lattice import (
     enumerate_box_array,
     indices_to_array,
     triple_norm,
+    triple_norm_array,
 )
-from qp2d.perturb import ContourHit, LevelEvaluator
-from qp2d.potential import build
+from qp2d.perturb import ContourHit, LevelEvaluator, NonConvergent
+from qp2d import resonance
+from qp2d.potential import InvariantViolation, build
 from qp2d.profile import make_profile
 from qp2d.resonance import (
     AngleSet,
@@ -85,6 +87,16 @@ def find_chain_setup(chain_spec, chain_params):
                     if max(widths) >= 2:
                         return k, float((phi0 + off) % TWO_PI), prof, dec
     raise AssertionError("no chain-resonant admissible angle found")
+
+
+def m1_by_pairs(dec, eff_iso):
+    """The rows of M with no other M' row within eff_iso, by pairwise
+    triple norms."""
+    dist = triple_norm_array(
+        indices_to_array(dec.m_set)[:, None, :] - indices_to_array(dec.m_prime)[None, :, :]
+    )
+    crowded = ((dist > 0) & (dist <= eff_iso)).any(axis=1)
+    return tuple(m for m, c in zip(dec.m_set, crowded) if not c)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +295,42 @@ class TestClassify:
                 break
         assert checked > 0
 
+    @pytest.mark.parametrize("box", ["r1", "r2"])
+    def test_m1_matches_pairwise_isolation(self, params, spec, box):
+        k = 40.0
+        prof = make_profile(k)
+        radius = prof.box_r1 if box == "r1" else prof.box_r2
+        eff_iso = max(prof.m1_isolation, spec.max_support_norm)
+        om8 = build_omega1(k, prof, params, 8.0)
+        checked = n_m1 = 0
+        for phi0 in np.linspace(0.0, TWO_PI, 1000, endpoint=False):
+            if not om8.contains(phi0):
+                continue
+            dec = classify(float(phi0), k, spec, prof, box_radius=radius)
+            if dec.m_set:
+                assert dec.m1 == m1_by_pairs(dec, eff_iso)
+                checked += 1
+                n_m1 += len(dec.m1)
+            if checked == 6:
+                break
+        assert checked == 6 and n_m1 > 0
+
+    def test_m_row_missing_from_m_prime(self, params, spec, monkeypatch):
+        # M sits inside M' by construction; a row of M that is not in M'
+        # is an invariant violation, not a lookup at position -1
+        k = 40.0
+        prof = make_profile(k)
+        om8 = build_omega1(k, prof, params, 8.0)
+        phi0 = next(float(p) for p in np.linspace(0.0, TWO_PI, 100) if om8.contains(p))
+
+        def stray(phi0, k, radius, profile, params):
+            rows = enumerate_box_array(prof.box_r1)[-1:]
+            return rows if radius == prof.box_r1 else rows[:0]
+
+        monkeypatch.setattr(resonance, "_resonant_rows", stray)
+        with pytest.raises(InvariantViolation):
+            classify(phi0, k, spec, prof)
+
     def test_chain_windows(self, chain_params, chain_spec):
         k, phi0, prof, dec = find_chain_setup(chain_spec, chain_params)
         cls = next(
@@ -310,6 +358,8 @@ class TestClassify:
 
     def test_chain_colinearity_exact(self, chain_params, chain_spec):
         k, phi0, prof, dec = find_chain_setup(chain_spec, chain_params)
+        eff_iso = max(prof.m1_isolation, chain_spec.max_support_norm)
+        assert dec.m1 == m1_by_pairs(dec, eff_iso) != dec.m_set
         from qp2d.lattice import duals_colinear
 
         for cls in dec.classes:
@@ -672,3 +722,26 @@ class TestAppendix4Rejections:
             self.M, 25.0, 0.0, spec, make_profile(25.0), scan_points=50
         )
         assert (count, roots) == (0, [])
+
+    def test_bisection_rejection_is_a_gap(self, spec, monkeypatch):
+        # with the free eigenvalue |kappa|^2 the roots sit where M's detuning
+        # equals eps0; a rejection within 1e-6 of a root is met only by the
+        # bisection, which must drop that bracket as the grid drops a point
+        k, prof = 25.0, make_profile(25.0)
+        eps0 = dual_vector(self.M, spec.params).length ** 2
+
+        def free(self, kappa, r_max=None):
+            return float(kappa @ kappa)
+
+        monkeypatch.setattr(LevelEvaluator, "eigenvalue", free)
+        count, roots = appendix4_count(self.M, k, eps0, spec, prof, scan_points=50)
+        assert count > 0
+
+        def rejected_near_roots(self, kappa, r_max=None):
+            phi = math.atan2(kappa[1], kappa[0])
+            if any(abs((phi - root + math.pi) % TWO_PI - math.pi) < 1e-6 for root in roots):
+                raise NonConvergent("near a root")
+            return float(kappa @ kappa)
+
+        monkeypatch.setattr(LevelEvaluator, "eigenvalue", rejected_near_roots)
+        assert appendix4_count(self.M, k, eps0, spec, prof, scan_points=50) == (0, [])
