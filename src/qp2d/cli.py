@@ -37,6 +37,13 @@ def _load_config(path: str | None) -> RunConfig:
     return cfg
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a grid size: a bad value exits 2 before any work."""
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _out_path(cfg: RunConfig, flag_value: str | None, default_name: str) -> str:
     if flag_value:
         return flag_value
@@ -288,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--level", type=int, choices=(1, 2), default=1)
     p.add_argument("--lambda", dest="lam", type=float, help="energy level")
-    p.add_argument("--grid", type=int, default=240, help="angle samples")
+    p.add_argument("--grid", type=_positive_int, default=240, help="angle samples")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(fn=cmd_curve)
 
@@ -322,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, choices=(1, 2), default=1)
     p.add_argument("--k", type=float)
     p.add_argument("--phi", type=float)
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=_positive_int, default=64)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(fn=cmd_wavefunction)
     return ap

@@ -42,6 +42,11 @@ class DimensionCap(ValueError):
     pass
 
 
+class NotUnique(ValueError):
+    """The oracle found another number of eigenvalues in the disc than the
+    caller requires."""
+
+
 EIG_CAP_DEFAULT = 4096
 
 
@@ -141,35 +146,48 @@ def eigvals_oracle(
     center: float = 0.0,
     radius: float = math.inf,
     cap: int = EIG_CAP_DEFAULT,
+    count: int | None = None,
 ) -> np.ndarray:
     """The eigenvalues in the closed disc |lambda - center| <= radius,
     ascending.
 
     A finite disc goes by `_sparse_window` when that can decide; otherwise
     (an infinite radius included) the dense eigvalsh of the same matrix
-    finishes, and only that finish is capped at cap rows.
+    finishes, and only that finish is capped at cap rows.  With count set,
+    NotUnique is raised unless the disc holds exactly count eigenvalues; a
+    certified inertia count decides that before Arnoldi or the dense finish.
     """
     if math.isfinite(radius):
-        inside = _sparse_window(sp.csc_matrix(mat.entries), center, radius)
+        inside = _sparse_window(sp.csc_matrix(mat.entries), center, radius, count)
         if inside is not None:
             return inside
     if mat.dim > cap:
         raise DimensionCap(f"dimension {mat.dim} exceeds the oracle cap {cap}")
     dense = mat.entries.toarray() if sp.issparse(mat.entries) else mat.entries
     vals = np.linalg.eigvalsh(dense)
-    return vals[np.abs(vals - center) <= radius]
+    inside = vals[np.abs(vals - center) <= radius]
+    _check_count(len(inside), count, center, radius)
+    return inside
 
 
-def _sparse_window(a: sp.csc_matrix, center: float, radius: float):
+def _check_count(m: int, count: int | None, center: float, radius: float) -> None:
+    if count is not None and m != count:
+        raise NotUnique(
+            f"{m} oracle eigenvalues inside the disc [{center:.6g} +- {radius:.3g}]"
+        )
+
+
+def _sparse_window(a: sp.csc_matrix, center: float, radius: float, count: int | None):
     """The eigenvalues in the disc from sparse LU factorizations, or None
     when this route cannot decide.
 
     The count m is certified by Sylvester's law of inertia: an LU of
     a - s with diagonal pivots only is an LDL^H factorization, and its
     negative pivots number the eigenvalues below s; m is that number at
-    center + radius minus the one at center - radius.  The m eigenvalues
-    nearest center are then found by shift-invert Arnoldi (ARPACK through
-    scipy's eigsh, partial-pivoting LU of a - center, start vector of ones).
+    center + radius minus the one at center - radius, and a count other than
+    the caller's raises NotUnique here.  The m eigenvalues nearest center
+    are then found by shift-invert Arnoldi (ARPACK through scipy's eigsh,
+    partial-pivoting LU of a - center, start vector of ones).
     None when an inertia LU needed an off-diagonal pivot, a shift is an
     exact eigenvalue, 2m >= dim, or ARPACK returned a value outside the
     disc: a Krylov space from one start vector holds one vector per
@@ -194,6 +212,7 @@ def _sparse_window(a: sp.csc_matrix, center: float, radius: float):
                 return None
             below.append(int(np.count_nonzero(lu.U.diagonal().real < 0)))
         m = below[1] - below[0]
+        _check_count(m, count, center, radius)
         if m == 0:
             return np.empty(0)
         if 2 * m >= d:

@@ -31,8 +31,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import hankel
 
-from .fiber import (  # noqa: F401 - assemble is re-exported as perturb.assemble
+from .fiber import (  # noqa: F401 - assemble, NotUnique are re-exported from perturb
     FiberMatrix,
+    NotUnique,
     assemble,
     coupling_matrix,
     eigvals_oracle,
@@ -63,10 +64,6 @@ class ContourHit(ValueError):
 
 class NonConvergent(ArithmeticError):
     """The coefficient sequence stopped decaying."""
-
-
-class NotUnique(ValueError):
-    """The oracle found zero or several eigenvalues inside the contour."""
 
 
 @dataclass(frozen=True)
@@ -415,7 +412,8 @@ def generic_step(
 
     With check_oracle, `eigvals_oracle` finds the eigenvalues of the sparse
     section inside the contour, and NotUnique is raised unless there is
-    exactly one.
+    exactly one: a certified inertia count other than one raises it before
+    Arnoldi or the dense finish run.
 
     Raises ContourHit when the contour is not clear of the model spectrum and
     NonConvergent when the coefficient magnitudes stop decaying.
@@ -468,14 +466,9 @@ def generic_step(
     if check_oracle:
         mat = FiberMatrix(indices=state.indices, kappa=np.zeros(2), entries=state.section)
         inside = eigvals_oracle(
-            mat, state.contour.center, state.contour.radius, cap=profile.eig_cap
+            mat, state.contour.center, state.contour.radius, cap=profile.eig_cap, count=1
         )
         oracle_count = int(len(inside))
-        if oracle_count != 1:
-            raise NotUnique(
-                f"{oracle_count} oracle eigenvalues inside the contour "
-                f"[{state.contour.center:.6g} +- {state.contour.radius:.3g}]"
-            )
         oracle_lambda = float(inside[0])
 
     return SeriesResult(

@@ -1,6 +1,6 @@
 """Approximate eigenfunctions as finite exponential sums: synthesis from the
 level projector, exact residual of the full operator on the enlarged box, and
-pointwise sampling of the quasi-periodic correction factor.
+sampling of the correction factor from per-axis phase tables and one GEMM.
 """
 
 from __future__ import annotations
@@ -121,24 +121,24 @@ def sample(
 
     Returns the exponential sum psi, the correction
     u = exp(-i<kappa,x>) * (psi - psi_prev) with the plane wave as the
-    default previous level, and grid sup norms.
+    default previous level, and grid sup norms.  Each term factors by axis,
+    exp(i<f_s,x>) = exp(i x_1 f_s1) exp(i x_2 f_s2) with f_s = p_s + kappa,
+    so psi = (E_1 diag(a)) E_2^T read on the distinct coordinates u_j, with
+    E_j = exp(i u_j f_.j): (U_1 + U_2) S exponentials for S support rows, a
+    cost scaling with U_1 U_2 S (= N S on a tensor grid), and at most
+    1e-13 sum_s |a_s| from the direct per-point sum at every point.
     """
     xs = np.atleast_2d(np.asarray(x_grid, dtype=float))
-    support = sorted(wf.coeffs)
-    rows = indices_to_array(support)
-    amps = np.array([wf.coeffs[m] for m in support])
-    freqs = dual_array(rows, wf.params) + wf.kappa[None, :]
-    # (grid, support) is the largest array of a level-2 run: build it in place
-    terms = np.multiply(1j, xs @ freqs.T)
-    np.exp(terms, out=terms)
-    terms *= amps[None, :]
-    psi = terms.sum(axis=1)
+    (u1, i1), (u2, i2) = (np.unique(xs[:, j], return_inverse=True) for j in (0, 1))
+
+    def psi_of(w: WaveFunction) -> np.ndarray:
+        f = dual_array(indices_to_array(list(w.coeffs)), w.params) + w.kappa
+        e1 = np.exp(1j * np.multiply.outer(u1, f[:, 0])) * np.fromiter(w.coeffs.values(), complex)
+        return (e1 @ np.exp(1j * np.multiply.outer(u2, f[:, 1])).T)[i1, i2]
+
+    psi = psi_of(wf)
     carrier = np.exp(-1j * (xs @ wf.kappa))
-    if prev is None:
-        u = carrier * psi - 1.0
-    else:
-        psi_prev = sample(prev, xs)["psi"]
-        u = carrier * (psi - psi_prev)
+    u = carrier * psi - 1.0 if prev is None else carrier * (psi - psi_of(prev))
     return {
         "psi": psi,
         "u": u,

@@ -178,6 +178,14 @@ class TestSubcommands:
         assert out.returncode == EXIT_NONCONVERGENT, out.stderr
         assert "measure 0" in out.stderr
 
+    @pytest.mark.parametrize("command", ["curve", "wavefunction"])
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_nonpositive_grid_is_config_error(self, command, grid, config_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", config_file, "--grid", grid])
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        assert "is not a positive integer" in capsys.readouterr().err
+
     def test_determinism_same_seed(self, config_file, tmp_path):
         a = str(tmp_path / "a.json")
         b = str(tmp_path / "b.json")

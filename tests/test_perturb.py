@@ -553,13 +553,13 @@ class TestWindowedOracle:
         ]
         assert len(runs[0]) > 0 and len(set(runs)) == 1
 
-    def test_planted_double_is_not_unique(self, rng):
-        # H = block_diag(A, A) with the first copy as singletons and the
-        # second as one block: the target, an eigenvalue of that block, has
-        # W~ v_0 = 0 (an all-zero, converged series), while its contour holds
-        # the eigenvalue twice
+    @staticmethod
+    def planted_double(rng, prof):
+        """H = block_diag(A, A) with the first copy as singletons and the
+        second as one block: the target, an eigenvalue of that block, has
+        W~ v_0 = 0 (an all-zero, converged series), while its contour holds
+        the eigenvalue twice."""
         n = 20
-        prof = make_profile(10.0)
         c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         a = np.diag(np.arange(n, dtype=float)) + 0.05 * (c + c.conj().T)
         h = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -567,10 +567,27 @@ class TestWindowedOracle:
         blocks = [[i] for i in range(n)] + [list(range(n, 2 * n))]
         idx = [LatticeIndex((i, 0), (0, 0)) for i in range(2 * n)]
         lam = float(np.linalg.eigvalsh(a)[n // 2])
-        state = toy_state(h, blocks, idx, target_value=lam, profile=prof)
+        return toy_state(h, blocks, idx, target_value=lam, profile=prof)
+
+    def test_planted_double_is_not_unique(self, rng):
+        prof = make_profile(10.0)
+        state = self.planted_double(rng, prof)
         mat = FiberMatrix(indices=state.indices, kappa=np.zeros(2), entries=state.section)
         assert len(eigvals_oracle(mat, state.contour.center, state.contour.radius)) == 2
         with pytest.raises(NotUnique):
+            generic_step(state, prof, with_projector=False, check_oracle=True)
+
+    def test_planted_double_past_cap_from_count(self, rng, monkeypatch):
+        # with the dense finish capped below d = 40, the certified inertia
+        # count alone raises NotUnique, before Arnoldi runs
+        prof = make_profile(10.0, eig_cap=10)
+        state = self.planted_double(rng, prof)
+
+        def no_arnoldi(*args, **kwargs):
+            raise AssertionError("Arnoldi ran after a certified count of two")
+
+        monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_arnoldi)
+        with pytest.raises(NotUnique, match="^2 oracle eigenvalues"):
             generic_step(state, prof, with_projector=False, check_oracle=True)
 
     def test_larger_box_level2(self, spec, params, rng):

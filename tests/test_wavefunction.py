@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from qp2d.lattice import (
     ZERO_INDEX,
     array_to_indices,
     box_indices,
+    dual_array,
     enumerate_box_array,
+    indices_to_array,
     triple_norm,
 )
 from qp2d.profile import make_profile
@@ -134,6 +137,37 @@ class TestResidualReference:
         assert abs(interior - ref_interior) <= max(bound[s] for s in inside)
 
 
+def sample_reference(wf, xs, prev=None):
+    """The per-point sum sample replaced: one complex exponential per grid
+    point and support row, over the support in sorted order; (psi, u)."""
+    support = sorted(wf.coeffs)
+    amps = np.array([wf.coeffs[m] for m in support])
+    freqs = dual_array(indices_to_array(support), wf.params) + wf.kappa[None, :]
+    psi = (np.exp(1j * (xs @ freqs.T)) * amps[None, :]).sum(axis=1)
+    carrier = np.exp(-1j * (xs @ wf.kappa))
+    if prev is None:
+        return psi, carrier * psi - 1.0
+    return psi, carrier * (psi - sample_reference(prev, xs)[0])
+
+
+def _grids():
+    g = np.random.default_rng(5)
+    gx, gy = np.meshgrid(np.sort(g.uniform(0, 1, 24)), np.sort(g.uniform(0, 1, 16)), indexing="ij")
+    return {
+        "unit-cell-32": unit_cell_grid(32),
+        "tensor-24x16": np.stack([gx.ravel(), gy.ravel()], axis=1),
+        "shuffled-32": unit_cell_grid(32)[g.permutation(32 * 32)],
+        "random-50": g.uniform(0, 1, (50, 2)),
+    }
+
+
+@pytest.fixture(scope="module")
+def level_pair(spec, params):
+    """Level-1 and level-2 wave functions at one 8tau-admissible k = 40 point."""
+    kap, prof = admissible_kappa(40.0, params, np.random.default_rng(20260809), factor=8.0)
+    return {1: synthesize(1, kap, spec, prof), 2: synthesize(2, kap, spec, prof)}
+
+
 class TestSample:
     def test_zero_potential_plane_wave(self, zero_spec, params, rng):
         kap, prof = admissible_kappa(30.0, params, rng)
@@ -165,3 +199,30 @@ class TestSample:
         kap, prof = admissible_kappa(40.0, params, rng)
         wf = synthesize(1, kap, spec, prof)
         assert abs(wf.coeffs[ZERO_INDEX]) > 0.5
+
+    @pytest.mark.parametrize("grid", sorted(_grids()))
+    @pytest.mark.parametrize("level,prev", [(1, None), (1, 2), (2, None), (2, 1)])
+    def test_matches_direct_sum(self, level_pair, level, prev, grid):
+        wf = level_pair[level]
+        wf_prev = None if prev is None else level_pair[prev]
+        xs = _grids()[grid]
+        out = sample(wf, xs, prev=wf_prev)
+        psi, u = sample_reference(wf, xs, prev=wf_prev)
+        # the sums are reordered and each exponential factored by axis
+        bound = 1e-13 * sum(abs(a) for a in wf.coeffs.values())
+        assert np.max(np.abs(out["psi"] - psi)) <= bound
+        assert np.max(np.abs(out["u"] - u)) <= bound
+        assert abs(out["sup_psi"] - np.max(np.abs(psi))) <= bound
+        assert abs(out["sup_u"] - np.max(np.abs(u))) <= bound
+
+    def test_no_grid_by_support_array(self, level_pair):
+        # the direct sum holds an (N, S) complex array: N*S*16 bytes
+        wf, xs = level_pair[2], unit_cell_grid(64)
+        limit = len(xs) * len(wf.coeffs) * 16 / 4
+        tracemalloc.start()
+        try:
+            sample(wf, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
