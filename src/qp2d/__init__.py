@@ -19,7 +19,7 @@ from .lattice import (
 )
 from .potential import PotentialSpec, build, coefficient, evaluate
 from .profile import ParameterProfile, make_profile
-from .fiber import FiberMatrix, assemble, eig_oracle, resolvent_gap, spectral_window
+from .fiber import FiberMatrix, assemble
 
 __all__ = [
     "ApproxPair",
@@ -40,9 +40,6 @@ __all__ = [
     "make_profile",
     "FiberMatrix",
     "assemble",
-    "eig_oracle",
-    "resolvent_gap",
-    "spectral_window",
 ]
 
 __version__ = "0.1.0"

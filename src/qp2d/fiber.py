@@ -60,20 +60,6 @@ class FiberMatrix:
     def dim(self) -> int:
         return len(self.indices)
 
-    def submatrix(self, subset) -> "FiberMatrix":
-        """Principal submatrix on a subset of the index list (dense entries)."""
-        pos = [self.indices.index(m) for m in subset]
-        sel = np.ix_(pos, pos)
-        return FiberMatrix(
-            indices=tuple(subset), kappa=self.kappa, entries=self.entries[sel]
-        )
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # orthonormal columns
-
 
 def diagonal_energies(kappa, rows: np.ndarray, params: QPParams) -> np.ndarray:
     """|kappa + p_m|^2 for each row."""
@@ -131,14 +117,6 @@ def assemble(kappa, indices, spec: PotentialSpec, params: QPParams) -> FiberMatr
     return FiberMatrix(
         indices=tuple(idx), kappa=np.asarray(kappa, dtype=float), entries=h
     )
-
-
-def eig_oracle(mat: FiberMatrix, cap: int = EIG_CAP_DEFAULT) -> SpectralData:
-    """Full Hermitian eigendecomposition, eigenvalues ascending."""
-    if mat.dim > cap:
-        raise DimensionCap(f"dimension {mat.dim} exceeds the oracle cap {cap}")
-    vals, vecs = np.linalg.eigh(mat.entries)
-    return SpectralData(eigenvalues=vals, eigenvectors=vecs)
 
 
 def eigvals_oracle(
@@ -228,19 +206,3 @@ def _sparse_window(a: sp.csc_matrix, center: float, radius: float, count: int | 
     if np.max(np.abs(vals - center)) > radius:
         return None
     return np.sort(vals)
-
-
-def resolvent_gap(mat: FiberMatrix, z: complex) -> float:
-    """dist(z, spec(M)) = 1/||(M - z)^{-1}|| for self-adjoint M."""
-    vals = eigvals_oracle(mat)
-    return float(np.min(np.abs(vals - z)))
-
-
-def spectral_window(
-    mat: FiberMatrix, center: float, radius: float
-) -> tuple[int, np.ndarray]:
-    """Eigenvalues with |lambda - center| <= radius and their count."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    inside = eigvals_oracle(mat, center, radius)
-    return len(inside), inside

@@ -30,9 +30,10 @@ from .lattice import (
     primitive_direction,
     rational_ratio,
     row_positions,
+    triple_norm_array,
     triple_norm_components,
 )
-from .potential import InvariantViolation, PotentialSpec
+from .potential import PotentialSpec
 from .profile import ParameterProfile
 
 TWO_PI = 2.0 * math.pi
@@ -177,22 +178,6 @@ def disc_radius(k: float, p: float, threshold: float, tau_factor: float = 1.0) -
         s = math.sqrt(max(1.0 - (p / (2.0 * k)) ** 2, 1e-300))
         return threshold / (k * p * s)
     return 32.0 * math.sqrt(tau_factor * threshold) / k
-
-
-def step1_resonant(
-    phi: float,
-    k: float,
-    m: LatticeIndex,
-    tau: float,
-    profile: ParameterProfile,
-    params: QPParams,
-) -> bool:
-    """Small-denominator test at the step-I threshold tau*k^(1-40*mu*delta)."""
-    if m.is_zero():
-        raise ValueError("the zero index is excluded from the resonance test")
-    dv = dual_vector(m, params)
-    thr = tau * (profile.t1 / profile.tau)
-    return bool(abs(detuning(phi, k, dv.length, dv.angle)) <= thr)
 
 
 def step1_arcs(
@@ -356,8 +341,10 @@ def classify(
             f"phi0={phi0:.6f} lies in the step-I resonant set at tau=8"
         )
 
-    m_rows = _resonant_rows(phi0, k, r1, profile, params)
+    # M is the part of M' in the r-box: the same thresholds on the same rows
     mp_rows = _resonant_rows(phi0, k, 2 * r1, profile, params)
+    pos = np.flatnonzero(triple_norm_array(mp_rows) <= r1)
+    m_rows = mp_rows[pos]
     m_set = tuple(array_to_indices(m_rows))
     m_prime = tuple(array_to_indices(mp_rows))
 
@@ -369,12 +356,8 @@ def classify(
     eff_iso = max(profile.m1_isolation, spec.max_support_norm)
     eff_chain = max(profile.chain_radius, spec.max_support_norm)
 
-    # M sits inside M' (same thresholds, the r-box inside the 2r-box), so M1,
-    # the members of M isolated from every other M' point, are the M rows
-    # that are singletons of M' at the isolation scale
-    pos = row_positions(mp_rows, m_rows)
-    if np.any(pos < 0):
-        raise InvariantViolation("a resonant row of the r-box is missing from the 2r-box set")
+    # M1, the members of M isolated from every other M' point, are the M
+    # rows that are singletons of M' at the isolation scale
     iso_labels = triple_norm_components(mp_rows, eff_iso)
     isolated = np.bincount(iso_labels)[iso_labels[pos]] == 1
     m1 = tuple(m for m, alone in zip(m_set, isolated) if alone)

@@ -30,7 +30,6 @@ from .lattice import (
     enumerate_box_array,
     indices_to_array,
     primitive_direction,
-    triple_norm,
     triple_norm_array,
     dual_array,
 )
@@ -439,15 +438,10 @@ def check_exact_identities(cfg: RunConfig) -> list[CheckRecord]:
         phi = _admissible_angles(k, prof, params, rng, 1)[0]
         kap = k * np.array([math.cos(phi), math.sin(phi)])
         wf = wavefunction.synthesize(1, kap, spec, prof)
-        g, _, interior = wavefunction.residual(wf, spec)
-        bad = interior / (k * k)
-        for s in g:
-            if abs(g[s]) > 1e-12 * k * k:
-                if not (
-                    wf.box_radius < triple_norm(s) <= wf.box_radius + spec.max_support_norm
-                ):
-                    bad = math.inf
-        return bad
+        rows, vals, _, interior = wavefunction.residual(wf, spec)
+        norms = triple_norm_array(rows[np.abs(vals) > 1e-12 * k * k])
+        shell = (wf.box_radius < norms) & (norms <= wf.box_radius + spec.max_support_norm)
+        return interior / (k * k) if np.all(shell) else math.inf
 
     v, rt = _timed(shell)
     out.append(
@@ -1035,7 +1029,7 @@ def check_eigenfunction(cfg: RunConfig) -> list[CheckRecord]:
                 kap = k * np.array([math.cos(phi), math.sin(phi)])
                 wf = wavefunction.synthesize(1, kap, spec, prof)
                 worst_u = max(worst_u, wavefunction.sample(wf, grid)["sup_u"])
-                (_, l1, _), dt = _timed(lambda: wavefunction.residual(wf, spec))
+                (*_, l1, _), dt = _timed(lambda: wavefunction.residual(wf, spec))
                 res_time += dt
                 worst_l1 = max(worst_l1, l1)
             sup_u.append(worst_u)

@@ -1,20 +1,21 @@
-"""Approximate eigenfunctions as finite exponential sums: synthesis from the
-level projector, exact residual of the full operator on the enlarged box, and
-sampling of the correction factor from per-axis phase tables and one GEMM.
+"""Approximate eigenfunctions as finite exponential sums, held as support
+rows (S, 4) in box order and their amplitudes (S,): synthesis from the level
+projector, the exact residual of the full operator from the support columns,
+and sampling of the correction factor from per-axis phase tables and one GEMM.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
-from .fiber import coupling_matrix, diagonal_energies
+from .fiber import diagonal_energies
 from .lattice import (
     LatticeIndex,
     QPParams,
-    ZERO_INDEX,
     array_to_indices,
     dual_array,
     enumerate_box_array,
@@ -31,14 +32,16 @@ from .profile import ParameterProfile
 class WaveFunction:
     level: int
     kappa: np.ndarray
-    coeffs: dict[LatticeIndex, complex]  # unit l2 norm, phase-fixed
+    rows: np.ndarray  # (S, 4) support rows, in box order
+    amps: np.ndarray  # (S,) nonzero coefficients: unit l2 norm, phase-fixed
     lam: float
     box_radius: int
     params: QPParams = field(compare=False)
 
-    @property
-    def l2_norm(self) -> float:
-        return math.sqrt(sum(abs(v) ** 2 for v in self.coeffs.values()))
+    @cached_property
+    def coeffs(self) -> dict[LatticeIndex, complex]:
+        """The coefficients by lattice index, in box order."""
+        return dict(zip(array_to_indices(self.rows), self.amps.tolist()))
 
     def coeff(self, m: LatticeIndex) -> complex:
         return self.coeffs.get(m, 0j)
@@ -55,54 +58,50 @@ def synthesize(
     rotated to the positive real axis.
 
     The projector is rank one, so its range is the series eigenvector: the
-    eigen-only series gives it without building the projector orders."""
+    eigen-only series gives it without building the projector orders.  The
+    level's indices are the box |||m||| <= radius in box order."""
     res = eigenvalue_level(n, point, spec, profile, check_oracle=False, geometry=geometry)
-    v = res.vector.copy()
-    i0 = res.indices.index(ZERO_INDEX)
+    radius = profile.core_radius if n == 1 else profile.box_r1
+    rows = enumerate_box_array(radius)
+    v = res.vector
+    i0 = len(rows) // 2  # the sorted box is symmetric under m -> -m
     if v[i0] != 0:
         v = v * (abs(v[i0]) / v[i0])
-    coeffs = {m: complex(c) for m, c in zip(res.indices, v) if c != 0}
-    radius = profile.core_radius if n == 1 else profile.box_r1
+    nz = np.flatnonzero(v)
     return WaveFunction(
         level=n,
         kappa=np.asarray(point, dtype=float),
-        coeffs=coeffs,
+        rows=rows[nz],
+        amps=v[nz],
         lam=res.lam,
         box_radius=radius,
         params=spec.params,
     )
 
 
-def residual(
-    wf: WaveFunction, spec: PotentialSpec
-) -> tuple[dict[LatticeIndex, complex], float, float]:
-    """(H - lambda) applied to the coefficient vector on the enlarged box.
+def residual(wf: WaveFunction, spec: PotentialSpec) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(H - lambda) applied to the coefficient vector on the enlarged box
+    |||s||| <= box_radius + Q: the defect's nonzero rows (box order) and
+    values, its l1 norm and its largest interior magnitude.  Support outside
+    the shell box_radius < |||s||| <= box_radius + Q is structurally zero.
 
-    Returns (coefficients of the defect, its l1 norm, largest interior
-    magnitude).  Support outside the shell
-    box_radius < |||s||| <= box_radius + Q is structurally zero.
+    Only the support columns of H enter, as a (box x S) CSR with V_q at the
+    row of m + q for each support row m; its columns are in box order, so
+    each entry sums the terms of the enlarged-box product in its order.
     """
-    margin = spec.max_support_norm
-    rows = enumerate_box_array(wf.box_radius + margin)
-    pos = row_positions(rows, indices_to_array(wf.coeffs))
-    if np.any(pos < 0):
+    if np.any(triple_norm_array(wf.rows) > wf.box_radius):
         raise ValueError("wave function has coefficients outside its box")
-    c = np.zeros(len(rows), dtype=complex)
-    c[pos] = list(wf.coeffs.values())
-    diag = diagonal_energies(wf.kappa, rows, spec.params)
-    g_vec = coupling_matrix(rows, spec) @ c + (diag - wf.lam) * c
-    nz = np.flatnonzero(g_vec)
-    g = dict(zip(array_to_indices(rows[nz]), g_vec[nz].tolist()))
-    l1 = float(np.sum(np.abs(g_vec)))
-    interior = np.max(
-        np.abs(g_vec[triple_norm_array(rows) <= wf.box_radius]), initial=0.0
-    )
-    return g, l1, float(interior)
-
-
-def residual_l2(wf: WaveFunction, spec: PotentialSpec) -> float:
-    g, _, _ = residual(wf, spec)
-    return math.sqrt(sum(abs(v) ** 2 for v in g.values()))
+    big = enumerate_box_array(wf.box_radius + spec.max_support_norm)
+    support, n = spec.nonzero_support, len(wf.rows)
+    pos = row_positions(big, wf.rows + indices_to_array(support)[:, None, :])
+    vals = np.repeat([spec.coeffs[q] for q in support], n)
+    cols = np.tile(np.arange(n), len(support))
+    g = sp.csr_matrix((vals, (pos.ravel(), cols)), shape=(len(big), n)) @ wf.amps
+    diag = diagonal_energies(wf.kappa, wf.rows, spec.params)
+    g[row_positions(big, wf.rows)] += (diag - wf.lam) * wf.amps
+    nz = np.flatnonzero(g)
+    interior = np.max(np.abs(g[triple_norm_array(big) <= wf.box_radius]), initial=0.0)
+    return big[nz], g[nz], float(np.sum(np.abs(g))), float(interior)
 
 
 def unit_cell_grid(n: int = 64) -> np.ndarray:
@@ -132,8 +131,8 @@ def sample(
     (u1, i1), (u2, i2) = (np.unique(xs[:, j], return_inverse=True) for j in (0, 1))
 
     def psi_of(w: WaveFunction) -> np.ndarray:
-        f = dual_array(indices_to_array(list(w.coeffs)), w.params) + w.kappa
-        e1 = np.exp(1j * np.multiply.outer(u1, f[:, 0])) * np.fromiter(w.coeffs.values(), complex)
+        f = dual_array(w.rows, w.params) + w.kappa
+        e1 = np.exp(1j * np.multiply.outer(u1, f[:, 0])) * w.amps
         return (e1 @ np.exp(1j * np.multiply.outer(u2, f[:, 1])).T)[i1, i2]
 
     psi = psi_of(wf)

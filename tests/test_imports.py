@@ -30,3 +30,11 @@ def test_no_relative_import_inside_functions():
         if (path.name, name) not in ALLOWED
     }
     assert SRC.is_dir() and not found, found
+
+
+def test_all_exports_resolve():
+    # a removed function must leave no stale name in the package's __all__
+    import qp2d
+
+    missing = [name for name in qp2d.__all__ if not hasattr(qp2d, name)]
+    assert not missing, missing

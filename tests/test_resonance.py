@@ -11,15 +11,16 @@ from qp2d.lattice import (
     ZERO_INDEX,
     array_to_indices,
     box_indices,
+    box_table,
     dual_vector,
     enumerate_box_array,
     indices_to_array,
     triple_norm,
     triple_norm_array,
 )
+from qp2d.fiber import shifted_energies
 from qp2d.perturb import ContourHit, LevelEvaluator, NonConvergent
-from qp2d import resonance
-from qp2d.potential import InvariantViolation, build
+from qp2d.potential import build
 from qp2d.profile import make_profile
 from qp2d.resonance import (
     AngleSet,
@@ -36,7 +37,6 @@ from qp2d.resonance import (
     orthogonality_violation,
     resonant_set_step1,
     step1_arcs,
-    step1_resonant,
     strength,
     tangent_angles,
 )
@@ -159,6 +159,13 @@ class TestAngleSet:
         assert a.minus(b).measure == pytest.approx(0.5)
 
 
+def step1_resonant(phi, k, m, tau, prof, params):
+    """Small-denominator test of one index at the step-I threshold
+    tau*k^(1-40*mu*delta)."""
+    dv = dual_vector(m, params)
+    return abs(detuning(phi, k, dv.length, dv.angle)) <= tau * (prof.t1 / prof.tau)
+
+
 class TestStepOneResonant:
     def test_far_vector_never_resonant(self, params):
         k = 40.0
@@ -188,9 +195,12 @@ class TestStepOneResonant:
                 assert step1_resonant(float(phi), k, m, 2.0, prof, params)
 
     def test_zero_index_rejected(self, params):
+        # the step-I tests read the nonzero rows of the box table only
         prof = make_profile(10.0)
-        with pytest.raises(ValueError):
-            step1_resonant(0.1, 10.0, LatticeIndex((0, 0), (0, 0)), 1.0, prof, params)
+        rows = box_table(prof.tilde_radius, params)[0]
+        assert len(rows) == len(enumerate_box_array(prof.tilde_radius)) - 1
+        assert not np.any(np.all(rows == 0, axis=1))
+        assert all(not m.is_zero() for m, *_ in step1_arcs(10.0, prof, params))
 
 
 class TestOmegaOne:
@@ -243,6 +253,18 @@ class TestOmegaOne:
             prof = make_profile(k)
             meas.append(resonant_set_step1(k, prof, params).measure)
         assert all(a >= b - 1e-12 for a, b in zip(meas, meas[1:]))
+
+
+def _check_m_from_m_prime(phi0, k, spec, prof, params):
+    """M and M' of classify at both boxes against the direct threshold pass."""
+    kvec = k * np.array([math.cos(phi0), math.sin(phi0)])
+    for radius in (prof.box_r1, prof.box_r2):
+        dec = classify(phi0, k, spec, prof, box_radius=radius)
+        for got, r in ((dec.m_set, radius), (dec.m_prime, 2 * radius)):
+            rows, norms, duals = box_table(r, params)
+            det = shifted_energies(kvec, duals) - k * k
+            thr = np.where(norms <= prof.tilde_radius, prof.t1, prof.t_star)
+            assert list(got) == array_to_indices(rows[np.abs(det) <= thr])
 
 
 class TestClassify:
@@ -315,21 +337,17 @@ class TestClassify:
                 break
         assert checked == 6 and n_m1 > 0
 
-    def test_m_row_missing_from_m_prime(self, params, spec, monkeypatch):
-        # M sits inside M' by construction; a row of M that is not in M'
-        # is an invariant violation, not a lookup at position -1
-        k = 40.0
-        prof = make_profile(k)
-        om8 = build_omega1(k, prof, params, 8.0)
-        phi0 = next(float(p) for p in np.linspace(0.0, TWO_PI, 100) if om8.contains(p))
-
-        def stray(phi0, k, radius, profile, params):
-            rows = enumerate_box_array(prof.box_r1)[-1:]
-            return rows if radius == prof.box_r1 else rows[:0]
-
-        monkeypatch.setattr(resonance, "_resonant_rows", stray)
-        with pytest.raises(InvariantViolation):
-            classify(phi0, k, spec, prof)
+    def test_m_is_the_r_box_part_of_m_prime(self, params, spec):
+        # classify takes M from M'; both equal the direct threshold pass over
+        # their box, in box order
+        for k in (25.0, 40.0):
+            prof = make_profile(k)
+            om8 = build_omega1(k, prof, params, 8.0)
+            grid = np.linspace(0.0, TWO_PI, 300)
+            angles = [float(p) for p in grid if om8.contains(p)][::20][:5]
+            assert len(angles) == 5
+            for phi0 in angles:
+                _check_m_from_m_prime(phi0, k, spec, prof, params)
 
     def test_chain_windows(self, chain_params, chain_spec):
         k, phi0, prof, dec = find_chain_setup(chain_spec, chain_params)

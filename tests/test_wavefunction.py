@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qp2d.fiber import assemble, diagonal_energies, eig_oracle
+from qp2d.fiber import assemble, coupling_matrix, diagonal_energies
 from qp2d.lattice import (
     ZERO_INDEX,
     array_to_indices,
@@ -12,11 +13,14 @@ from qp2d.lattice import (
     dual_array,
     enumerate_box_array,
     indices_to_array,
+    row_positions,
     triple_norm,
+    triple_norm_array,
 )
+from qp2d.perturb import eigenvalue_level
 from qp2d.profile import make_profile
 from qp2d.resonance import build_omega1
-from qp2d.wavefunction import residual, residual_l2, sample, synthesize, unit_cell_grid
+from qp2d.wavefunction import residual, sample, synthesize, unit_cell_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,7 +45,7 @@ class TestSynthesize:
     def test_unit_norm_phase_fixed(self, spec, params, rng):
         kap, prof = admissible_kappa(40.0, params, rng)
         wf = synthesize(1, kap, spec, prof)
-        assert wf.l2_norm == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(wf.amps) == pytest.approx(1.0, abs=1e-12)
         v0 = wf.coeffs[ZERO_INDEX]
         assert v0.imag == 0.0 and v0.real > 0.5
 
@@ -50,35 +54,61 @@ class TestSynthesize:
         wf = synthesize(1, kap, spec, prof)
         idx = array_to_indices(enumerate_box_array(prof.core_radius))
         h = assemble(kap, idx, spec, spec.params)
-        sd = eig_oracle(h)
-        pos = int(np.argmin(np.abs(sd.eigenvalues - wf.lam)))
-        v = sd.eigenvectors[:, pos]
+        vals, vecs = np.linalg.eigh(h.entries)
+        pos = int(np.argmin(np.abs(vals - wf.lam)))
+        v = vecs[:, pos]
         i0 = idx.index(ZERO_INDEX)
         v = v * (abs(v[i0]) / v[i0])
         ours = np.array([wf.coeff(m) for m in idx])
         assert np.linalg.norm(ours - v) <= 1e-7
 
+    def test_coeffs_as_built_from_the_series(self, spec, params, rng):
+        # the dict at the API edge: the phase-fixed series vector's nonzero
+        # entries keyed by the level's indices, in their order
+        kap, prof = admissible_kappa(40.0, params, rng, factor=8.0)
+        for level in (1, 2):
+            wf = synthesize(level, kap, spec, prof)
+            res = eigenvalue_level(level, kap, spec, prof, check_oracle=False)
+            i0 = res.indices.index(ZERO_INDEX)
+            v = res.vector * (abs(res.vector[i0]) / res.vector[i0])
+            ref = {m: complex(c) for m, c in zip(res.indices, v) if c != 0}
+            assert list(wf.coeffs.items()) == list(ref.items())
+
+    def test_coeff_outside_support_is_zero(self, spec, params, rng):
+        kap, prof = admissible_kappa(40.0, params, rng)
+        wf = synthesize(1, kap, spec, prof)
+        outside = array_to_indices(enumerate_box_array(wf.box_radius + 1)[:1])[0]
+        assert outside not in wf.coeffs
+        assert wf.coeff(outside) == 0j
+        assert wf.coeff(ZERO_INDEX) == wf.coeffs[ZERO_INDEX]
+
 
 class TestResidual:
+    def test_row_outside_box_rejected(self, spec, params, rng):
+        kap, prof = admissible_kappa(40.0, params, rng)
+        wf = synthesize(1, kap, spec, prof)
+        far = enumerate_box_array(wf.box_radius + 1)[:1]
+        stray = dataclasses.replace(
+            wf, rows=np.vstack([far, wf.rows]), amps=np.append(1e-3, wf.amps)
+        )
+        with pytest.raises(ValueError):
+            residual(stray, spec)
+
     def test_zero_potential_zero_residual(self, zero_spec, params, rng):
         kap, prof = admissible_kappa(30.0, params, rng)
         wf = synthesize(1, kap, zero_spec, prof)
-        g, l1, interior = residual(wf, zero_spec)
+        *_, l1, interior = residual(wf, zero_spec)
         assert l1 == 0.0 and interior == 0.0
 
     def test_shell_support_exact(self, spec, params, rng):
         kap, prof = admissible_kappa(40.0, params, rng)
         wf = synthesize(1, kap, spec, prof)
-        g, l1, interior = residual(wf, spec)
+        rows, vals, l1, interior = residual(wf, spec)
         h_scale = float(kap @ kap)
         assert interior <= 1e-12 * h_scale
-        for s in g:
-            if abs(g[s]) > 1e-12 * h_scale:
-                assert (
-                    wf.box_radius
-                    < triple_norm(s)
-                    <= wf.box_radius + spec.max_support_norm
-                )
+        norms = triple_norm_array(rows[np.abs(vals) > 1e-12 * h_scale])
+        assert np.all(wf.box_radius < norms)
+        assert np.all(norms <= wf.box_radius + spec.max_support_norm)
 
     def test_l2_matches_direct_application(self, spec, params, rng):
         # independent route: assemble the enlarged matrix and apply it
@@ -90,13 +120,39 @@ class TestResidual:
         h = assemble(kap, big_idx, spec, spec.params).entries
         v = np.array([wf.coeff(m) for m in big_idx])
         direct = np.linalg.norm(h @ v - wf.lam * v)
-        assert residual_l2(wf, spec) == pytest.approx(direct, abs=1e-12)
+        assert np.linalg.norm(residual(wf, spec)[1]) == pytest.approx(direct, abs=1e-12)
 
     def test_l1_dominates_l2(self, spec, params, rng):
         kap, prof = admissible_kappa(40.0, params, rng)
         wf = synthesize(1, kap, spec, prof)
-        _, l1, _ = residual(wf, spec)
-        assert l1 >= residual_l2(wf, spec) - 1e-15
+        _, vals, l1, _ = residual(wf, spec)
+        assert l1 >= np.linalg.norm(vals) - 1e-15
+
+
+def residual_full_matrix(wf, spec):
+    """The enlarged-box product residual replaced: the coupling matrix of the
+    whole box |||s||| <= box_radius + Q applied to the zero-padded vector."""
+    rows = enumerate_box_array(wf.box_radius + spec.max_support_norm)
+    c = np.zeros(len(rows), dtype=complex)
+    c[row_positions(rows, wf.rows)] = wf.amps
+    diag = diagonal_energies(wf.kappa, rows, spec.params)
+    g = coupling_matrix(rows, spec) @ c + (diag - wf.lam) * c
+    nz = np.flatnonzero(g)
+    interior = np.max(np.abs(g[triple_norm_array(rows) <= wf.box_radius]), initial=0.0)
+    return rows[nz], g[nz], float(np.sum(np.abs(g))), float(interior)
+
+
+class TestResidualFullMatrix:
+    @pytest.mark.parametrize("k", [15.0, 40.0])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_bit_identical(self, spec, params, rng, level, k):
+        kap, prof = admissible_kappa(k, params, rng, factor=8.0)
+        wf = synthesize(level, kap, spec, prof)
+        rows, vals, l1, interior = residual(wf, spec)
+        ref_rows, ref_vals, ref_l1, ref_interior = residual_full_matrix(wf, spec)
+        assert np.array_equal(rows, ref_rows)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert l1 == ref_l1 and interior == ref_interior
 
 
 def residual_reference(wf, spec):
@@ -122,7 +178,8 @@ class TestResidualReference:
     def test_within_summation_bound(self, spec, params, rng, level):
         kap, prof = admissible_kappa(40.0, params, rng, factor=8.0)
         wf = synthesize(level, kap, spec, prof)
-        g, l1, interior = residual(wf, spec)
+        rows, vals, l1, interior = residual(wf, spec)
+        g = dict(zip(array_to_indices(rows), vals))
         ref, scale = residual_reference(wf, spec)
         eps = 2.0**-52
         bound = {s: 4 * (1 + len(spec.nonzero_support)) * eps * a for s, a in scale.items()}
