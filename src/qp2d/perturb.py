@@ -13,6 +13,10 @@ survive in the output bit-exactly.  `contour_coeff_series` and
 adaptive trapezoidal quadrature and serve as an independent route for
 cross-validation.
 
+For eigenvalues only (`LevelEvaluator`, no r_max) a series stops after order
+n >= 4 once |g_{n-1}|, |g_n| <= ulp(lambda0)/16; at `_decay`'s stall bound
+divergence_ratio = 0.75 the orders left out sum to <= 3/16 ulp (lam to 1 ulp).
+
 The coupling is sparse, so no d x d array is built per kappa:
 `LevelEvaluator` splits it once into the dense in-block parts of the
 multi-index blocks and the cross-block W as CSR, the recursion applies
@@ -320,16 +324,20 @@ def toy_state(
 # ---------------------------------------------------------------------------
 
 
-def _rs_orders(apply_w, inv: np.ndarray, t: int, r_max: int):
+def _rs_orders(apply_w, inv: np.ndarray, t: int, r_max: int, lam0=None):
     """The Rayleigh-Schrodinger recursion in the model eigenbasis: the
     coefficients g_1..g_r and the order vectors v_0..v_r, given v -> W~ v, the
     reduced resolvent inv (zero at the target t) and r_max; a (d, B) inv runs B
-    columns that share t, each bit-identical to its own run, with g (r_max, B)."""
+    columns that share t, each bit-identical to its own run, with g (r_max, B).
+    Given lam0, a column stops after order n >= 4 once |g_{n-1}|, |g_n| <=
+    ulp(lam0)/16, its later g zero; the loop ends once all columns stopped."""
     v0 = np.zeros(inv.shape, dtype=complex)
     v0[t] = 1.0
     vs = [v0]
     lams = np.zeros((r_max,) + inv.shape[1:], dtype=complex)
     g = np.zeros(lams.shape, dtype=float)
+    orders = np.full(inv.shape[1:], r_max)
+    tol = None if lam0 is None else np.reshape(np.spacing(np.abs(lam0)) / 16, orders.shape)
     for n in range(1, r_max + 1):
         rhs = -apply_w(vs[n - 1])
         for j in range(1, n):
@@ -338,8 +346,13 @@ def _rs_orders(apply_w, inv: np.ndarray, t: int, r_max: int):
         g[n - 1] = lam_n.real
         rhs[t] += lam_n  # add the lam_n * v_0 term, zeroing the t-component
         vs.append(rhs * inv)
+        if tol is not None and n >= 4:
+            orders[(orders == r_max) & (np.abs(g[n - 2]) <= tol) & (np.abs(g[n - 1]) <= tol)] = n
+            if np.all(orders < r_max):
+                break
     if not np.all(np.abs(lams.imag) <= 1e-10 * np.fmax(1.0, np.abs(lams))):
         raise InvariantViolation(f"the coefficients {lams!r} must be real")
+    g[np.arange(1, r_max + 1).reshape((-1,) + (1,) * orders.ndim) > orders] = 0.0
     return g, vs
 
 
@@ -371,12 +384,10 @@ def _decay(g: np.ndarray, lam0: float, profile: ParameterProfile):
                     "over 3 significant orders"
                 )
         last_mag, last_ord = m_r, r
-    tail = (
-        last_mag * min(ratio, 0.95) ** max(r_max - last_ord, 0) / (1.0 - min(ratio, 0.95))
-        if last_mag is not None
-        else 0.0
-    )
-    return ratio, tail
+    if last_mag is None:
+        return ratio, 0.0
+    q = min(ratio, 0.95)
+    return ratio, last_mag * q ** max(r_max - last_ord, 0) / (1.0 - q)
 
 
 def _reduced_inverse(block_vals: np.ndarray, lam0, t: int) -> np.ndarray:
@@ -387,6 +398,22 @@ def _reduced_inverse(block_vals: np.ndarray, lam0, t: int) -> np.ndarray:
     inv[nz] = 1.0 / denom[nz]
     inv[t] = 0.0
     return inv
+
+
+def _series(state: LevelState, r_max: int, stop: bool):
+    """`_rs_orders` on W~ v = U^H (W (U v)) once the contour is clear of the gap."""
+    gap = model_gap(state)
+    if state.contour.radius <= 0 or not math.isfinite(state.contour.radius):
+        raise ContourHit("degenerate contour radius")
+    if gap <= state.contour.radius * (1.0 + 1e-8):
+        raise ContourHit(
+            f"model eigenvalue within {gap:.3g} of the contour radius "
+            f"{state.contour.radius:.3g}"
+        )
+    u, w, lam0, t = state.u, state.w, state.lambda0, state.target
+    uh = u.conj().T
+    inv = _reduced_inverse(state.block_vals, lam0, t)
+    return _rs_orders(lambda v: uh @ (w @ (u @ v)), inv, t, r_max, lam0 if stop else None)
 
 
 def generic_step(
@@ -419,25 +446,12 @@ def generic_step(
     NonConvergent when the coefficient magnitudes stop decaying.
     """
     r_max = profile.r_max if r_max is None else r_max
-    gap = model_gap(state)
-    if state.contour.radius <= 0 or not math.isfinite(state.contour.radius):
-        raise ContourHit("degenerate contour radius")
-    if gap <= state.contour.radius * (1.0 + 1e-8):
-        raise ContourHit(
-            f"model eigenvalue within {gap:.3g} of the contour radius "
-            f"{state.contour.radius:.3g}"
-        )
-
+    g, vs = _series(state, r_max, stop=False)
     lam0 = state.lambda0
-    t = state.target
-    u, w = state.u, state.w
-    uh = u.conj().T
-    inv = _reduced_inverse(state.block_vals, lam0, t)
-    g, vs = _rs_orders(lambda v: uh @ (w @ (u @ v)), inv, t, r_max)
     ratio, tail = _decay(g, lam0, profile)
     lam = lam0 + float(np.sum(g[1:]))  # the first-order term vanishes
 
-    v_full = u @ np.sum(vs, axis=0)
+    v_full = state.u @ np.sum(vs, axis=0)
     v_full = v_full / np.linalg.norm(v_full)
 
     projector = g_mats = g_norms = None
@@ -454,7 +468,7 @@ def generic_step(
         for nn in range(1, n_store + 1):
             d_ser[nn] = -np.sum(c[1 : nn + 1] * d_ser[nn - 1 :: -1][: nn])
         # G_r = sum_{a+b<=r} d_ser[r-a-b] v_a v_b^H in the index basis
-        v_rot = u @ v_ser
+        v_rot = state.u @ v_ser
         g_mats = []
         for r in range(1, n_store + 1):
             v_r = v_rot[:, : r + 1]
@@ -708,12 +722,16 @@ class LevelEvaluator:
         return _aim(state, self.target, lambda0, gap, self.profile)
 
     def eigenvalue(self, kappa, r_max: int | None = None) -> float:
+        """generic_step's lam to 1 ulp: stopped as in `_rs_orders` unless r_max."""
         if self.geometry is None:
             (lam,) = self.eigenvalues(np.asarray(kappa, dtype=float)[None], r_max)
             if isinstance(lam, Exception):
                 raise lam
             return lam
-        return generic_step(self.state(kappa), self.profile, r_max, with_projector=False).lam
+        state = self.state(kappa)
+        g, _ = _series(state, self.profile.r_max if r_max is None else r_max, r_max is None)
+        _decay(g, state.lambda0, self.profile)
+        return state.lambda0 + float(np.sum(g[1:]))
 
     def eigenvalues(self, kappas, r_max: int | None = None) -> list:
         """`eigenvalue` at each row of a (B, 2) block of kappas: per row the
@@ -729,6 +747,7 @@ class LevelEvaluator:
                 except (ContourHit, NonConvergent) as exc:
                     out.append(exc)
             return out
+        stop = r_max is None
         r_max = self.profile.r_max if r_max is None else r_max
         diag = shifted_energies(kappas, self._duals)
         t = self.target
@@ -741,7 +760,8 @@ class LevelEvaluator:
         live = np.flatnonzero(~hit)
         # one column runs on vectors, where numpy's scalar operands are cheapest
         block = diag[live[0]] if len(live) == 1 else np.ascontiguousarray(diag[live].T)
-        g, _ = _rs_orders(self.split.w.dot, _reduced_inverse(block, lam0[live], t), t, r_max)
+        inv = _reduced_inverse(block, lam0[live], t)
+        g, _ = _rs_orders(self.split.w.dot, inv, t, r_max, lam0[live] if stop else None)
         for b, col in zip(live, g.reshape(r_max, len(live)).T.copy()):
             try:
                 _decay(col, lam0[b], self.profile)

@@ -58,7 +58,8 @@ class ParameterProfile:
     grey_nbhd: int
     white_nbhd: int
     # perturbation engine
-    r_max: int
+    r_max: int             # series orders: a cap for eigenvalue-only evaluation,
+                           # exact for generic_step or an explicit r_max
     quad_nodes: int
     divergence_ratio: float
     kappa_window_1: float

@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qp2d import perturb
 from qp2d.fiber import FiberMatrix, assemble, eigvals_oracle
 from qp2d.lattice import (
     LatticeIndex,
@@ -443,7 +445,7 @@ class TestLevels:
             ).lam
             assert fast == slow
 
-    def test_batch_eigenvalues_identical(self, spec, params, rng):
+    def test_batch_eigenvalues_identical(self, spec, params, rng, monkeypatch):
         # a block of kappas gives each row's one-column value or rejection
         # bit for bit, whatever the block's make-up
         k = 40.0
@@ -470,6 +472,45 @@ class TestLevels:
         assert typed(ev.eigenvalues(kaps)) == want
         assert typed(ev.eigenvalues(kaps[::-1]))[::-1] == want
         assert typed(ev.eigenvalues(kaps[5:9])) == want[5:9]
+
+        # near-resonant kappas (off -p_m/2 along p_m) stop after more orders
+        # than far ones; a block of both still gives each column its one-kappa
+        # value bit for bit, and the block runs as many orders as its last
+        near = kaps[7] + np.array([[0.1, 0.0], [0.2, 0.0], [-0.3, 0.0], [0.5, 0.0]])
+        far = kaps[:6]
+        assert all(isinstance(w, float) for w in want[:6])
+        mixed = np.concatenate([near[:2], far[:3], near[2:], far[3:]])
+        calls = []
+        real = perturb._rs_orders
+
+        def counting(apply_w, *args):
+            def counted(v):
+                calls.append(1)
+                return apply_w(v)
+
+            return real(counted, *args)
+
+        monkeypatch.setattr(perturb, "_rs_orders", counting)
+        want, orders = [], []
+        for kap in mixed:
+            calls.clear()
+            want.append(ev.eigenvalue(kap))
+            orders.append(len(calls))
+        near_orders = orders[:2] + orders[5:7]
+        far_orders = orders[2:5] + orders[7:]
+        assert max(far_orders) < max(near_orders) < prof.r_max
+        assert len(set(orders)) >= 3
+        calls.clear()
+        assert ev.eigenvalues(mixed) == want
+        assert len(calls) == max(orders)
+        # an explicit r_max runs exactly that many orders (appendix4_count)
+        for kap in (near[0], far[0]):
+            calls.clear()
+            ev.eigenvalue(kap, r_max=14)
+            assert len(calls) == 14
+        calls.clear()
+        ev.eigenvalues(mixed, r_max=14)
+        assert len(calls) == 14
 
     def test_level2_same_code_path(self, spec, params, rng):
         k = 40.0
@@ -521,6 +562,81 @@ class TestLevels:
         assert abs(res.lam - res.oracle_lambda) <= max(
             1e-9 * k * k, 10 * res.tail_estimate
         )
+
+
+class TestLambdaOnlyStop:
+    """The eigenvalue-only route stops a series once later orders cannot move
+    lam: it must still give the 30-order generic_step lam, or its rejection."""
+
+    @staticmethod
+    def outcome(fn):
+        try:
+            return fn()
+        except (ContourHit, NonConvergent) as exc:
+            return type(exc)
+
+    def test_matches_full_series(self, spec, params, rng):
+        m = indices_to_array([LatticeIndex((1, 0), (0, 0))])
+        half = -0.5 * dual_array(m, params)[0]
+        seen = {1: [], 2: []}
+        for k in [15.0, 25.0, 40.0, 60.0]:
+            prof = make_profile(k)
+            om8 = build_omega1(k, prof, params, 8.0)
+            phis = rng.uniform(0, TWO_PI, 30)
+            level1 = (k + rng.uniform(-0.05, 0.05, 30))[:, None] * np.stack(
+                [np.cos(phis), np.sin(phis)], axis=1
+            )
+            # the exact hit, and near-resonances that do not converge
+            level1 = np.concatenate([level1, [half, half + [1e-3, 0.0]]])
+            cases = [(LevelEvaluator(spec, prof), prof, level1)]
+            for _ in range(2):
+                phi = admissible_phi(om8, rng)
+                ev = LevelEvaluator(spec, prof, level2_geometry(phi, spec, prof))
+                ang = phi + rng.uniform(-1e-4, 1e-4, 9)
+                pts = (k + rng.uniform(-0.05, 0.05, 9))[:, None] * np.stack(
+                    [np.cos(ang), np.sin(ang)], axis=1
+                )
+                cases.append((ev, prof, pts))
+            # a contour as wide as the gap touches the model spectrum
+            wide = replace(prof, contour_margin=1.0)
+            cases.append((LevelEvaluator(spec, wide, ev.geometry), wide, pts[:2]))
+            for ev, pr, kaps in cases:
+                for kap in kaps:
+                    got = self.outcome(lambda: ev.eigenvalue(kap))
+                    want = self.outcome(
+                        lambda: generic_step(ev.state(kap), pr, with_projector=False).lam
+                    )
+                    assert got == want
+                    seen[1 if ev.geometry is None else 2].append(want)
+        assert len(seen[1]) + len(seen[2]) >= 200
+        kinds = {lv: {w if isinstance(w, type) else float for w in seen[lv]} for lv in seen}
+        assert kinds == {1: {float, ContourHit, NonConvergent}, 2: {float, ContourHit}}
+
+    def test_floor_of_four_orders(self):
+        # g_1 = 0 and g_2 below ulp(lam0)/16 must not stop the series: the
+        # order-4 coefficient, far above that, is still computed
+        lam0, eps, c = 1600.0, 1e-8, 1e2
+        tol = np.spacing(lam0) / 16
+        w = np.array([[0.0, eps, 0.0], [eps, 0.0, c], [0.0, c, 0.0]], dtype=complex)
+        inv = np.array([0.0, 1.0, 1.0])
+
+        def run(w, lam0=None):
+            calls = []
+
+            def apply_w(v):
+                calls.append(1)
+                return w @ v
+
+            g, _ = perturb._rs_orders(apply_w, inv, 0, 12, lam0)
+            return g, len(calls)
+
+        full, _ = run(w)
+        assert full[0] == 0.0 and 0.0 < abs(full[1]) < tol < abs(full[3])
+        g, orders = run(w, lam0)
+        assert orders > 4 and np.array_equal(g[:4], full[:4])
+        # with every order below the bound it stops at the floor, not before
+        g, orders = run(1e-6 * w, lam0)
+        assert orders == 4 and not g[4:].any()
 
 
 class TestWindowedOracle:
