@@ -16,6 +16,7 @@ from .perturb import (
     Level2Geometry,
     LevelEvaluator,
     NonConvergent,
+    NoRoot,
     NotUnique,
     generic_step,
     level2_geometry,
@@ -26,10 +27,6 @@ from .resonance import AngleSet, OverlapDetected, ResonantBase, build_omega1
 from .multiscale import local_pole_discs
 
 TWO_PI = 2.0 * math.pi
-
-
-class NoRoot(ArithmeticError):
-    pass
 
 
 class NotUniqueRoot(ArithmeticError):
@@ -79,73 +76,52 @@ class IsoCurve:
         return float(sum(b - a for a, b in self.holes))
 
 
-def _rejected(value) -> bool:
-    """Whether a value is a typed rejection; another exception is raised."""
-    if isinstance(value, BaseException) and not isinstance(value, REJECTIONS):
-        raise value
-    return isinstance(value, REJECTIONS)
-
-
-def _newton_solve(f, starts, lam: float, halfwidth: float) -> list:
-    """Newton with derivative 2*kappa, bisection fallback on the bracket
-    start +- halfwidth, in lockstep over columns: f(cols, radii) gives per
-    entry column cols[i]'s value at radii[i], or its typed rejection.  Per
-    column, the root once |f - lam| <= 1e-9*lam, or the rejection: f's, or
-    NoRoot when the bracket ends share a sign or 200 bisections miss."""
+def _newton(kappa: float, nu: np.ndarray, lam: float, halfwidth: float):
+    """A `LevelEvaluator.solve` column for the radius along nu: Newton from
+    kappa with derivative 2*kappa, bisection fallback on kappa +- halfwidth.
+    The root once |f - lam| <= 1e-9*lam; NoRoot when the bracket ends share a
+    sign or 200 bisections miss."""
     tol = 1e-9 * lam
-
-    def column(kappa: float):  # yields each radius it needs, receives f - lam there
-        lo, hi = kappa - halfwidth, kappa + halfwidth
-        for _ in range(25):
-            r = yield kappa
-            if abs(r) <= tol:
-                return kappa
-            kappa -= r / (2.0 * kappa)
-            if not (lo <= kappa <= hi):
-                break
-        flo = yield lo
-        fhi = yield hi
-        if flo * fhi > 0:
-            raise NoRoot(f"no bracketed root in [{lo:.9g}, {hi:.9g}]: f ends {flo:.3g}, {fhi:.3g}")
-        for _ in range(201):  # 200 bisections, then the last midpoint's check
-            mid = 0.5 * (lo + hi)
-            fm = yield mid
-            if abs(fm) <= tol:
-                return mid
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        raise NoRoot(f"bisection ended at {mid:.9g} with |f - lambda| = {abs(fm):.3g}")
-
-    cols = [column(float(s)) for s in starts]
-    out: list = [None] * len(cols)
-    asked = {i: next(c) for i, c in enumerate(cols)}
-    while asked:
-        vals = f(np.array(list(asked)), np.array(list(asked.values())))
-        for i, v in zip(list(asked), vals):
-            try:
-                asked[i] = cols[i].throw(v) if _rejected(v) else cols[i].send(v - lam)
-                continue
-            except StopIteration as stop:
-                out[i] = stop.value
-            except REJECTIONS as exc:
-                out[i] = exc
-            del asked[i]
-    return out
+    lo, hi = kappa - halfwidth, kappa + halfwidth
+    for _ in range(25):
+        r = (yield kappa * nu) - lam
+        if abs(r) <= tol:
+            return kappa
+        kappa -= r / (2.0 * kappa)
+        if not (lo <= kappa <= hi):
+            break
+    flo = (yield lo * nu) - lam
+    fhi = (yield hi * nu) - lam
+    if flo * fhi > 0:
+        raise NoRoot(f"no bracketed root in [{lo:.9g}, {hi:.9g}]: f ends {flo:.3g}, {fhi:.3g}")
+    for _ in range(201):  # 200 bisections, then the last midpoint's check
+        mid = 0.5 * (lo + hi)
+        fm = (yield mid * nu) - lam
+        if abs(fm) <= tol:
+            return mid
+        if flo * fm <= 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    raise NoRoot(f"bisection ended at {mid:.9g} with |f - lambda| = {abs(fm):.3g}")
 
 
-def _newton_root(f, start: float, lam: float, halfwidth: float) -> float:
-    """_newton_solve on one column: its root, or its rejection raised."""
-    (root,) = _newton_solve(f, [start], lam, halfwidth)
-    if _rejected(root):
+def _value(point: np.ndarray):
+    """A `LevelEvaluator.solve` column: the value at point."""
+    return (yield point)
+
+
+def _newton_solve(ev: LevelEvaluator, nus, starts, lam: float, halfwidth: float) -> list:
+    """Per row of nus, the radius from its start on ev, or its rejection."""
+    return ev.solve(_newton(float(s), nu, lam, halfwidth) for s, nu in zip(starts, nus))
+
+
+def _newton_root(ev: LevelEvaluator, nu, start: float, lam: float, halfwidth: float) -> float:
+    """_newton_solve on one row: its root, or its rejection raised."""
+    (root,) = _newton_solve(ev, [nu], [start], lam, halfwidth)
+    if isinstance(root, Exception):
         raise root
     return root
-
-
-def _along(ev: LevelEvaluator, nus: np.ndarray):
-    """The f of _newton_solve whose column c at radius r is ev at r*nus[c]."""
-    return lambda cols, radii: ev.eigenvalues(radii[:, None] * nus[cols])
 
 
 def _at_energy(
@@ -207,18 +183,20 @@ def solve_radius(
     derivative approximated by 2*kappa; residual at exit <= 1e-9*lambda.
     """
     k, prof, ev1 = _at_energy(n, lam, spec, profile)
-    nu = np.array([[math.cos(phi), math.sin(phi)]])
+    nu = np.array([math.cos(phi), math.sin(phi)])
     ev, start, half = ev1, k, prof.kappa_window_1
     if n == 2:
         ev = LevelEvaluator(spec, prof, level2_geometry(phi, spec, prof))
-        start, half = _newton_root(_along(ev1, nu), k, lam, half), prof.kappa_window_2
-    root = _newton_root(_along(ev, nu), start, lam, half)
+        start, half = _newton_root(ev1, nu, k, lam, half), prof.kappa_window_2
+    root = _newton_root(ev, nu, start, lam, half)
     if check_unique:
         grid = np.linspace(start - half, start + half, 7)
-        vals = [ev.eigenvalue(float(g) * nu[0]) - lam for g in grid]
-        crossings = sum(
-            1 for a, b in zip(vals, vals[1:]) if a == 0 or a * b < 0
-        )
+        vals = ev.eigenvalues(grid[:, None] * nu)
+        for v in vals:
+            if isinstance(v, Exception):
+                raise v
+        diffs = [v - lam for v in vals]
+        crossings = sum(1 for a, b in zip(diffs, diffs[1:]) if a == 0 or a * b < 0)
         if crossings == 0:
             raise NoRoot("no sign change across the bracket")
         if crossings > 1:
@@ -264,15 +242,15 @@ def trace_curve(
     phis = [float(phi) for phi in grid]
     idx, nus, evaluators = _admissible(n, phis, omega, spec, prof)
     solved: dict[int, tuple[float, float]] = {}
-    level1 = _newton_solve(_along(ev1, nus), [k] * len(idx), lam, prof.kappa_window_1)
+    level1 = _newton_solve(ev1, nus, [k] * len(idx), lam, prof.kappa_window_1)
     for i, nu, k1 in zip(idx, nus, level1):
-        if _rejected(k1):
+        if isinstance(k1, Exception):
             continue
         if n == 1:
             solved[i] = (k1, k1 - k)
             continue
-        (kappa,) = _newton_solve(_along(evaluators[i], nu[None]), [k1], lam, prof.kappa_window_2)
-        if not _rejected(kappa):
+        (kappa,) = _newton_solve(evaluators[i], [nu], [k1], lam, prof.kappa_window_2)
+        if not isinstance(kappa, Exception):
             solved[i] = (kappa, kappa - k1)
 
     def slope(i: int) -> float:  # centered difference between admissible neighbours
@@ -311,12 +289,12 @@ def deviation_profile(
     phis = [float(phi) for phi in np.asarray(phi_grid, dtype=float)]
     idx, nus, evaluators = _admissible(n, phis, omega, spec, prof)
     if n == 1:
-        lams = ev1.eigenvalues(k * nus)
-        return [(phis[i], (v - lam) / (2.0 * k)) for i, v in zip(idx, lams) if not _rejected(v)]
+        lams = ev1.solve(_value(point) for point in k * nus)
+        return [(phis[i], (v - lam) / (2.0 * k)) for i, v in zip(idx, lams) if isinstance(v, float)]
     out: list[tuple[float, float]] = []
-    level1 = _newton_solve(_along(ev1, nus), [k] * len(idx), lam, prof.kappa_window_1)
+    level1 = _newton_solve(ev1, nus, [k] * len(idx), lam, prof.kappa_window_1)
     for i, nu, k1 in zip(idx, nus, level1):
-        if _rejected(k1):
+        if isinstance(k1, Exception):
             continue
         try:
             res = generic_step(evaluators[i].state(k1 * nu), prof, with_projector=False)

@@ -92,10 +92,6 @@ class AngleSet:
     def full() -> "AngleSet":
         return AngleSet(((0.0, TWO_PI),))
 
-    @staticmethod
-    def empty() -> "AngleSet":
-        return AngleSet(())
-
     @property
     def measure(self) -> float:
         return float(sum(b - a for a, b in self.intervals))
@@ -281,11 +277,6 @@ class ClusterDecomposition:
                     if sub.strength == "weak":
                         out.extend(sub.members)
         return sorted(out)
-
-    def labeled(self) -> bool:
-        return all(
-            sub.strength is not None for cls in self.classes for sub in cls.subsets
-        )
 
 
 def _resonant_rows(
@@ -672,7 +663,7 @@ def assemble_projector(
     non-trivial classes.  The small central box is always a block of its own;
     the rest of the r1-box belongs to no block.
     """
-    if not decomp.labeled():
+    if any(sub.strength is None for cls in decomp.classes for sub in cls.subsets):
         raise ValueError("strength labels must be attached first")
     r1 = profile.box_r1
     box = enumerate_box_array(r1)
@@ -768,68 +759,64 @@ def appendix4_count(
     profile: ParameterProfile,
     scan_points: int = 2000,
 ) -> tuple[int, list[float]]:
-    """Count angles phi solving lambda1(kappa1(phi) + p_m) = k^2 + eps0.
+    """Count angles phi solving lambda1(kappa1(phi) nu + p_m) = k^2 + eps0.
 
-    Scans the admissible set densely, bisects each bracketed root of the
-    shifted dressed eigenvalue, and returns (count, roots).
+    Each interval of the step-I good set at least 1e-9 long gets
+    max(8, floor(scan_points * length / 2pi)) + 1 points; at k = 25 the set has
+    769 intervals, so >= 6,921 points and scan_points=500 is mostly that floor.
+    A point's value runs a 6-step Newton from k for kappa1 (|r| <= 1e-10 k^2),
+    then the shifted eigenvalue; a sign change between neighbours is bisected
+    80 times or to 1e-12, and a rejected point or midpoint makes its bracket a
+    gap.  Returns the count and the sorted roots, those within 1e-8 merged.
+
+    r_max = 14 stays explicit: the eigenvalue-only stop rule has not been
+    shown to give the same roots on this scan.
     """
-    from .perturb import ContourHit, LevelEvaluator, NonConvergent
+    from .perturb import LevelEvaluator, NonConvergent
 
-    params = spec.params
-    omega = build_omega1(k, profile, params)
-    dv = dual_vector(m, params)
-    # one evaluator serves every momentum: the coupling block is fixed, only
-    # the diagonal depends on the point; a short series suffices for root
-    # bracketing
+    omega = build_omega1(k, profile, spec.params)
+    p = dual_vector(m, spec.params).p
     ev = LevelEvaluator(spec, profile)
-    lam_target = k * k
+    lam = k * k
 
-    def f(phi: float) -> float:
-        # every call starts from k, so a value does not depend on the
-        # evaluation order
+    def f(phi: float):  # every Newton starts from k: no value depends on the order
         nu = np.array([math.cos(phi), math.sin(phi)])
         kap = k
         for _ in range(6):
-            r = ev.eigenvalue(kap * nu, r_max=14) - lam_target
-            if abs(r) <= 1e-10 * lam_target:
+            r = (yield kap * nu) - lam
+            if abs(r) <= 1e-10 * lam:
                 break
             kap -= r / (2.0 * kap)
         else:
             raise NonConvergent(f"radius Newton at phi={phi:.6f} left |r| = {abs(r):.3g}")
-        lam = ev.eigenvalue(kap * nu + dv.p, r_max=14)
-        return lam - lam_target - eps0
+        return (yield kap * nu + p) - lam - eps0
 
-    roots: list[float] = []
-    for a, b in omega.intervals:
-        if b - a < 1e-9:
-            continue
-        grid = np.linspace(a, b, max(8, int(scan_points * (b - a) / TWO_PI)) + 1)
-        vals = []
-        for phi in grid:
-            try:
-                vals.append(f(float(phi)))
-            except (ContourHit, NonConvergent):
-                vals.append(math.nan)
-        for i in range(len(grid) - 1):
-            f0, f1 = vals[i], vals[i + 1]
-            if math.isnan(f0) or math.isnan(f1) or f0 * f1 > 0:
-                continue
-            lo_, hi_ = float(grid[i]), float(grid[i + 1])
-            flo = f0
-            try:
-                for _ in range(80):
-                    mid = 0.5 * (lo_ + hi_)
-                    fm = f(mid)
-                    if flo * fm <= 0:
-                        hi_ = mid
-                    else:
-                        lo_, flo = mid, fm
-                    if hi_ - lo_ < 1e-12:
-                        break
-            except (ContourHit, NonConvergent):
-                continue  # a rejected midpoint makes the bracket a gap, as on the grid
-            roots.append(0.5 * (lo_ + hi_))
-    roots.sort()
+    def bisect(lo: float, hi: float, flo: float):
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fm = yield from f(mid)
+            if flo * fm <= 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+            if hi - lo < 1e-12:
+                break
+        return 0.5 * (lo + hi)
+
+    grids = [
+        np.linspace(a, b, max(8, int(scan_points * (b - a) / TWO_PI)) + 1)
+        for a, b in omega.intervals
+        if b - a >= 1e-9
+    ]
+    phis = [float(phi) for grid in grids for phi in grid]
+    vals = [math.nan if isinstance(v, Exception) else v for v in ev.solve(map(f, phis), r_max=14)]
+    ends = set(np.cumsum([len(grid) for grid in grids]) - 1)  # no bracket across intervals
+    brackets = [
+        bisect(phis[i], phis[i + 1], vals[i])
+        for i in range(len(phis) - 1)
+        if i not in ends and vals[i] * vals[i + 1] <= 0
+    ]
+    roots = sorted(r for r in ev.solve(brackets, r_max=14) if not isinstance(r, Exception))
     dedup: list[float] = []
     for r in roots:
         if not dedup or abs(r - dedup[-1]) > 1e-8:

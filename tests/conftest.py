@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qp2d.lattice import LatticeIndex, QPParams
+from qp2d.perturb import LevelEvaluator
 from qp2d.potential import build
 from qp2d.profile import make_profile
 
@@ -30,6 +31,25 @@ def spec(params):
 @pytest.fixture(scope="session")
 def zero_spec(params):
     return build([], Q=4, params=params)
+
+
+class _Along(LevelEvaluator):
+    """A stand-in evaluator: f(cols, radii) gives per entry the value (or a
+    rejection) of column cols[i] at radius radii[i], asked at the point
+    radii[i] * (1, cols[i])."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def eigenvalues(self, kappas, r_max=None):
+        return self.f(np.rint(kappas[:, 1] / kappas[:, 0]).astype(int), kappas[:, 0])
+
+
+@pytest.fixture(scope="session")
+def along():
+    """The stand-in evaluator class for root-solver tests; its column c runs
+    along nu = (1, c)."""
+    return _Along
 
 
 @pytest.fixture()

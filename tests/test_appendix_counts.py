@@ -8,6 +8,7 @@ import pytest
 
 from qp2d.isoenergetic import NoRoot, _newton_root
 from qp2d.lattice import LatticeIndex, dual_vector
+from qp2d.perturb import ContourHit, LevelEvaluator, NonConvergent
 from qp2d.profile import make_profile
 from qp2d.resonance import appendix4_count, build_omega1, tangent_angles
 
@@ -23,6 +24,101 @@ def expected_free_roots(k, m, eps0, params, omega):
     th = math.acos(c)
     cands = [(dv.angle + th) % TWO_PI, (dv.angle - th) % TWO_PI]
     return sorted(p for p in cands if omega.contains(p))
+
+
+def scalar_count(m, k, eps0, spec, profile, scan_points):
+    """The scalar scan that appendix4_count replaced, kept as its reference:
+    one `eigenvalue` call per Newton step, shifted value and midpoint."""
+    omega = build_omega1(k, profile, spec.params)
+    dv = dual_vector(m, spec.params)
+    ev = LevelEvaluator(spec, profile)
+    lam_target = k * k
+
+    def f(phi: float) -> float:
+        nu = np.array([math.cos(phi), math.sin(phi)])
+        kap = k
+        for _ in range(6):
+            r = ev.eigenvalue(kap * nu, r_max=14) - lam_target
+            if abs(r) <= 1e-10 * lam_target:
+                break
+            kap -= r / (2.0 * kap)
+        else:
+            raise NonConvergent(f"radius Newton at phi={phi:.6f} left |r| = {abs(r):.3g}")
+        lam = ev.eigenvalue(kap * nu + dv.p, r_max=14)
+        return lam - lam_target - eps0
+
+    roots: list[float] = []
+    for a, b in omega.intervals:
+        if b - a < 1e-9:
+            continue
+        grid = np.linspace(a, b, max(8, int(scan_points * (b - a) / TWO_PI)) + 1)
+        vals = []
+        for phi in grid:
+            try:
+                vals.append(f(float(phi)))
+            except (ContourHit, NonConvergent):
+                vals.append(math.nan)
+        for i in range(len(grid) - 1):
+            f0, f1 = vals[i], vals[i + 1]
+            if math.isnan(f0) or math.isnan(f1) or f0 * f1 > 0:
+                continue
+            lo_, hi_ = float(grid[i]), float(grid[i + 1])
+            flo = f0
+            try:
+                for _ in range(80):
+                    mid = 0.5 * (lo_ + hi_)
+                    fm = f(mid)
+                    if flo * fm <= 0:
+                        hi_ = mid
+                    else:
+                        lo_, flo = mid, fm
+                    if hi_ - lo_ < 1e-12:
+                        break
+            except (ContourHit, NonConvergent):
+                continue
+            roots.append(0.5 * (lo_ + hi_))
+    roots.sort()
+    dedup: list[float] = []
+    for r in roots:
+        if not dedup or abs(r - dedup[-1]) > 1e-8:
+            dedup.append(r)
+    return len(dedup), dedup
+
+
+class TestAgainstScalarScan:
+    """The lockstep scan returns the scalar scan's count and roots exactly."""
+
+    K = 25.0
+
+    def test_plain_draw(self, spec, params):
+        prof = make_profile(self.K)
+        m = LatticeIndex((1, 2), (1, 0))
+        eps0 = -0.17 * dual_vector(m, params).length
+        got = appendix4_count(m, self.K, eps0, spec, prof, scan_points=50)
+        assert got[0] > 0 and got == scalar_count(m, self.K, eps0, spec, prof, 50)
+
+    def test_bracket_ending_in_a_rejection(self, spec, params, monkeypatch):
+        # a rejection within 1e-6 of the first root is met only by that
+        # bracket's bisection, which ends in it; the grid is untouched
+        prof = make_profile(self.K)
+        m = LatticeIndex((2, 2), (0, -1))
+        eps0 = 0.2 * dual_vector(m, params).length
+        count, roots = appendix4_count(m, self.K, eps0, spec, prof, scan_points=50)
+        assert count > 0
+        series = LevelEvaluator.eigenvalues
+
+        def rejected_near_first_root(self, kappas, r_max=None):
+            vals = series(self, kappas, r_max)
+            for i, kappa in enumerate(kappas):
+                phi = math.atan2(kappa[1], kappa[0])
+                if abs((phi - roots[0] + math.pi) % TWO_PI - math.pi) < 1e-6:
+                    vals[i] = NonConvergent("near the first root")
+            return vals
+
+        monkeypatch.setattr(LevelEvaluator, "eigenvalues", rejected_near_first_root)
+        got = appendix4_count(m, self.K, eps0, spec, prof, scan_points=50)
+        assert got == (count - 1, roots[1:])
+        assert got == scalar_count(m, self.K, eps0, spec, prof, 50)
 
 
 class TestAppendix4Count:
@@ -76,20 +172,24 @@ class TestAppendix4Count:
 
 
 class TestNewtonBracket:
-    def test_no_root_in_bracket(self):
-        with pytest.raises(NoRoot):
-            _newton_root(lambda cols, x: x * x, start=5.0, lam=1.0, halfwidth=0.5)
+    NU = np.array([1.0, 0.0])
 
-    def test_falls_back_to_bisection(self):
+    def test_no_root_in_bracket(self, along):
+        with pytest.raises(NoRoot):
+            _newton_root(along(lambda cols, x: x * x), self.NU, start=5.0, lam=1.0, halfwidth=0.5)
+
+    def test_falls_back_to_bisection(self, along):
         # derivative guess 2*kappa is wrong for this function; bisection
         # still lands on the root
         f = lambda x: 100.0 * (x - 3.02) + 7.0
-        root = _newton_root(lambda cols, x: f(x), start=3.0, lam=7.0, halfwidth=0.1)
+        root = _newton_root(
+            along(lambda cols, x: f(x)), self.NU, start=3.0, lam=7.0, halfwidth=0.1
+        )
         assert f(root) - 7.0 == pytest.approx(0.0, abs=1e-9 * 7.0)
 
-    def test_jump_is_not_a_root(self):
+    def test_jump_is_not_a_root(self, along):
         # f jumps across lam at 3.2 without reaching it: bisection closes in
         # on the jump, and its last midpoint must not come back as a root
         f = lambda cols, x: np.where(x < 3.2, 0.0, 10.0)
         with pytest.raises(NoRoot):
-            _newton_root(f, start=3.0, lam=5.0, halfwidth=0.5)
+            _newton_root(along(f), self.NU, start=3.0, lam=5.0, halfwidth=0.5)

@@ -101,10 +101,12 @@ class TestLockstepNewton:
                 out.append([x * x, x * x + 0.3, 100.0 * (x - 2.02) + 4.0, x * x + 0.2][c])
         return out
 
-    def test_columns_match_their_own_solves(self):
+    NUS = [np.array([1.0, c]) for c in range(4)]
+
+    def test_columns_match_their_own_solves(self, along):
         seen = {}
         out = _newton_solve(
-            lambda c, x: self.toy(c, x, seen), [2.0] * 4, self.LAM, self.HALF
+            along(lambda c, x: self.toy(c, x, seen)), self.NUS, [2.0] * 4, self.LAM, self.HALF
         )
         # column 0 converges at step 0, column 1 after several Newton steps
         assert out[0] == 2.0 and seen[0] == [2.0]
@@ -116,13 +118,15 @@ class TestLockstepNewton:
         assert isinstance(out[3], NonConvergent) and len(seen[3]) == 2
         for c in range(3):
             own = _newton_solve(
-                lambda cols, x: self.toy([c] * len(x), x), [2.0], self.LAM, self.HALF
+                along(self.toy), self.NUS[c : c + 1], [2.0], self.LAM, self.HALF
             )
             assert isinstance(out[c], float) and own == [out[c]]
 
-    def test_plain_exception_value_propagates(self):
+    def test_plain_exception_value_propagates(self, along):
         with pytest.raises(ValueError, match="not a rejection"):
-            _newton_solve(lambda c, x: [ValueError("not a rejection")], [2.0], 4.0, 0.1)
+            _newton_solve(
+                along(lambda c, x: [ValueError("not a rejection")]), self.NUS[:1], [2.0], 4.0, 0.1
+            )
 
 
 class TestRadiusAgainstOracle:

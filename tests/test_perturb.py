@@ -638,6 +638,20 @@ class TestLambdaOnlyStop:
         g, orders = run(1e-6 * w, lam0)
         assert orders == 4 and not g[4:].any()
 
+    def test_sum_outside_the_contour_is_rejected(self, spec, params):
+        # here the level-2 magnitudes zig-zag upward past _decay (the full
+        # series sums to ~1e12) and the stopped one lands 1.1e-6 from lam0:
+        # both outside the contour radius 5.4e-7, so both must raise
+        prof = make_profile(15.0)
+        ev = LevelEvaluator(spec, prof, level2_geometry(5.9254, spec, prof))
+        kap = -0.5 * dual_vector(LatticeIndex((-2, -2), (0, 0)), params).p
+        state = ev.state(kap)
+        assert state.contour.radius < 1e-6
+        with pytest.raises(NonConvergent, match="outside the contour"):
+            generic_step(state, prof, with_projector=False)
+        with pytest.raises(NonConvergent, match="outside the contour"):
+            ev.eigenvalue(kap)
+
 
 class TestWindowedOracle:
     """The shift-invert oracle in generic_step against dense eigvalsh of the

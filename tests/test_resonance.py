@@ -707,23 +707,24 @@ class TestOrthogonalityViolation:
 
 
 class TestAppendix4Rejections:
-    """Only the evaluator's typed rejections make a scan point NaN."""
+    """Only the evaluator's typed rejections make a scan point NaN; the
+    stand-ins return per row a value or a rejection, as `eigenvalues` does."""
 
     M = LatticeIndex((2, 2), (0, -1))
 
     def test_bug_propagates(self, spec, monkeypatch):
-        def broken(self, kappa, r_max=None):
+        def broken(self, kappas, r_max=None):
             raise ValueError("shape mismatch")
 
-        monkeypatch.setattr(LevelEvaluator, "eigenvalue", broken)
+        monkeypatch.setattr(LevelEvaluator, "eigenvalues", broken)
         with pytest.raises(ValueError, match="shape mismatch"):
             appendix4_count(self.M, 25.0, 0.0, spec, make_profile(25.0), scan_points=50)
 
     def test_contour_hit_is_a_gap(self, spec, monkeypatch):
-        def rejected(self, kappa, r_max=None):
-            raise ContourHit("on the contour")
+        def rejected(self, kappas, r_max=None):
+            return [ContourHit("on the contour") for _ in kappas]
 
-        monkeypatch.setattr(LevelEvaluator, "eigenvalue", rejected)
+        monkeypatch.setattr(LevelEvaluator, "eigenvalues", rejected)
         count, roots = appendix4_count(
             self.M, 25.0, 0.0, spec, make_profile(25.0), scan_points=50
         )
@@ -732,10 +733,10 @@ class TestAppendix4Rejections:
     def test_newton_stall_is_a_gap(self, spec, monkeypatch):
         # the true derivative is kappa, so the 2*kappa guess only halves the
         # error per step and the radius never reaches tolerance in 6 steps
-        def half(self, kappa, r_max=None):
-            return float(kappa @ kappa) / 2.0
+        def half(self, kappas, r_max=None):
+            return [float(kappa @ kappa) / 2.0 for kappa in kappas]
 
-        monkeypatch.setattr(LevelEvaluator, "eigenvalue", half)
+        monkeypatch.setattr(LevelEvaluator, "eigenvalues", half)
         count, roots = appendix4_count(
             self.M, 25.0, 0.0, spec, make_profile(25.0), scan_points=50
         )
@@ -748,18 +749,22 @@ class TestAppendix4Rejections:
         k, prof = 25.0, make_profile(25.0)
         eps0 = dual_vector(self.M, spec.params).length ** 2
 
-        def free(self, kappa, r_max=None):
-            return float(kappa @ kappa)
+        def free(self, kappas, r_max=None):
+            return [float(kappa @ kappa) for kappa in kappas]
 
-        monkeypatch.setattr(LevelEvaluator, "eigenvalue", free)
+        monkeypatch.setattr(LevelEvaluator, "eigenvalues", free)
         count, roots = appendix4_count(self.M, k, eps0, spec, prof, scan_points=50)
         assert count > 0
 
-        def rejected_near_roots(self, kappa, r_max=None):
+        def near_root(kappa) -> bool:
             phi = math.atan2(kappa[1], kappa[0])
-            if any(abs((phi - root + math.pi) % TWO_PI - math.pi) < 1e-6 for root in roots):
-                raise NonConvergent("near a root")
-            return float(kappa @ kappa)
+            return any(abs((phi - root + math.pi) % TWO_PI - math.pi) < 1e-6 for root in roots)
 
-        monkeypatch.setattr(LevelEvaluator, "eigenvalue", rejected_near_roots)
+        def rejected_near_roots(self, kappas, r_max=None):
+            return [
+                NonConvergent("near a root") if near_root(kappa) else float(kappa @ kappa)
+                for kappa in kappas
+            ]
+
+        monkeypatch.setattr(LevelEvaluator, "eigenvalues", rejected_near_roots)
         assert appendix4_count(self.M, k, eps0, spec, prof, scan_points=50) == (0, [])
