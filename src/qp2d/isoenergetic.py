@@ -159,11 +159,9 @@ def _admissible(n: int, phis, omega: AngleSet, spec, prof) -> tuple[list, np.nda
 def _level2_evaluator(built: dict, geometry: Level2Geometry, spec, prof) -> LevelEvaluator:
     """geometry's evaluator from the caller's own dict: an evaluator depends
     on its geometry only through the rows (the profile's box_r1 box) and the
-    block and core positions, so geometries of one partition share one (and
-    the others are freed)."""
-    pos = geometry.block_positions
-    sizes = np.array([len(p) for p in pos])
-    key = tuple(a.tobytes() for a in (sizes, np.concatenate(pos), geometry.core_positions))
+    block labels and core positions, so geometries of one partition share one
+    (and the others are freed)."""
+    key = (geometry.block_labels.tobytes(), geometry.core_positions.tobytes())
     if key not in built:
         built[key] = LevelEvaluator(spec, prof, geometry)
     return built[key]

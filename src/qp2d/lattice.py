@@ -8,8 +8,9 @@ packed int64 keys, a set is sorted positions into `enumerate_box_array(R)`
 (`LatticeIndex` order), and `box_table` caches a box's nonzero rows with
 their norms and duals.  `cluster_decompose` labels residue clusters with
 `np.unique` over their keys, takes diameters from per-cluster bounding boxes
-and the separation from one exact k-d tree search.  `LatticeIndex` is the
-scalar API surface, built only for what a function returns.
+and the separation from one exact k-d tree search.  `components` is the
+package's one connected-components routine.  `LatticeIndex` is the scalar
+API surface, built only for what a function returns.
 
 alpha is represented exactly, either as a quadratic irrational (a + b*sqrt(d))/c
 or as a continued-fraction prefix, so that colinearity questions reduce to
@@ -24,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 TWO_PI = 2.0 * math.pi
@@ -337,6 +337,35 @@ def box_table(radius: int, params: QPParams) -> tuple[np.ndarray, np.ndarray, np
     return table
 
 
+def components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Connected-component label per node 0..n-1 of the undirected graph with
+    edges (i[e], j[e]); components are numbered 0, 1, ... in order of their
+    first node.
+
+    Hooking and pointer jumping on a parent array with parent[x] <= x: each
+    round every root joined by an edge to a smaller root hooks onto the
+    smallest such root, then every node jumps to its root.  A tree that joins
+    no other in one round hooks in the next, so the trees of a component at
+    least halve every two rounds; the root of a component is its first node."""
+    parent = np.arange(n)
+    i = np.asarray(i, dtype=np.intp)
+    j = np.asarray(j, dtype=np.intp)
+    while True:
+        pi, pj = parent[i], parent[j]
+        cross = pi != pj
+        if not cross.any():
+            break
+        i, j, pi, pj = i[cross], j[cross], pi[cross], pj[cross]
+        np.minimum.at(parent, np.maximum(pi, pj), np.minimum(pi, pj))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    root = parent == np.arange(n)
+    return (np.cumsum(root) - 1)[parent]
+
+
 def triple_norm_components(
     rows: np.ndarray, radius: int, group: np.ndarray | None = None
 ) -> np.ndarray:
@@ -360,16 +389,7 @@ def triple_norm_components(
         pairs = np.concatenate(
             [pairs, np.stack([order[:-1][same], order[1:][same]], axis=1)]
         )
-    if len(pairs) == 0:
-        return np.arange(n)  # every row alone; skips csgraph's fixed cost
-    # deferred: a module-level csgraph import adds 30-65 ms to setup_s
-    from scipy.sparse.csgraph import connected_components
-
-    graph = sp.coo_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-        shape=(n, n),
-    )
-    return connected_components(graph, directed=False)[1]
+    return components(n, pairs[:, 0], pairs[:, 1])
 
 
 # ---------------------------------------------------------------------------

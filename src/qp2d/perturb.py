@@ -18,12 +18,15 @@ n >= 4 once |g_{n-1}|, |g_n| <= ulp(lambda0)/16; at `_decay`'s stall bound
 divergence_ratio = 0.75 the orders left out sum to <= 3/16 ulp (lam to 1 ulp).
 
 The coupling is sparse, so no d x d array is built per kappa:
-`LevelEvaluator` splits it once into the dense in-block parts of the
-multi-index blocks and the cross-block W as CSR, the recursion applies
-W~ v = U^H (W (U v)) with the block eigenbasis U as CSR, and at level 1
-`eigenvalues` runs it on a block of kappas, one W V product per order.  The
-oracle check hands the section as CSR (`LevelState.section`) to the windowed
-shift-invert `eigvals_oracle`, so only the quadrature routes densify.
+`LevelEvaluator` splits it once into the cross-block W as CSR and the dense
+coupling of each connected component of a block's own nonzero coupling
+(the model is unchanged, as no in-block entry joins two components), stacked
+by size so that one `eigh` call serves every component of a size.  The
+recursion applies W~ v = U^H (W (U v)) with the block eigenbasis U as CSR,
+and at level 1 `eigenvalues` runs it on a block of kappas, one W V product
+per order.  The oracle check hands the section as CSR (`LevelState.section`)
+to the windowed shift-invert `eigvals_oracle`, so only the quadrature routes
+densify.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .lattice import (
     ZERO_INDEX,
     box_indices,
     box_table,
+    components,
     enumerate_box_array,
     indices_to_array,
     row_positions,
@@ -96,19 +100,21 @@ class Contour:
 class LevelState:
     """Model/perturbation split of one truncation level at one kappa.
 
-    blocks: integer position arrays partitioning range(dim).  The model is
-    diag plus the in-block coupling of each multi-index block (`couplings`:
-    (positions, dense block with zero diagonal) pairs); w holds every coupling
-    entry between distinct blocks as CSR.  The three are disjoint, so they
-    add up to the section entrywise (`section`; `h_full` is it dense).
-    block_vals are the model eigenvalues by position and u the block-diagonal
-    model eigenbasis (CSR, identity on the singletons).
+    labels: per position the first position of its model block, each block
+    one coupling component of a multi-index block (`blocks` lists them as
+    position arrays).  The model is diag plus the in-block coupling
+    (`couplings`: per block size s > 1, the (m, s) positions of its m blocks
+    and their (m, s, s) dense coupling with zero diagonal); w holds every
+    other coupling entry as CSR.  The three are disjoint, so they add up to
+    the section entrywise (`section`; `h_full` is it dense).  block_vals are
+    the model eigenvalues by position and u the block-diagonal model
+    eigenbasis (CSR, identity on the singletons).
     """
 
     level: int
     indices: tuple[LatticeIndex, ...]
     diag: np.ndarray
-    blocks: list[np.ndarray]
+    labels: np.ndarray
     couplings: list[tuple[np.ndarray, np.ndarray]]
     w: sp.csr_matrix
     block_vals: np.ndarray
@@ -122,14 +128,21 @@ class LevelState:
         return len(self.indices)
 
     @property
+    def blocks(self) -> list[np.ndarray]:
+        """The model blocks as ascending position arrays, by first position."""
+        order = np.argsort(self.labels, kind="stable")
+        starts = np.flatnonzero(np.diff(self.labels[order])) + 1
+        return np.split(order, starts)
+
+    @property
     def section(self) -> sp.csr_matrix:
         """H(kappa) as CSR, built on each access, for the oracle check."""
         d = self.dim
         coo = self.w.tocoo()
         parts = [(coo.row, coo.col, coo.data), (np.arange(d), np.arange(d), self.diag)]
         for pos, blk in self.couplings:
-            i, j = np.nonzero(blk)
-            parts.append((pos[i], pos[j], blk[i, j]))
+            c, i, j = np.nonzero(blk)
+            parts.append((pos[c, i], pos[c, j], blk[c, i, j]))
         r, c, v = (np.concatenate(x) for x in zip(*parts))
         return sp.csr_matrix((v, (r, c)), shape=(d, d))
 
@@ -170,50 +183,67 @@ class SeriesResult:
 
 
 class _BlockSplit:
-    """The kappa-independent part of a block model: the off-diagonal coupling
-    split into the dense in-block coupling of each multi-index block and the
-    cross-block rest W (CSR), and the CSR pattern of the eigenbasis U."""
+    """The kappa-independent part of a block model.
 
-    def __init__(self, off: sp.csr_matrix, blocks: list[np.ndarray]):
+    Given the off-diagonal coupling and a block label per position, each
+    block is split into the connected components of its own nonzero coupling;
+    no in-block entry lies between two components, so the model is unchanged.
+    Held: the labels of the components (first position of each), their dense
+    coupling stacked by size (`couplings`), the rest W (CSR) and the CSR
+    pattern of the eigenbasis U."""
+
+    def __init__(self, off: sp.csr_matrix, labels: np.ndarray):
         d = off.shape[0]
-        self.blocks = blocks
-        multi = [pos for pos in blocks if len(pos) > 1]
-        label = np.arange(d)
-        loc = np.zeros(d, dtype=np.int64)
-        single = np.ones(d, dtype=bool)
-        for pos in multi:
-            label[pos] = pos[0]
-            loc[pos] = np.arange(len(pos))
-            single[pos] = False
         coo = off.tocoo()
-        cross = label[coo.row] != label[coo.col]
+        same = labels[coo.row] == labels[coo.col]
         self.w = sp.csr_matrix(
-            (coo.data[cross], (coo.row[cross], coo.col[cross])), shape=(d, d)
+            (coo.data[~same], (coo.row[~same], coo.col[~same])), shape=(d, d)
         )
-        rr, cc, vv = coo.row[~cross], coo.col[~cross], coo.data[~cross]
+        # an in-block zero couples nothing, so it joins no components
+        inner = same & (coo.data != 0)
+        rr, cc, vv = coo.row[inner], coo.col[inner], coo.data[inner]
+        comp = components(d, rr, cc)
+        # positions by component, ascending within each; comp is numbered in
+        # order of first position, so starts[c] is component c's first slot
+        order = np.argsort(comp, kind="stable")
+        sizes = np.bincount(comp)
+        starts = np.cumsum(sizes) - sizes
+        self.labels = order[starts][comp]
+        loc = np.empty(d, dtype=np.int64)
+        loc[order] = np.arange(d) - starts[comp[order]]
+        single = order[starts[sizes == 1]]
         self.couplings = []
-        for pos in multi:
-            sel = label[rr] == pos[0]
-            blk = np.zeros((len(pos), len(pos)), dtype=complex)
-            blk[loc[rr[sel]], loc[cc[sel]]] = vv[sel]
+        u_rows, u_cols = [single], [single]
+        for s in np.unique(sizes[sizes > 1]).tolist():
+            first = starts[sizes == s]
+            pos = order[first[:, None] + np.arange(s)]
+            which = np.empty(d, dtype=np.int64)
+            which[pos] = np.arange(len(pos))[:, None]
+            sel = sizes[comp[rr]] == s
+            blk = np.zeros((len(pos), s, s), dtype=complex)
+            blk[which[rr[sel]], loc[rr[sel]], loc[cc[sel]]] = vv[sel]
             self.couplings.append((pos, blk))
-        # U entries in the order: singletons, then each block's U_b row-major
-        single = np.flatnonzero(single)
-        u_rows = np.concatenate([single] + [np.repeat(pos, len(pos)) for pos in multi])
-        u_cols = np.concatenate([single] + [np.tile(pos, len(pos)) for pos in multi])
+            # U entries of each stacked block, row-major
+            u_rows.append(np.repeat(pos, s, axis=1).ravel())
+            u_cols.append(np.tile(pos, s).ravel())
+        u_rows, u_cols = np.concatenate(u_rows), np.concatenate(u_cols)
         self._order = np.lexsort((u_cols, u_rows))
         self._cols = u_cols[self._order]
         self._indptr = np.searchsorted(u_rows[self._order], np.arange(d + 1))
         self._ones = np.ones(len(single), dtype=complex)
 
     def state(self, level: int, indices, diag: np.ndarray) -> LevelState:
-        """The model eigenpairs at one diagonal: each multi-index block is
-        eigendecomposed from its coupling plus diag(diag[pos]), entry for
-        entry the in-block part of H(kappa).  Target and contour are unset."""
+        """The model eigenpairs at one diagonal: the blocks of each size are
+        eigendecomposed as one stack, each from its coupling plus
+        diag(diag[pos]), entry for entry the in-block part of H(kappa).
+        Target and contour are unset."""
         vals = diag.real.copy()
         parts = [self._ones]
         for pos, blk in self.couplings:
-            bv, bu = np.linalg.eigh(blk + np.diag(diag[pos]))
+            a = blk.copy()
+            s = pos.shape[1]
+            a[:, np.arange(s), np.arange(s)] += diag[pos]
+            bv, bu = np.linalg.eigh(a)
             vals[pos] = bv
             parts.append(bu.ravel())
         d = len(diag)
@@ -224,7 +254,7 @@ class _BlockSplit:
             level=level,
             indices=indices,
             diag=diag,
-            blocks=self.blocks,
+            labels=self.labels,
             couplings=self.couplings,
             w=self.w,
             block_vals=vals,
@@ -271,7 +301,7 @@ class Level2Geometry:
     phi0: float
     decomp: ClusterDecomposition
     projector: object  # BlockProjector
-    block_positions: list[np.ndarray]
+    block_labels: np.ndarray  # per box row, the first position of its block
     indices: tuple[LatticeIndex, ...]
     rows: np.ndarray  # indices as an (N, 4) array
     core_positions: np.ndarray
@@ -288,22 +318,25 @@ def level2_geometry(
     projector = assemble_projector(decomp, k, profile, spec)
     indices = box_indices(profile.box_r1)
     rows = enumerate_box_array(profile.box_r1)
-    block_positions = []
+    labels = np.arange(len(indices))
+    taken = np.zeros(len(indices), dtype=bool)
     core_positions = None
-    single = np.ones(len(indices), dtype=bool)
     for blk in projector.blocks:
         # block indices are sorted, so their positions ascend
         arr = row_positions(rows, indices_to_array(blk.indices))
-        block_positions.append(arr)
-        single[arr] = False
+        if np.any(arr < 0) or taken[arr].any():
+            raise InvariantViolation(
+                f"a {blk.kind} block row lies outside the box_r1 box or in another block"
+            )
+        taken[arr] = True
+        labels[arr] = arr[0]
         if blk.kind == "core":
             core_positions = arr
-    block_positions.extend(np.flatnonzero(single)[:, None])
     return Level2Geometry(
         phi0=phi0,
         decomp=decomp,
         projector=projector,
-        block_positions=block_positions,
+        block_labels=labels,
         indices=indices,
         rows=rows,
         core_positions=core_positions,
@@ -319,12 +352,21 @@ def toy_state(
     level: int = 3,
 ) -> LevelState:
     """Caller-assembled state for structural tests of higher levels; the
-    caller's off-diagonal entries become the CSR coupling as they are."""
+    caller's off-diagonal entries become the CSR coupling as they are.
+    ValueError unless blocks partition range(len(h_full))."""
     h = np.asarray(h_full, dtype=complex)
     diag = np.diag(h).copy()
-    split = _BlockSplit(sp.csr_matrix(h - np.diag(diag)), [np.asarray(b) for b in blocks])
+    d = len(diag)
+    blocks = [np.asarray(b, dtype=np.int64).ravel() for b in blocks]
+    every = np.concatenate(blocks + [np.zeros(0, dtype=np.int64)])
+    if not np.array_equal(np.sort(every), np.arange(d)):
+        raise ValueError(f"blocks must hold every position of range({d}) exactly once")
+    labels = np.empty(d, dtype=np.int64)
+    for pos in filter(len, blocks):
+        labels[pos] = pos.min()
+    split = _BlockSplit(sp.csr_matrix(h - np.diag(diag)), labels)
     state = split.state(level, tuple(indices), diag)
-    return _aim_nearest(state, np.arange(len(diag)), target_value, profile)
+    return _aim_nearest(state, np.arange(d), target_value, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +731,10 @@ class LevelEvaluator:
     Level2Geometry it is level 2, for kappa in the small angular window of
     the geometry's base angle.
 
-    Everything but the diagonal is kappa-independent: the indices, the block
-    partition, the cross-block W (CSR) and the dense in-block coupling of each
-    multi-index block are built once; `state(kappa)` adds the diagonal and
-    eigendecomposes the multi-index blocks.
+    Everything but the diagonal is kappa-independent: the indices, the
+    coupling components of the blocks, the cross-block W (CSR) and the dense
+    coupling of each multi-row component, stacked by size, are built once;
+    `state(kappa)` adds the diagonal and eigendecomposes each stack.
     """
 
     def __init__(
@@ -708,17 +750,17 @@ class LevelEvaluator:
         if geometry is None:
             self.indices = box_indices(radius)
             self.rows = enumerate_box_array(radius)
-            blocks = list(np.arange(len(self.indices))[:, None])
+            labels = np.arange(len(self.indices))
             self.target = self.indices.index(ZERO_INDEX)
             # the free levels of the exclusion-zone box set the contour radius
             self._far_duals = box_table(profile.tilde_radius, spec.params)[2]
         else:
             self.indices = geometry.indices
             self.rows = geometry.rows
-            blocks = geometry.block_positions
+            labels = geometry.block_labels
         # the table's duals, with the zero row's (0, 0) at the middle of the box
         self._duals = np.insert(box_table(radius, spec.params)[2], len(self.rows) // 2, 0, axis=0)
-        self.split = _BlockSplit(coupling_matrix(self.rows, spec), blocks)
+        self.split = _BlockSplit(coupling_matrix(self.rows, spec), labels)
 
     def state(self, kappa) -> LevelState:
         kap = np.asarray(kappa, dtype=float)

@@ -2,6 +2,9 @@
 import time, not inside functions where it shows only on first call."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qp2d"
@@ -38,3 +41,53 @@ def test_all_exports_resolve():
 
     missing = [name for name in qp2d.__all__ if not hasattr(qp2d, name)]
     assert not missing, missing
+
+
+def _imported_modules(path: Path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_csgraph_import():
+    # lattice.components is the one connected-components helper; loading
+    # scipy.sparse.csgraph adds about 2 MB of resident memory to a process
+    found = {
+        f"{path.name}: {name}"
+        for path in SRC.glob("*.py")
+        for name in _imported_modules(path)
+        if name == "scipy.sparse.csgraph" or name.startswith("scipy.sparse.csgraph.")
+    }
+    assert SRC.is_dir() and not found, found
+
+
+def test_level2_curve_leaves_csgraph_unloaded():
+    # no indirect import either: a level-2 curve runs every layer but the
+    # oracle and the projector
+    script = """
+import math, sys
+import numpy as np
+from qp2d.isoenergetic import trace_curve
+from qp2d.lattice import LatticeIndex, QPParams
+from qp2d.potential import build
+from qp2d.profile import make_profile
+
+params = QPParams(quadratic=(-1, 1, 2, 1), mu=2.0)
+spec = build([(LatticeIndex((1, 0), (0, 0)), 0.1),
+              (LatticeIndex((0, -1), (0, 1)), 0.075 + 0.025j)], Q=4, params=params)
+grid = np.linspace(0, 2 * math.pi, 8, endpoint=False)
+curve = trace_curve(2, 1600.0, grid, spec, make_profile(40.0))
+assert curve.admissible_samples
+print("scipy.sparse.csgraph" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from qp2d.lattice import (
     box_indices,
     box_table,
     cluster_decompose,
+    components,
     count_short_vectors,
     cross_combination,
     dual_array,
@@ -193,6 +195,49 @@ class TestTripleNormComponents:
             [[9, 0, 0, 0], [0, 0, 0, 0], [9, 1, 0, 0], [5, 5, 5, 5], [0, 1, 0, 0]]
         )
         assert triple_norm_components(rows, 1).tolist() == [0, 1, 0, 2, 1]
+
+
+class TestComponents:
+    """`components` against scipy's connected_components, the independent
+    reference here (the library itself does not import csgraph)."""
+
+    @staticmethod
+    def reference(n, i, j):
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
+        graph = sp.coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+        return connected_components(graph, directed=False)[1]
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(320):
+            n = int(rng.integers(1, 401))
+            m = int(rng.integers(0, 2 * n))
+            i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+            assert np.array_equal(components(n, i, j), self.reference(n, i, j))
+
+    def test_no_edges(self):
+        none = np.zeros(0, dtype=np.int64)
+        assert components(0, none, none).tolist() == []
+        assert components(5, none, none).tolist() == [0, 1, 2, 3, 4]
+        # a self-loop joins nothing
+        assert components(3, [1], [1]).tolist() == [0, 1, 2]
+
+    def test_shuffled_chain(self):
+        # a 50,000-node path whose node numbers and edge order are both
+        # random: the case where label propagation alone needs n rounds
+        rng = np.random.default_rng(7)
+        n = 50_000
+        path = rng.permutation(n)
+        order = rng.permutation(n - 1)
+        i, j = path[:-1][order], path[1:][order]
+        start = time.perf_counter()
+        labels = components(n, i, j)
+        elapsed = time.perf_counter() - start
+        assert not labels.any()
+        assert np.array_equal(labels, self.reference(n, i, j))
+        assert elapsed < 5.0
 
 
 class TestEnumerateBox:

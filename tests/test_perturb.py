@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qp2d import perturb
 from qp2d.fiber import FiberMatrix, assemble, eigvals_oracle
@@ -35,7 +36,7 @@ from qp2d.perturb import (
     projector_level,
     toy_state,
 )
-from qp2d.potential import build
+from qp2d.potential import InvariantViolation, build
 from qp2d.profile import make_profile
 from qp2d.resonance import build_omega1
 
@@ -424,6 +425,161 @@ class TestSparseState:
             lam, v, _, _ = dense_reference(state, prof)
             assert abs(res.lam - lam) <= 1e-15 * abs(lam)
             assert_vectors_close(res.vector, v)
+
+
+class TestBlockPartition:
+    def chain(self):
+        h = np.diag([0.0, 0.3, 0.7, 1.2]).astype(complex)
+        for a in range(3):
+            h[a, a + 1] = h[a + 1, a] = 0.1
+        return h, [LatticeIndex((a, 0), (0, 0)) for a in range(4)]
+
+    @pytest.mark.parametrize(
+        "blocks", [[[0, 1], [1, 2], [3]], [[0, 1], [3]], [[0, 1], [2], [3], [4]]]
+    )
+    def test_toy_state_needs_a_partition(self, blocks):
+        # blocks that overlap, leave a position out or name one past the
+        # matrix would give a U that is not unitary, so they must not pass
+        h, idx = self.chain()
+        prof = make_profile(10.0)
+        with pytest.raises(ValueError, match="exactly once"):
+            toy_state(h, blocks, idx, target_value=0.0, profile=prof)
+        state = toy_state(h, [[0, 1], [2], [3]], idx, target_value=0.0, profile=prof)
+        u = state.u.toarray()
+        assert np.allclose(u.conj().T @ u, np.eye(4), rtol=0.0, atol=1e-15)
+
+    def test_overlapping_projector_blocks_raise(self, spec, params, rng, monkeypatch):
+        # one label per row cannot hold a row of two blocks: the overlap is
+        # raised, not resolved by whichever block is labelled last
+        from qp2d.resonance import Block, BlockProjector
+
+        k = 40.0
+        prof = make_profile(k)
+        phi = admissible_phi(build_omega1(k, prof, params, 8.0), rng)
+        real = perturb.assemble_projector
+
+        def overlapping(*args, **kwargs):
+            proj = real(*args, **kwargs)
+            core = proj.blocks[0].indices
+            return BlockProjector(proj.blocks + (Block("m1-box", core[:2]),))
+
+        level2_geometry(phi, spec, prof)
+        monkeypatch.setattr(perturb, "assemble_projector", overlapping)
+        with pytest.raises(InvariantViolation, match="block"):
+            level2_geometry(phi, spec, prof)
+
+
+def resonance_block_state(state, kap, geometry, prof):
+    """The state at kap with one eigh per multi-row resonance block of the
+    geometry, as before blocks were split into coupling components: the
+    reference for the split."""
+    d = state.dim
+    h = state.h_full
+    labels = geometry.block_labels
+    vals = state.diag.real.copy()
+    parts = []
+    firsts, sizes = np.unique(labels, return_counts=True)
+    for first in firsts[sizes > 1]:
+        pos = np.flatnonzero(labels == first)
+        bv, bu = np.linalg.eigh(h[np.ix_(pos, pos)])
+        vals[pos] = bv
+        parts.append((np.repeat(pos, len(pos)), np.tile(pos, len(pos)), bu.ravel()))
+    single = np.flatnonzero(np.bincount(labels, minlength=d)[labels] == 1)
+    parts.append((single, single, np.ones(len(single), dtype=complex)))
+    r, c, v = (np.concatenate(x) for x in zip(*parts))
+    u = sp.csr_matrix((v, (r, c)), shape=(d, d))
+    ref = replace(state, labels=labels, block_vals=vals, u=u)
+    return perturb._aim_nearest(ref, geometry.core_positions, float(kap @ kap), prof)
+
+
+def assert_phase_aligned(v, ref, tol):
+    phase = np.vdot(v, ref)
+    assert np.max(np.abs(v * phase / abs(phase) - ref)) <= tol
+
+
+class TestComponentBlocks:
+    """Each block of the model is eigendecomposed per connected component of
+    its own coupling.  The model is the same operator entry for entry; the
+    eigenpairs come from smaller LAPACK inputs, so lambda may move by a few
+    ulp (bound: 16 ulp) and no rejection may move."""
+
+    ULPS = 16
+
+    @staticmethod
+    def outcome(fn):
+        try:
+            return fn()
+        except (ContourHit, NonConvergent) as exc:
+            return type(exc)
+
+    @staticmethod
+    def stopped_eigenvalue(state, prof):
+        # LevelEvaluator.eigenvalue on a given state
+        g, _ = perturb._series(state, prof.r_max, True)
+        perturb._decay(g, state.lambda0, prof)
+        return perturb._inside(state, state.lambda0 + float(np.sum(g[1:])))
+
+    def test_model_unchanged_and_lambda_close(self, spec, params, rng):
+        from scipy.sparse.csgraph import connected_components
+
+        rejected = 0
+        for k in [15.0, 40.0]:
+            prof = make_profile(k)
+            om8 = build_omega1(k, prof, params, 8.0)
+            for _ in range(2):
+                phi = admissible_phi(om8, rng)
+                geometry = level2_geometry(phi, spec, prof)
+                wide = replace(prof, contour_margin=1.0)
+                ang = phi + rng.uniform(-1e-4, 1e-4, 6)
+                pts = (k + rng.uniform(-0.05, 0.05, 6))[:, None] * np.stack(
+                    [np.cos(ang), np.sin(ang)], axis=1
+                )
+                # the same model as the resonance partition's, every state
+                # block connected and inside one resonance block
+                state = LevelEvaluator(spec, prof, geometry).state(pts[0])
+                h = state.h_full
+                same = geometry.block_labels[:, None] == geometry.block_labels[None, :]
+                assert np.array_equal(in_block_model(h, state.blocks), np.where(same, h, 0))
+                for pos in state.blocks:
+                    assert len(np.unique(geometry.block_labels[pos])) == 1
+                    sub = sp.csr_matrix(h[np.ix_(pos, pos)] != 0)
+                    assert len(pos) == 1 or connected_components(sub, directed=False)[0] == 1
+                for pr, kaps in [(prof, pts), (wide, pts[:2])]:
+                    ev = LevelEvaluator(spec, pr, geometry)
+                    for kap in kaps:
+                        state = ev.state(kap)
+                        ref = resonance_block_state(state, kap, geometry, pr)
+                        assert ref.target in geometry.core_positions
+                        got = self.outcome(lambda: ev.eigenvalue(kap))
+                        want = self.outcome(lambda: self.stopped_eigenvalue(ref, pr))
+                        full = self.outcome(lambda: generic_step(state, pr, with_projector=False))
+                        full_ref = self.outcome(lambda: generic_step(ref, pr, with_projector=False))
+                        if isinstance(want, type):
+                            rejected += 1
+                            assert got is want and full is full_ref
+                            continue
+                        tol = self.ULPS * np.spacing(want)
+                        assert abs(got - want) <= tol
+                        assert abs(full.lam - full_ref.lam) <= tol
+                        assert_phase_aligned(full.vector, full_ref.vector, 1e-11)
+        assert rejected > 0
+
+    def test_stacked_eigh_is_per_matrix_eigh(self, spec, params, rng):
+        k = 40.0
+        prof = make_profile(k)
+        phi = admissible_phi(build_omega1(k, prof, params, 8.0), rng)
+        ev = LevelEvaluator(spec, prof, level2_geometry(phi, spec, prof))
+        state = ev.state(k * np.array([math.cos(phi), math.sin(phi)]))
+        h = state.h_full
+        assert len(state.couplings) > 1
+        for pos, _ in state.couplings:
+            stack = np.stack([h[np.ix_(p, p)] for p in pos])
+            vals, vecs = np.linalg.eigh(stack)
+            for c, p in enumerate(pos):
+                one_vals, one_vecs = np.linalg.eigh(stack[c])
+                assert np.array_equal(vals[c], one_vals)
+                assert np.array_equal(vecs[c], one_vecs)
+                assert np.array_equal(state.block_vals[p], one_vals)
 
 
 class TestLevels:
