@@ -33,6 +33,16 @@ class NotUniqueRoot(ArithmeticError):
     pass
 
 
+class Excised(ResonantBase):
+    """The angle lies outside the level's admissible set; `reason` names the
+    excision: "step-I" (the step-I arcs) or "pole-disc" (a pole disc of a
+    local level-2 resonance block)."""
+
+    def __init__(self, reason: str, phi: float):
+        super().__init__(f"phi={phi:.9f} lies in a {reason} excision")
+        self.reason = reason
+
+
 # the typed numerical rejections that make a curve sample a hole; any other
 # exception is a bug and propagates
 REJECTIONS = (
@@ -52,7 +62,13 @@ class CurveSample:
     kappa: float
     h: float
     dkappa_dphi: float
-    admissible: bool
+    # why the sample is not admissible: "step-I", "pole-disc" or the type
+    # name of the REJECTIONS member raised; None when it is admissible
+    reason: str | None
+
+    @property
+    def admissible(self) -> bool:
+        return self.reason is None
 
 
 @dataclass(frozen=True)
@@ -136,24 +152,39 @@ def _at_energy(
     return k, prof, LevelEvaluator(spec, prof)
 
 
-def _admissible(n: int, phis, omega: AngleSet, spec, prof) -> tuple[list, np.ndarray, dict]:
+def _admit(n: int, phi: float, omega: AngleSet, spec, prof, built: dict) -> LevelEvaluator | None:
+    """The level-2 evaluator at phi (None at level 1) when level n admits phi:
+    phi lies in omega and, at level 2, its geometry exists and puts phi
+    outside the pole discs of its local resonance blocks.  Raises Excised,
+    or the rejection the geometry raised, when it does not."""
+    if not omega.contains(phi):
+        raise Excised("step-I", phi)
+    if n == 1:
+        return None
+    geo = level2_geometry(phi, spec, prof)
+    if any(abs(phi - p) <= r for p, r in local_pole_discs(phi, prof.k, spec, prof, geometry=geo)):
+        raise Excised("pole-disc", phi)
+    return _level2_evaluator(built, geo, spec, prof)
+
+
+def _reason(exc: Exception) -> str:
+    """A rejected sample's reason: the excision, or the rejection's type."""
+    return exc.reason if isinstance(exc, Excised) else type(exc).__name__
+
+
+def _admissible(n: int, phis, omega: AngleSet, spec, prof) -> tuple[list, np.ndarray, dict, dict]:
     """(grid positions, their nu(phi) rows, {position: level-2 evaluator or
-    None}) of the angles in omega that level 2 admits too: their geometry
-    exists and puts them outside the pole discs of its local resonance blocks."""
-    evaluators, built = {}, {}
+    None}) of the angles that level n admits, and {position: reason} of the
+    others."""
+    evaluators, reasons, built = {}, {}, {}
     for i, phi in enumerate(phis):
-        if not omega.contains(phi):
-            continue
         try:
-            geo = level2_geometry(phi, spec, prof) if n == 2 else None
-            discs = local_pole_discs(phi, prof.k, spec, prof, geometry=geo) if geo else []
-        except REJECTIONS:
-            continue
-        if not any(abs(phi - p) <= r for p, r in discs):
-            evaluators[i] = _level2_evaluator(built, geo, spec, prof) if geo else None
+            evaluators[i] = _admit(n, phi, omega, spec, prof, built)
+        except REJECTIONS as exc:
+            reasons[i] = _reason(exc)
     idx = list(evaluators)
     nus = np.array([[math.cos(phis[i]), math.sin(phis[i])] for i in idx]).reshape(-1, 2)
-    return idx, nus, evaluators
+    return idx, nus, evaluators, reasons
 
 
 def _level2_evaluator(built: dict, geometry: Level2Geometry, spec, prof) -> LevelEvaluator:
@@ -179,12 +210,14 @@ def solve_radius(
 
     Newton from sqrt(lambda) (level 1) or from the level-1 radius (level 2),
     derivative approximated by 2*kappa; residual at exit <= 1e-9*lambda.
+    Level 2 admits the angles trace_curve admits and raises Excised (a
+    ResonantBase) at the others; level 1 solves at any angle.
     """
     k, prof, ev1 = _at_energy(n, lam, spec, profile)
     nu = np.array([math.cos(phi), math.sin(phi)])
     ev, start, half = ev1, k, prof.kappa_window_1
     if n == 2:
-        ev = LevelEvaluator(spec, prof, level2_geometry(phi, spec, prof))
+        ev = _admit(2, phi, build_omega1(k, prof, spec.params), spec, prof, {})
         start, half = _newton_root(ev1, nu, k, lam, half), prof.kappa_window_2
     root = _newton_root(ev, nu, start, lam, half)
     if check_unique:
@@ -238,17 +271,20 @@ def trace_curve(
     if omega is None:
         omega = build_omega1(k, prof, spec.params)
     phis = [float(phi) for phi in grid]
-    idx, nus, evaluators = _admissible(n, phis, omega, spec, prof)
+    idx, nus, evaluators, reasons = _admissible(n, phis, omega, spec, prof)
     solved: dict[int, tuple[float, float]] = {}
     level1 = _newton_solve(ev1, nus, [k] * len(idx), lam, prof.kappa_window_1)
     for i, nu, k1 in zip(idx, nus, level1):
         if isinstance(k1, Exception):
+            reasons[i] = _reason(k1)
             continue
         if n == 1:
             solved[i] = (k1, k1 - k)
             continue
         (kappa,) = _newton_solve(evaluators[i], [nu], [k1], lam, prof.kappa_window_2)
-        if not isinstance(kappa, Exception):
+        if isinstance(kappa, Exception):
+            reasons[i] = _reason(kappa)
+        else:
             solved[i] = (kappa, kappa - k1)
 
     def slope(i: int) -> float:  # centered difference between admissible neighbours
@@ -260,7 +296,7 @@ def trace_curve(
         level=n,
         lam=lam,
         samples=tuple(
-            CurveSample(phi, *solved.get(i, (math.nan, math.nan)), slope(i), i in solved)
+            CurveSample(phi, *solved.get(i, (math.nan, math.nan)), slope(i), reasons.get(i))
             for i, phi in enumerate(phis)
         ),
         holes=tuple(_holes_from_flags(grid, [i in solved for i in range(len(phis))])),
@@ -285,7 +321,7 @@ def deviation_profile(
     k, prof, ev1 = _at_energy(n, lam, spec, profile)
     omega = build_omega1(k, prof, spec.params)
     phis = [float(phi) for phi in np.asarray(phi_grid, dtype=float)]
-    idx, nus, evaluators = _admissible(n, phis, omega, spec, prof)
+    idx, nus, evaluators, _ = _admissible(n, phis, omega, spec, prof)
     if n == 1:
         lams = ev1.solve(_value(point) for point in k * nus)
         return [(phis[i], (v - lam) / (2.0 * k)) for i, v in zip(idx, lams) if isinstance(v, float)]
@@ -330,7 +366,8 @@ def curve_delta(
 
 
 def export_curve(curve: IsoCurve, path: str) -> None:
-    """CSV of the samples plus a JSON sidecar with the holes."""
+    """CSV of the samples plus a JSON sidecar with the holes and the
+    samples' reasons."""
     with open(path, "w") as fh:
         fh.write("phi,kappa,h,dkappa_dphi,admissible\n")
         for s in curve.samples:
@@ -344,6 +381,7 @@ def export_curve(curve: IsoCurve, path: str) -> None:
                 "level": curve.level,
                 "lambda": curve.lam,
                 "holes": [list(h) for h in curve.holes],
+                "reasons": [s.reason for s in curve.samples],
             },
             fh,
             indent=1,
@@ -351,18 +389,14 @@ def export_curve(curve: IsoCurve, path: str) -> None:
 
 
 def read_curve(path: str) -> IsoCurve:
+    with open(path + ".holes.json") as fh:
+        meta = json.load(fh)
     samples = []
     with open(path) as fh:
         next(fh)
-        for line in fh:
-            phi, kappa, h, d, adm = line.strip().split(",")
-            samples.append(
-                CurveSample(
-                    float(phi), float(kappa), float(h), float(d), bool(int(adm))
-                )
-            )
-    with open(path + ".holes.json") as fh:
-        meta = json.load(fh)
+        for line, reason in zip(fh, meta["reasons"], strict=True):
+            phi, kappa, h, d, _ = line.strip().split(",")
+            samples.append(CurveSample(float(phi), float(kappa), float(h), float(d), reason))
     return IsoCurve(
         level=int(meta["level"]),
         lam=float(meta["lambda"]),

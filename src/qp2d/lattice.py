@@ -5,8 +5,9 @@ cluster geometry of the lattice image at a given approximation scale.
 
 Point sets are (N, 4) integer rows; `row_positions` finds rows among rows by
 packed int64 keys, a set is sorted positions into `enumerate_box_array(R)`
-(`LatticeIndex` order), and `box_table` caches a box's nonzero rows with
-their norms and duals.  `cluster_decompose` labels residue clusters with
+(`LatticeIndex` order), `box_table` caches a box's nonzero rows with
+their norms and duals, and `dual_buckets` those duals in a bucket grid that
+finds the rows near a circle.  `cluster_decompose` labels residue clusters with
 `np.unique` over their keys, takes diameters from per-cluster bounding boxes
 and the separation from one exact k-d tree search.  `components` is the
 package's one connected-components routine.  `LatticeIndex` is the scalar
@@ -335,6 +336,70 @@ def box_table(radius: int, params: QPParams) -> tuple[np.ndarray, np.ndarray, np
     for arr in table:
         arr.setflags(write=False)
     return table
+
+
+# Side of a bucket of the dual grid, in dual units: at k = 15-60 a side of 2
+# scanned fewer rows than 1 at both the 8- and the 16-box.
+_BUCKET_SIDE = 2.0
+# Widening of an annulus query on both radii.  A row's computed |det|, its
+# bucket and the bucket's bounds carry rounding of about 1e-16 times their
+# coordinates: under 1e-12 in distance while duals and radii stay below 1e3.
+_ANNULUS_MARGIN = 1e-6
+
+
+class DualBuckets:
+    """A uniform grid of square buckets over an (N, 2) dual array: the row
+    positions sorted by bucket (`order`) with CSR-style bucket starts, so
+    that a query gathers the rows of its buckets without a loop."""
+
+    def __init__(self, duals: np.ndarray):
+        self.duals = duals
+        self.origin = duals.min(axis=0, initial=0.0).tolist()
+        cell = np.floor((duals - self.origin) / _BUCKET_SIDE).astype(np.int64)
+        nx, ny = (cell.max(axis=0, initial=0) + 1).tolist()
+        self.shape = (nx, ny)
+        flat = cell[:, 0] * ny + cell[:, 1]
+        self.order = np.argsort(flat, kind="stable").astype(np.int32)
+        self.starts = np.zeros(nx * ny + 1, dtype=np.int32)
+        np.cumsum(np.bincount(flat, minlength=nx * ny), out=self.starts[1:])
+        self._cells = np.arange(nx * ny, dtype=np.int32).reshape(nx, ny)
+        self._edges = np.arange(max(nx, ny) + 1) * _BUCKET_SIDE
+        for arr in (self.order, self.starts, self._cells, self._edges):
+            arr.setflags(write=False)
+
+    def annulus(self, center, r_lo: float, r_hi: float) -> np.ndarray:
+        """Sorted positions of a superset of the rows whose duals lie at a
+        distance in [r_lo, r_hi] from center: the rows of every bucket whose
+        distance range from center meets the interval widened by
+        _ANNULUS_MARGIN."""
+        r_lo = max(r_lo - _ANNULUS_MARGIN, 0.0)
+        r_hi = r_hi + _ANNULUS_MARGIN
+        span = []  # the buckets of the annulus' bounding square, per axis
+        for c, n in zip((center[0] - self.origin[0], center[1] - self.origin[1]), self.shape):
+            lo = max(math.floor((c - r_hi) / _BUCKET_SIDE), 0)
+            hi = min(math.floor((c + r_hi) / _BUCKET_SIDE), n - 1)
+            if hi < lo:
+                return np.zeros(0, dtype=np.int32)
+            # squared least and largest distances to c over each bucket's width
+            e = self._edges[lo : hi + 2] - c
+            sq = e * e
+            near = np.maximum(np.maximum(e[:-1], -e[1:]), 0.0)
+            span.append((slice(lo, hi + 1), near * near, np.maximum(sq[:-1], sq[1:])))
+        (sx, nx2, fx2), (sy, ny2, fy2) = span
+        meets = (np.add.outer(nx2, ny2) <= r_hi * r_hi) & (np.add.outer(fx2, fy2) >= r_lo * r_lo)
+        cells = self._cells[sx, sy][meets]
+        first = self.starts[cells]
+        size = self.starts[cells + 1] - first
+        # the positions first[c] .. first[c] + size[c] - 1 of every bucket c
+        at = np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())
+        return np.sort(self.order[at])
+
+
+@lru_cache(maxsize=32)
+def dual_buckets(radius: int, params: QPParams) -> DualBuckets:
+    """The DualBuckets of box_table(radius, params)'s duals, built on first use
+    per argument pair; positions are box_table positions."""
+    return DualBuckets(box_table(radius, params)[2])
 
 
 def components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:

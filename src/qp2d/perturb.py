@@ -53,8 +53,6 @@ from .lattice import (
     box_table,
     components,
     enumerate_box_array,
-    indices_to_array,
-    row_positions,
 )
 from .potential import InvariantViolation, PotentialSpec
 from .profile import ParameterProfile
@@ -318,20 +316,16 @@ def level2_geometry(
     projector = assemble_projector(decomp, k, profile, spec)
     indices = box_indices(profile.box_r1)
     rows = enumerate_box_array(profile.box_r1)
+    # block positions ascend, so each block's label is its first position
+    blocks = [blk.positions for blk in projector.blocks]
+    every = np.concatenate(blocks)
+    if np.any(every < 0) or len(np.unique(every)) < len(every):
+        raise InvariantViolation(
+            "a projector block row lies outside the box_r1 box or in another block"
+        )
     labels = np.arange(len(indices))
-    taken = np.zeros(len(indices), dtype=bool)
-    core_positions = None
-    for blk in projector.blocks:
-        # block indices are sorted, so their positions ascend
-        arr = row_positions(rows, indices_to_array(blk.indices))
-        if np.any(arr < 0) or taken[arr].any():
-            raise InvariantViolation(
-                f"a {blk.kind} block row lies outside the box_r1 box or in another block"
-            )
-        taken[arr] = True
-        labels[arr] = arr[0]
-        if blk.kind == "core":
-            core_positions = arr
+    labels[every] = np.repeat([pos[0] for pos in blocks], [len(pos) for pos in blocks])
+    core_positions = next(blk.positions for blk in projector.blocks if blk.kind == "core")
     return Level2Geometry(
         phi0=phi0,
         decomp=decomp,

@@ -13,16 +13,19 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .fiber import coupling_matrix, coupling_pairs, diagonal_energies, shifted_energies
+from .fiber import coupling_matrix, diagonal_energies, shifted_energies
 from .lattice import (
+    DualBuckets,
     LatticeIndex,
     QPParams,
     array_to_indices,
     box_indices,
     box_table,
+    dual_buckets,
     dual_vector,
     duals_colinear,
     enumerate_box_array,
@@ -30,7 +33,6 @@ from .lattice import (
     primitive_direction,
     rational_ratio,
     row_positions,
-    triple_norm_array,
     triple_norm_components,
 )
 from .potential import PotentialSpec
@@ -264,11 +266,6 @@ class ClusterDecomposition:
     classes: list[ClusterClass]
     strong_clusters: list[list[tuple[int, int]]] = field(default_factory=list)
 
-    @property
-    def m2(self) -> tuple[LatticeIndex, ...]:
-        m1set = set(self.m1)
-        return tuple(m for m in self.m_set if m not in m1set)
-
     def trivial_weak_points(self) -> list[LatticeIndex]:
         out = []
         for cls in self.classes:
@@ -279,14 +276,17 @@ class ClusterDecomposition:
         return sorted(out)
 
 
-def _resonant_rows(
-    phi0: float, k: float, radius: int, profile: ParameterProfile, params: QPParams
-) -> np.ndarray:
-    rows, norms, duals = box_table(radius, params)
-    kvec = k * np.array([math.cos(phi0), math.sin(phi0)])
-    det = shifted_energies(kvec, duals) - k * k
-    thr = np.where(norms <= profile.tilde_radius, profile.t1, profile.t_star)
-    return rows[np.abs(det) <= thr]
+def _near_circle(
+    buckets: DualBuckets, kvec: np.ndarray, k: float, thr: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted positions, det) of the duals p of buckets with
+    |det| = ||kvec + p|^2 - k^2| <= thr.  Such a p lies at a distance in
+    [sqrt(k^2 - thr), sqrt(k^2 + thr)] from -kvec, so only the rows of that
+    annulus are tested, by the same arithmetic as over every row."""
+    cand = buckets.annulus(-kvec, math.sqrt(max(k * k - thr, 0.0)), math.sqrt(k * k + thr))
+    det = shifted_energies(kvec, buckets.duals[cand]) - k * k
+    keep = np.abs(det) <= thr
+    return cand[keep], det[keep]
 
 
 def _direction_in_support(
@@ -326,15 +326,24 @@ def classify(
     params = spec.params
     r1 = profile.box_r1 if box_radius is None else box_radius
     kvec = k * np.array([math.cos(phi0), math.sin(phi0)])
-    det0 = shifted_energies(kvec, box_table(profile.tilde_radius, params)[2]) - k * k
-    if np.any(np.abs(det0) <= 8.0 * profile.t1):
+    # one pass over a box holding the step-I zone and the 2*r1-box, at the
+    # widest threshold: first the tau = 8 test of the base angle on the zone,
+    # then M' with |det| <= t1 inside the zone and <= t_star beyond it
+    radius = max(2 * r1, profile.tilde_radius)
+    rows, norms, _ = box_table(radius, params)
+    near, det = _near_circle(
+        dual_buckets(radius, params), kvec, k, max(8.0 * profile.t1, profile.t_star)
+    )
+    zone = norms[near] <= profile.tilde_radius
+    if np.any(zone & (np.abs(det) <= 8.0 * profile.t1)):
         raise ResonantBase(
             f"phi0={phi0:.6f} lies in the step-I resonant set at tau=8"
         )
+    keep = (np.abs(det) <= np.where(zone, profile.t1, profile.t_star)) & (norms[near] <= 2 * r1)
+    mp_rows = rows[near[keep]]
 
     # M is the part of M' in the r-box: the same thresholds on the same rows
-    mp_rows = _resonant_rows(phi0, k, 2 * r1, profile, params)
-    pos = np.flatnonzero(triple_norm_array(mp_rows) <= r1)
+    pos = np.flatnonzero(norms[near[keep]] <= r1)
     m_rows = mp_rows[pos]
     m_set = tuple(array_to_indices(m_rows))
     m_prime = tuple(array_to_indices(mp_rows))
@@ -567,6 +576,9 @@ def strength(
     """Attach weak/strong labels to every residue window and group the strong
     ones into adjacency clusters: two strong windows are adjacent when some of
     their members lie within the chain radius of each other."""
+    if not decomp.classes:
+        decomp.strong_clusters = []
+        return decomp
     window = 2.0 * profile.pole_window
     for cls in decomp.classes:
         for sub in cls.subsets:
@@ -616,6 +628,8 @@ def strength(
 class Block:
     kind: str  # core | m1-box | trivial-strong | nontrivial-strong | nontrivial-weak
     indices: tuple[LatticeIndex, ...]
+    # the positions of indices in the box_r1 box, ascending
+    positions: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -639,14 +653,23 @@ def norm_ball(center_rows: np.ndarray, radius: int, box_radius: int) -> np.ndarr
 
 
 def orthogonality_violation(blocks, spec: PotentialSpec) -> float:
-    """Max |V_{m-m'}| over pairs in distinct blocks (0.0 when orthogonal)."""
+    """Max |V_{m-m'}| over pairs in distinct blocks (0.0 when orthogonal): one
+    lookup of every block row shifted by every support vector q finds the
+    owner of each shifted row."""
     rows = indices_to_array([m for blk in blocks for m in blk])
     owner = np.repeat(np.arange(len(blocks)), [len(blk) for blk in blocks])
-    worst = 0.0
-    for i, j, v in coupling_pairs(rows, spec):
-        if np.any(owner[i] != owner[j]):
-            worst = max(worst, abs(v))
-    return worst
+    support = spec.nonzero_support
+    pos = row_positions(rows, rows[None, :, :] - indices_to_array(support)[:, None, :])
+    crossed = ((pos >= 0) & (owner[pos] != owner)).any(axis=1)
+    return max((abs(spec.coeffs[q]) for q, c in zip(support, crossed) if c), default=0.0)
+
+
+@lru_cache(maxsize=32)
+def _core_positions(core_radius: int, box_radius: int) -> np.ndarray:
+    """Positions of the core_radius box in the box_radius box (-1 outside)."""
+    pos = row_positions(enumerate_box_array(box_radius), enumerate_box_array(core_radius))
+    pos.setflags(write=False)
+    return pos
 
 
 def assemble_projector(
@@ -661,23 +684,25 @@ def assemble_projector(
     windows attached until nothing in the class is potential-connected to the
     block), then isolated-resonance boxes, then standalone weak windows of
     non-trivial classes.  The small central box is always a block of its own;
-    the rest of the r1-box belongs to no block.
+    the rest of the r1-box belongs to no block.  Blocks are committed as
+    positions in the r1-box; their indices come from the shared box tuple.
     """
     if any(sub.strength is None for cls in decomp.classes for sub in cls.subsets):
         raise ValueError("strength labels must be attached first")
     r1 = profile.box_r1
     box = enumerate_box_array(r1)
-    core = box_indices(profile.core_radius)
+    indices = box_indices(r1)
+    core = _core_positions(profile.core_radius, r1)
 
-    blocks: list[Block] = [Block("core", core)]
+    blocks: list[Block] = [Block("core", box_indices(profile.core_radius), core)]
     taken = np.zeros(len(box), dtype=bool)
-    taken[row_positions(box, enumerate_box_array(profile.core_radius))] = True
+    taken[core] = True
 
     def commit(kind: str, members: np.ndarray, what: str) -> None:
         """members: sorted positions in the r1-box."""
         if taken[members].any():
             raise OverlapDetected(f"{what} intersects an earlier block")
-        blocks.append(Block(kind, tuple(array_to_indices(box[members]))))
+        blocks.append(Block(kind, tuple(indices[p] for p in members.tolist()), members))
         taken[members] = True
 
     def in_box(rows: np.ndarray) -> np.ndarray:
@@ -736,9 +761,8 @@ def assemble_projector(
                     f"weak window at {sub.central}",
                 )
 
-    viol = orthogonality_violation(
-        [b.indices for b in blocks], spec
-    )
+    # a lone block has no other block to couple to
+    viol = orthogonality_violation([b.indices for b in blocks], spec) if len(blocks) > 1 else 0.0
     if viol != 0.0:
         raise OverlapDetected(
             f"blocks are connected by the potential (max |V| = {viol:.3g})"

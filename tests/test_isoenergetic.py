@@ -5,6 +5,7 @@ import pytest
 
 from qp2d.fiber import FiberMatrix, eigvals_oracle
 from qp2d.isoenergetic import (
+    REJECTIONS,
     _newton_solve,
     curve_delta,
     deviation_profile,
@@ -21,8 +22,9 @@ from qp2d.perturb import (
     generic_step,
     level2_geometry,
 )
+from qp2d.multiscale import local_pole_discs
 from qp2d.profile import make_profile
-from qp2d.resonance import build_omega1, resonant_set_step1
+from qp2d.resonance import ResonantBase, build_omega1, resonant_set_step1
 
 TWO_PI = 2.0 * math.pi
 
@@ -208,6 +210,71 @@ class TestTraceCurve:
                 assert s1.admissible
 
 
+def pole_disc_angle(spec, prof):
+    """A pole of a local resonance block, from the first geometry along a
+    grid that has one: an angle inside its own pole disc."""
+    omega = build_omega1(prof.k, prof, spec.params)
+    for phi in np.linspace(0, TWO_PI, 3000, endpoint=False):
+        phi = float(phi)
+        if not omega.contains(phi):
+            continue
+        try:
+            geometry = level2_geometry(phi, spec, prof)
+        except REJECTIONS:
+            continue
+        for pole, _ in local_pole_discs(phi, prof.k, spec, prof, geometry=geometry):
+            if omega.contains(pole):
+                return pole
+    raise AssertionError("no pole disc on the grid")
+
+
+class TestAdmission:
+    """trace_curve and solve_radius admit the same level-2 angles, and a
+    sample says why it is not admissible."""
+
+    def test_pole_disc_angle_is_a_hole_and_not_solved(self, spec):
+        lam = 1600.0
+        prof = make_profile(math.sqrt(lam))
+        phi = pole_disc_angle(spec, prof)
+        curve = trace_curve(2, lam, [phi], spec, prof)
+        (sample,) = curve.samples
+        assert sample.reason == "pole-disc" and not sample.admissible
+        assert curve.holes == ((phi, phi + TWO_PI),)
+        with pytest.raises(ResonantBase, match="pole-disc"):
+            solve_radius(2, lam, phi, spec, prof)
+        # level 1 does not excise pole discs
+        assert trace_curve(1, lam, [phi], spec, prof).samples[0].admissible
+
+    def test_level2_radius_where_the_curve_solves(self, spec, params):
+        lam = 1600.0
+        prof = make_profile(math.sqrt(lam))
+        grid = np.linspace(0, TWO_PI, 24, endpoint=False)
+        curve = trace_curve(2, lam, grid, spec, prof)
+        for s in curve.samples[:8]:
+            if s.admissible:
+                assert solve_radius(2, lam, s.phi, spec, prof) == pytest.approx(s.kappa, abs=1e-9)
+            elif s.reason in ("step-I", "pole-disc", "ResonantBase"):
+                with pytest.raises(ResonantBase):
+                    solve_radius(2, lam, s.phi, spec, prof)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_reasons(self, n, spec, params):
+        lam = 1600.0
+        prof = make_profile(math.sqrt(lam))
+        omega = build_omega1(prof.k, prof, params)
+        a, b = resonant_set_step1(prof.k, prof, params).intervals[0]
+        grid = np.sort(np.append(np.linspace(0, TWO_PI, 120, endpoint=False), 0.5 * (a + b)))
+        curve = trace_curve(n, lam, grid, spec, prof)
+        names = {"step-I", "pole-disc"} | {exc.__name__ for exc in REJECTIONS}
+        for s in curve.samples:
+            assert s.admissible == (s.reason is None)
+            assert s.reason is None or s.reason in names
+            assert (s.reason == "step-I") == (not omega.contains(s.phi))
+        reasons = {s.reason for s in curve.samples}
+        assert None in reasons and "step-I" in reasons
+        assert ("pole-disc" in reasons) == (n == 2)
+
+
 class TestEvaluatorReuse:
     """The level-1 model depends on no angle, so a call builds it once; a
     level-2 evaluator is built once per block partition."""
@@ -324,6 +391,17 @@ class TestExport:
             assert a.phi == b.phi and a.admissible == b.admissible
             if a.admissible:
                 assert a.kappa == b.kappa and a.h == b.h
+
+    def test_reasons_round_trip(self, spec, tmp_path):
+        lam = 1600.0
+        prof = make_profile(math.sqrt(lam))
+        grid = np.linspace(0, TWO_PI, 60, endpoint=False)
+        curve = trace_curve(2, lam, grid, spec, prof)
+        path = str(tmp_path / "curve.csv")
+        export_curve(curve, path)
+        back = read_curve(path)
+        assert [s.reason for s in back.samples] == [s.reason for s in curve.samples]
+        assert len({s.reason for s in curve.samples}) >= 2
 
     def test_header_only_for_empty_grid(self, spec, tmp_path):
         lam = 625.0

@@ -460,8 +460,10 @@ class TestBlockPartition:
 
         def overlapping(*args, **kwargs):
             proj = real(*args, **kwargs)
-            core = proj.blocks[0].indices
-            return BlockProjector(proj.blocks + (Block("m1-box", core[:2]),))
+            core = proj.blocks[0]
+            return BlockProjector(
+                proj.blocks + (Block("m1-box", core.indices[:2], core.positions[:2]),)
+            )
 
         level2_geometry(phi, spec, prof)
         monkeypatch.setattr(perturb, "assemble_projector", overlapping)

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qp2d.lattice import (
+    DualBuckets,
     LatticeIndex,
     QPParams,
     ZERO_INDEX,
     array_to_indices,
     box_indices,
     box_table,
+    components,
+    dual_buckets,
     dual_vector,
     enumerate_box_array,
     indices_to_array,
@@ -39,6 +42,7 @@ from qp2d.resonance import (
     step1_arcs,
     strength,
     tangent_angles,
+    _near_circle,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -387,6 +391,105 @@ class TestClassify:
                     assert duals_colinear(m - base, cls.members[1] - base, chain_params)
 
 
+def full_scan(duals, kvec, k, thr):
+    """The reference the bucket index replaced: (positions, det) of every
+    row with |det| <= thr, by one pass over all rows."""
+    det = shifted_energies(kvec, duals) - k * k
+    keep = np.flatnonzero(np.abs(det) <= thr)
+    return keep, det[keep]
+
+
+def every_row(self, center, r_lo, r_hi):
+    """DualBuckets.annulus as a full scan: every row is a candidate."""
+    return np.arange(len(self.duals))
+
+
+class TestAnnulusIndex:
+    """The bucket index only narrows the rows to test; it never drops a
+    resonant row."""
+
+    @pytest.mark.parametrize("k", [15.0, 25.0, 40.0, 60.0])
+    def test_classify_matches_full_box_scan(self, params, spec, k, monkeypatch):
+        prof = make_profile(k)
+        zone = box_table(prof.tilde_radius, params)[2]
+        n_base = n_rows = 0
+        for phi in np.linspace(0.0, TWO_PI, 64, endpoint=False) + 0.0123:
+            phi = float(phi)
+            kvec = k * np.array([math.cos(phi), math.sin(phi)])
+            resonant_base = len(full_scan(zone, kvec, k, 8.0 * prof.t1)[0]) > 0
+            for radius in (prof.box_r1, prof.box_r2):
+                outs = []
+                for patch in (False, True):
+                    with monkeypatch.context() as mp:
+                        if patch:
+                            mp.setattr(DualBuckets, "annulus", every_row)
+                        try:
+                            outs.append(classify(phi, k, spec, prof, box_radius=radius))
+                        except ResonantBase as exc:
+                            outs.append(exc)
+                assert repr(outs[0]) == repr(outs[1])
+                assert isinstance(outs[0], ResonantBase) == resonant_base
+                n_rows += 0 if resonant_base else len(outs[0].m_prime)
+            if resonant_base:
+                n_base += 1
+            else:
+                _check_m_from_m_prime(phi, k, spec, prof, params)
+        assert n_base > 0 and n_rows > 0
+
+    def test_rows_at_the_radii_and_the_threshold(self, rng):
+        k, thr = 40.0, 0.15
+        kvec = k * np.array([math.cos(0.3), math.sin(0.3)])
+        r_lo, r_hi = math.sqrt(k * k - thr), math.sqrt(k * k + thr)
+        ang = rng.uniform(0.0, TWO_PI, 64)
+        ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        # duals at both radii and a few ulp either side, among random ones
+        radii = [r + n * np.spacing(r) for r in (r_lo, r_hi) for n in range(-4, 5)]
+        duals = np.concatenate(
+            [-kvec + r * ring for r in radii] + [rng.uniform(-90.0, 90.0, (4000, 2))]
+        )
+        buckets = DualBuckets(duals)
+        pos, det = _near_circle(buckets, kvec, k, thr)
+        ref_pos, ref_det = full_scan(duals, kvec, k, thr)
+        assert np.array_equal(pos, ref_pos) and np.array_equal(det, ref_det)
+        assert 0 < len(pos) < len(radii) * len(ang)
+        # a threshold equal to a row's own |det| keeps that row
+        det_all = shifted_energies(kvec, duals) - k * k
+        for i in np.argsort(np.abs(np.abs(det_all) - thr))[:40]:
+            at = float(np.abs(det_all[i]))
+            pos, _ = _near_circle(buckets, kvec, k, at)
+            assert i in pos
+            assert np.array_equal(pos, full_scan(duals, kvec, k, at)[0])
+
+    @pytest.mark.parametrize("side", ["inner", "outer"])
+    def test_bucket_that_touches_the_annulus_at_a_corner(self, side):
+        # duals >= 0 put the bucket edges at even coordinates.  A resonant
+        # row at a bucket corner, 1e-11 inside the annulus along the
+        # diagonal, is in a bucket whose distance range from the center ends
+        # right there: its far corner at the inner radius, or its near corner
+        # at the outer one
+        k, thr, delta = 40.0, 0.15, 1e-11
+        u = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        if side == "inner":
+            p = np.nextafter(np.array([40.0, 60.0]), 0.0)
+            center = p - (math.sqrt(k * k - thr) + delta) * u
+        else:
+            p = np.array([40.0, 60.0])
+            center = p - (math.sqrt(k * k + thr) - delta) * u
+        duals = np.array([[0.0, 0.0], p, [99.0, 99.0]])
+        pos, _ = _near_circle(DualBuckets(duals), -center, k, thr)
+        assert pos.tolist() == [1] == full_scan(duals, -center, k, thr)[0].tolist()
+
+    def test_index_reads_a_small_part_of_the_box(self, params):
+        # the gain: at k = 40 the 16-box query reads a few percent of its rows
+        k = 40.0
+        buckets = dual_buckets(16, params)
+        center = -k * np.array([math.cos(0.3), math.sin(0.3)])
+        cand = buckets.annulus(center, math.sqrt(k * k - 1.2), math.sqrt(k * k + 1.2))
+        assert np.all(np.diff(cand) > 0)
+        assert len(cand) < len(buckets.duals) / 10
+        assert buckets.order.nbytes + buckets.starts.nbytes < 2**21
+
+
 def double_resonance_points(m, mp, params, k_lo=12.0, k_hi=80.0):
     """(k, phi0) pairs where both lattice points sit exactly on the resonant
     circle: the two tangency conditions pin one angle equation, bisected."""
@@ -704,6 +807,43 @@ class TestOrthogonalityViolation:
     def test_coupling_inside_one_block_allowed(self, spec):
         blocks = [tuple(box_indices(1)), (LatticeIndex((9, 9), (0, 0)),)]
         assert orthogonality_violation(blocks, spec) == 0.0
+
+    def test_against_pairwise_brute_force(self, spec, rng):
+        # disjoint random blocks from the r1-box: split at random, they are
+        # coupled; made of whole coupling components, they are not
+        box = enumerate_box_array(4)
+        support = indices_to_array(spec.nonzero_support)
+        seen = set()
+        for trial in range(60):
+            rows = box[np.sort(rng.choice(len(box), size=int(rng.integers(2, 160)), replace=False))]
+            n_blocks = int(rng.integers(1, 6))
+            if trial % 2:
+                # owners by coupling component: no support vector crosses blocks
+                d = rows[:, None, :] - rows[None, :, :]
+                i, j = np.nonzero((d[:, :, None, :] == support[None, None, :, :]).all(-1).any(-1))
+                owner = components(len(rows), i, j) % n_blocks
+            else:
+                owner = rng.integers(0, n_blocks, size=len(rows))
+            blocks = [tuple(array_to_indices(rows[owner == b])) for b in range(n_blocks)]
+            blocks = [blk for blk in blocks if blk]
+            want = pairwise_violation(blocks, spec)
+            assert orthogonality_violation(blocks, spec) == want
+            if len(blocks) == 1:
+                assert want == 0.0
+            seen.add((len(blocks) == 1, want == 0.0))
+        assert seen >= {(True, True), (False, True), (False, False)}
+
+
+def pairwise_violation(blocks, spec) -> float:
+    """Max |V_{m-m'}| over every pair of rows in distinct blocks."""
+    worst = 0.0
+    for bi, blk in enumerate(blocks):
+        for other in blocks[bi + 1 :]:
+            for m in blk:
+                for mp in other:
+                    for q in (m - mp, mp - m):
+                        worst = max(worst, abs(spec.coeffs.get(q, 0.0)))
+    return worst
 
 
 class TestAppendix4Rejections:
