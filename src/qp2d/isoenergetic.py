@@ -263,8 +263,8 @@ def trace_curve(
 
     Level-1 admissibility is the step-I good set; level 2 additionally
     excises the pole discs of the local resonance blocks.  One lockstep Newton
-    solves every level-1 radius; level 2 solves per angle, one evaluator per
-    block partition.
+    solves every level-1 radius, then one per level-2 evaluator (one per
+    block partition) every level-2 radius it serves.
     """
     k, prof, ev1 = _at_energy(n, lam, spec, profile)
     grid = np.asarray(phi_grid, dtype=float)
@@ -273,19 +273,21 @@ def trace_curve(
     phis = [float(phi) for phi in grid]
     idx, nus, evaluators, reasons = _admissible(n, phis, omega, spec, prof)
     solved: dict[int, tuple[float, float]] = {}
-    level1 = _newton_solve(ev1, nus, [k] * len(idx), lam, prof.kappa_window_1)
-    for i, nu, k1 in zip(idx, nus, level1):
+    level2: dict[LevelEvaluator, list] = {}  # per evaluator, its (position, nu, kappa_1)
+    for i, nu, k1 in zip(idx, nus, _newton_solve(ev1, nus, [k] * len(idx), lam, prof.kappa_window_1)):
         if isinstance(k1, Exception):
             reasons[i] = _reason(k1)
-            continue
-        if n == 1:
+        elif n == 1:
             solved[i] = (k1, k1 - k)
-            continue
-        (kappa,) = _newton_solve(evaluators[i], [nu], [k1], lam, prof.kappa_window_2)
-        if isinstance(kappa, Exception):
-            reasons[i] = _reason(kappa)
         else:
-            solved[i] = (kappa, kappa - k1)
+            level2.setdefault(evaluators[i], []).append((i, nu, k1))
+    for ev, cols in level2.items():
+        _, nus2, starts = zip(*cols)
+        for (i, _, k1), kappa in zip(cols, _newton_solve(ev, nus2, starts, lam, prof.kappa_window_2)):
+            if isinstance(kappa, Exception):
+                reasons[i] = _reason(kappa)
+            else:
+                solved[i] = (kappa, kappa - k1)
 
     def slope(i: int) -> float:  # centered difference between admissible neighbours
         if i - 1 in solved and i in solved and i + 1 in solved:

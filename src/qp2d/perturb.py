@@ -21,12 +21,13 @@ The coupling is sparse, so no d x d array is built per kappa:
 `LevelEvaluator` splits it once into the cross-block W as CSR and the dense
 coupling of each connected component of a block's own nonzero coupling
 (the model is unchanged, as no in-block entry joins two components), stacked
-by size so that one `eigh` call serves every component of a size.  The
-recursion applies W~ v = U^H (W (U v)) with the block eigenbasis U as CSR,
-and at level 1 `eigenvalues` runs it on a block of kappas, one W V product
-per order.  The oracle check hands the section as CSR (`LevelState.section`)
-to the windowed shift-invert `eigvals_oracle`, so only the quadrature routes
-densify.
+by size.  One recursion serves both levels: `eigenvalues` runs a block of
+kappas, eigendecomposes each size as one (B*m, s, s) `eigh` stack, and
+applies W~ V = U^H (W (U V)) with the stacks padded to the largest size, one
+`einsum` on the gathered positions and one W V product per order (level 1
+has no stacks).  The oracle check hands the section as CSR
+(`LevelState.section`) to the windowed shift-invert `eigvals_oracle`, so only
+the quadrature routes densify.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ from .lattice import (
     box_table,
     components,
     enumerate_box_array,
+    row_positions,
+    triple_norm_array,
 )
 from .potential import InvariantViolation, PotentialSpec
 from .profile import ParameterProfile
@@ -76,9 +79,10 @@ class NoRoot(ArithmeticError):
     """A bracketed root search found no root."""
 
 
-# Level-1 columns per block in `LevelEvaluator.eigenvalues`: 6,921 columns at d = 113
-# took 1.0 s in one block, 0.5-0.6 s in blocks of 64 or 256, 0.7-0.8 s of 1,024 (1 thread).
-_BLOCK_COLUMNS = 256
+# Entries (columns x d) per `LevelEvaluator.eigenvalues` block: 64 columns at d = 113 (6,921
+# took 1.0 s in one block, 0.5-0.6 s in blocks of 64 or 256, 0.7-0.8 s of 1,024; 1 thread),
+# 6 at the level-2 d = 1121, whose order history then stays near 1 MB.
+_BLOCK_ENTRIES = 64 * 113
 
 
 @dataclass(frozen=True)
@@ -105,8 +109,9 @@ class LevelState:
     and their (m, s, s) dense coupling with zero diagonal); w holds every
     other coupling entry as CSR.  The three are disjoint, so they add up to
     the section entrywise (`section`; `h_full` is it dense).  block_vals are
-    the model eigenvalues by position and u the block-diagonal model
-    eigenbasis (CSR, identity on the singletons).
+    the model eigenvalues by position and vecs, per entry of couplings, the
+    (m, s, s) eigenvectors of its blocks: the model eigenbasis U is them on
+    the blocks and the identity on the singletons (`u_full` is it dense).
     """
 
     level: int
@@ -116,7 +121,7 @@ class LevelState:
     couplings: list[tuple[np.ndarray, np.ndarray]]
     w: sp.csr_matrix
     block_vals: np.ndarray
-    u: sp.csr_matrix
+    vecs: list[np.ndarray]
     target: int  # position of the target basis index (block-eigen target)
     lambda0: float
     contour: Contour | None
@@ -148,6 +153,15 @@ class LevelState:
     def h_full(self) -> np.ndarray:
         """The dense section, for tests."""
         return self.section.toarray()
+
+    @property
+    def u_full(self) -> np.ndarray:
+        """The model eigenbasis U as a dense array, for the quadrature routes
+        and tests."""
+        u = np.eye(self.dim, dtype=complex)
+        for (pos, _), vec in zip(self.couplings, self.vecs):
+            u[pos[:, :, None], pos[:, None, :]] = vec
+        return u
 
 
 @dataclass
@@ -187,8 +201,7 @@ class _BlockSplit:
     block is split into the connected components of its own nonzero coupling;
     no in-block entry lies between two components, so the model is unchanged.
     Held: the labels of the components (first position of each), their dense
-    coupling stacked by size (`couplings`), the rest W (CSR) and the CSR
-    pattern of the eigenbasis U."""
+    coupling stacked by size (`couplings`) and the rest W (CSR)."""
 
     def __init__(self, off: sp.csr_matrix, labels: np.ndarray):
         d = off.shape[0]
@@ -209,9 +222,7 @@ class _BlockSplit:
         self.labels = order[starts][comp]
         loc = np.empty(d, dtype=np.int64)
         loc[order] = np.arange(d) - starts[comp[order]]
-        single = order[starts[sizes == 1]]
         self.couplings = []
-        u_rows, u_cols = [single], [single]
         for s in np.unique(sizes[sizes > 1]).tolist():
             first = starts[sizes == s]
             pos = order[first[:, None] + np.arange(s)]
@@ -221,74 +232,46 @@ class _BlockSplit:
             blk = np.zeros((len(pos), s, s), dtype=complex)
             blk[which[rr[sel]], loc[rr[sel]], loc[cc[sel]]] = vv[sel]
             self.couplings.append((pos, blk))
-            # U entries of each stacked block, row-major
-            u_rows.append(np.repeat(pos, s, axis=1).ravel())
-            u_cols.append(np.tile(pos, s).ravel())
-        u_rows, u_cols = np.concatenate(u_rows), np.concatenate(u_cols)
-        self._order = np.lexsort((u_cols, u_rows))
-        self._cols = u_cols[self._order]
-        self._indptr = np.searchsorted(u_rows[self._order], np.arange(d + 1))
-        self._ones = np.ones(len(single), dtype=complex)
 
-    def state(self, level: int, indices, diag: np.ndarray) -> LevelState:
-        """The model eigenpairs at one diagonal: the blocks of each size are
-        eigendecomposed as one stack, each from its coupling plus
-        diag(diag[pos]), entry for entry the in-block part of H(kappa).
-        Target and contour are unset."""
+    def eigh(self, diag: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The model eigenpairs at each row of a (B, d) diag: the eigenvalues
+        by position (B, d) and per size the (B, m, s, s) eigenvectors.  Each
+        size is eigendecomposed as one stack, each matrix its coupling plus
+        diag(diag[b, pos]), entry for entry the in-block part of H(kappa)."""
         vals = diag.real.copy()
-        parts = [self._ones]
+        vecs = []
         for pos, blk in self.couplings:
-            a = blk.copy()
             s = pos.shape[1]
-            a[:, np.arange(s), np.arange(s)] += diag[pos]
-            bv, bu = np.linalg.eigh(a)
-            vals[pos] = bv
-            parts.append(bu.ravel())
-        d = len(diag)
-        u = sp.csr_matrix(
-            (np.concatenate(parts)[self._order], self._cols, self._indptr), shape=(d, d)
-        )
-        return LevelState(
-            level=level,
-            indices=indices,
-            diag=diag,
-            labels=self.labels,
-            couplings=self.couplings,
-            w=self.w,
-            block_vals=vals,
-            u=u,
-            target=-1,
-            lambda0=math.nan,
-            contour=None,
-        )
+            a = np.repeat(blk[None], len(diag), axis=0)
+            a[..., np.arange(s), np.arange(s)] += diag[:, pos]
+            vals[:, pos], u = np.linalg.eigh(a)
+            vecs.append(u)
+        return vals, vecs
 
 
-def _aim(state: LevelState, target: int, lambda0: float, gap: float,
-         profile: ParameterProfile) -> LevelState:
-    """Fix the target and a contour of contour_margin * gap around lambda0."""
-    state.target = target
-    state.lambda0 = lambda0
-    state.contour = Contour(lambda0, profile.contour_margin * gap, profile.quad_nodes)
-    return state
+def _gaps(vals: np.ndarray, t, lam0: np.ndarray) -> np.ndarray:
+    """Per row of the (B, d) model eigenvalues, the distance from lam0 to
+    every model eigenvalue but the target's (inf when there is none)."""
+    dist = np.abs(vals - lam0[:, None])
+    dist[np.arange(len(vals)), t] = math.inf
+    return dist.min(axis=1)
 
 
-def _aim_nearest(state: LevelState, cand: np.ndarray, value: float,
-                 profile: ParameterProfile) -> LevelState:
-    """Target the model eigenvalue nearest value among the candidate
-    positions; the contour radius is a fraction of its model gap."""
-    target = int(cand[np.argmin(np.abs(state.block_vals[cand] - value))])
-    state.target = target
-    state.lambda0 = float(state.block_vals[target])
-    return _aim(state, target, state.lambda0, model_gap(state), profile)
+def _aim_nearest(vals: np.ndarray, cand: np.ndarray, value: np.ndarray, margin: float):
+    """(targets, lambda0, contour radii) per row of the (B, d) model
+    eigenvalues: the target is the candidate position whose model eigenvalue
+    lies nearest value, the radius margin times its model gap."""
+    t = cand[np.argmin(np.abs(vals[:, cand] - value[:, None]), axis=1)]
+    lam0 = vals[np.arange(len(vals)), t]
+    return t, lam0, margin * _gaps(vals, t, lam0)
 
 
-def model_gap(state: LevelState) -> float:
-    """Distance from the target model eigenvalue to the rest of the model
-    spectrum."""
-    others = np.delete(state.block_vals, state.target)
-    if len(others) == 0:
-        return math.inf
-    return float(np.min(np.abs(others - state.lambda0)))
+def _state(level: int, indices, split: _BlockSplit, diag, vals, vecs, t, lam0, radius,
+           profile: ParameterProfile) -> LevelState:
+    """Column 0 of an aimed block as a LevelState."""
+    lam0, contour = float(lam0[0]), Contour(float(lam0[0]), float(radius[0]), profile.quad_nodes)
+    return LevelState(level, indices, diag[0], split.labels, split.couplings, split.w, vals[0],
+                      [u[0] for u in vecs], int(t[0]), lam0, contour)
 
 
 @dataclass
@@ -359,8 +342,9 @@ def toy_state(
     for pos in filter(len, blocks):
         labels[pos] = pos.min()
     split = _BlockSplit(sp.csr_matrix(h - np.diag(diag)), labels)
-    state = split.state(level, tuple(indices), diag)
-    return _aim_nearest(state, np.arange(d), target_value, profile)
+    vals, vecs = split.eigh(diag[None])
+    aim = _aim_nearest(vals, np.arange(d), np.array([float(target_value)]), profile.contour_margin)
+    return _state(level, tuple(indices), split, diag[None], vals, vecs, *aim, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -368,36 +352,38 @@ def toy_state(
 # ---------------------------------------------------------------------------
 
 
-def _rs_orders(apply_w, inv: np.ndarray, t: int, r_max: int, lam0=None):
+def _rs_orders(apply_w, inv: np.ndarray, t, r_max: int, lam0=None):
     """The Rayleigh-Schrodinger recursion in the model eigenbasis: the
-    coefficients g_1..g_r and the order vectors v_0..v_r, given v -> W~ v, the
-    reduced resolvent inv (zero at the target t) and r_max; a (d, B) inv runs B
-    columns that share t, each bit-identical to its own run, with g (r_max, B).
-    Given lam0, a column stops after order n >= 4 once |g_{n-1}|, |g_n| <=
+    coefficients g_1..g_r, the order vectors v_0..v_r and, per column, whether
+    its own g are real, given v -> W~ v, the reduced resolvent inv (zero at the
+    target t) and r_max.  The (d, B) inv runs B columns with targets t (one per
+    column, or one for all), each bit-identical to its own run, with g (r_max,
+    B).  Given lam0, a column stops after order n >= 4 once |g_{n-1}|, |g_n| <=
     ulp(lam0)/16, its later g zero; the loop ends once all columns stopped."""
+    at = (t, np.arange(inv.shape[1]))
     v0 = np.zeros(inv.shape, dtype=complex)
-    v0[t] = 1.0
+    v0[at] = 1.0
     vs = [v0]
     lams = np.zeros((r_max,) + inv.shape[1:], dtype=complex)
     g = np.zeros(lams.shape, dtype=float)
-    orders = np.full(inv.shape[1:], r_max)
-    tol = None if lam0 is None else np.reshape(np.spacing(np.abs(lam0)) / 16, orders.shape)
+    orders = np.full(inv.shape[1], r_max)
+    tol = None if lam0 is None else np.spacing(np.abs(lam0)) / 16
     for n in range(1, r_max + 1):
         rhs = -apply_w(vs[n - 1])
         for j in range(1, n):
             rhs += g[j - 1] * vs[n - j]
-        lams[n - 1] = lam_n = -(rhs[t])
+        lams[n - 1] = lam_n = -(rhs[at])
         g[n - 1] = lam_n.real
-        rhs[t] += lam_n  # add the lam_n * v_0 term, zeroing the t-component
+        rhs[at] += lam_n  # add the lam_n * v_0 term, zeroing the t-component
         vs.append(rhs * inv)
         if tol is not None and n >= 4:
             orders[(orders == r_max) & (np.abs(g[n - 2]) <= tol) & (np.abs(g[n - 1]) <= tol)] = n
             if np.all(orders < r_max):
                 break
-    if not np.all(np.abs(lams.imag) <= 1e-10 * np.fmax(1.0, np.abs(lams))):
-        raise InvariantViolation(f"the coefficients {lams!r} must be real")
-    g[np.arange(1, r_max + 1).reshape((-1,) + (1,) * orders.ndim) > orders] = 0.0
-    return g, vs
+    done = np.arange(1, r_max + 1)[:, None] > orders
+    g[done] = lams[done] = 0.0
+    real = np.all(np.abs(lams.imag) <= 1e-10 * np.fmax(1.0, np.abs(lams)), axis=0)
+    return g, vs, real
 
 
 def _decay(g: np.ndarray, lam0: float, profile: ParameterProfile):
@@ -410,10 +396,8 @@ def _decay(g: np.ndarray, lam0: float, profile: ParameterProfile):
     r_max = len(g)
     mags = np.abs(g)
     floor = 1e-14 * max(1.0, abs(lam0))
-    ratio = 0.0
-    bad_run = 0
-    last_mag = None
-    last_ord = None
+    ratio, bad_run = 0.0, 0
+    last_mag = last_ord = None
     for r in range(2, r_max + 1):
         m_r = mags[r - 1]
         if m_r <= floor:
@@ -434,37 +418,80 @@ def _decay(g: np.ndarray, lam0: float, profile: ParameterProfile):
     return ratio, last_mag * q ** max(r_max - last_ord, 0) / (1.0 - q)
 
 
-def _reduced_inverse(block_vals: np.ndarray, lam0, t: int) -> np.ndarray:
-    """1/(block_vals - lam0) off the target row t and zero denominators."""
-    denom = block_vals - lam0
+def _reduced_inverse(vals: np.ndarray, lam0: np.ndarray, t) -> np.ndarray:
+    """(d, B): per row b of the (B, d) model eigenvalues, 1/(vals - lam0) off
+    the target t[b] and zero denominators."""
+    denom = vals - lam0[:, None]
     inv = np.zeros(denom.shape)
     nz = np.abs(denom) > 0
     inv[nz] = 1.0 / denom[nz]
-    inv[t] = 0.0
-    return inv
+    inv[np.arange(len(vals)), t] = 0.0
+    return np.ascontiguousarray(inv.T)
 
 
-def _series(state: LevelState, r_max: int, stop: bool):
-    """`_rs_orders` on W~ v = U^H (W (U v)) once the contour is clear of the gap."""
-    gap = model_gap(state)
-    if state.contour.radius <= 0 or not math.isfinite(state.contour.radius):
-        raise ContourHit("degenerate contour radius")
-    if gap <= state.contour.radius * (1.0 + 1e-8):
-        raise ContourHit(
-            f"model eigenvalue within {gap:.3g} of the contour radius "
-            f"{state.contour.radius:.3g}"
-        )
-    u, w, lam0, t = state.u, state.w, state.lambda0, state.target
-    uh = u.conj().T
-    inv = _reduced_inverse(state.block_vals, lam0, t)
-    return _rs_orders(lambda v: uh @ (w @ (u @ v)), inv, t, r_max, lam0 if stop else None)
+def _rotations(couplings, stacks):
+    """(x -> U x, x -> U^H x) for (d, B) columns x, column b by stacks[.][b]
+    ((B or 1, m, s, s) eigenvectors per entry of couplings).  The blocks are
+    padded with zeros to the largest size, so one gather, einsum and scatter
+    serve them all; the singletons pass through.  Each entry sums its terms in
+    ascending order, then exact zeros, as a CSR U would: the same bits."""
+    if not couplings:
+        return (lambda x: x,) * 2
+    size, n = max(p.shape[1] for p, _ in couplings), sum(len(p) for p, _ in couplings)
+    pos, real = np.zeros((n, size), dtype=np.int64), np.zeros((n, size), dtype=bool)
+    stack = np.zeros((len(stacks[0]), n, size, size), dtype=complex)
+    at = 0
+    for (p, _), u in zip(couplings, stacks):
+        (m, s), at = p.shape, at + len(p)
+        pos[at - m : at, :s], real[at - m : at, :s], stack[:, at - m : at, :s, :s] = p, True, u
+    flat, pad, conj = pos[real], ~real, stack.conj()
+
+    def rotate(x, stack, subscripts):
+        xg = x[pos]
+        xg[pad] = 0.0
+        y = x.copy()
+        y[flat] = np.einsum(subscripts, stack, xg)[real]
+        return y
+
+    return (lambda x: rotate(x, stack, "...mij,mj...->mi..."),
+            lambda x: rotate(x, conj, "...mji,mj...->mi..."))
 
 
-def _inside(state: LevelState, lam: float) -> float:
-    """lam, or NonConvergent if it left the contour that holds the eigenvalue."""
-    if abs(lam - state.contour.center) >= state.contour.radius:
-        raise NonConvergent(f"lambda {lam:.12g} outside the contour ({state.contour.radius:.3g})")
-    return lam
+def _columns(w, couplings, vecs, vals, t, lam0, radius, r_max: int, stop: bool,
+             profile: ParameterProfile):
+    """B series in one recursion, generic_step's and `eigenvalues`' route, from
+    per column model eigenvalues vals (B, d), eigenvectors vecs ((B, m, s, s)
+    per entry of couplings), target t, lam0 and contour radius.  Per column
+    (lam, rate, tail), ContourHit (contour degenerate or not clear of the model
+    spectrum) or NonConvergent (`_decay`, or lam outside the contour), then g
+    and the order vectors of the clear columns.  Decaying coefficients that
+    are not real raise InvariantViolation."""
+    gap, radius = _gaps(vals, t, lam0), np.asarray(radius, dtype=float)
+    degenerate = ~(np.isfinite(radius) & (radius > 0))
+    hit = degenerate | (gap <= radius * (1.0 + 1e-8))
+    out: list = [None] * len(vals)
+    for b in np.flatnonzero(hit):
+        out[b] = ContourHit("degenerate contour radius" if degenerate[b] else
+                            f"model eigenvalue within {gap[b]:.3g} of the contour radius {radius[b]:.3g}")
+    live = np.flatnonzero(~hit)
+    if not len(live):
+        return out, None, None
+    vals, t, lam0, vecs = vals[live], t[live], lam0[live], [u[live] for u in vecs]
+    u, uh = _rotations(couplings, vecs)
+    inv = _reduced_inverse(vals, lam0, t)  # W~ v = U^H (W (U v)):
+    g, vs, real = _rs_orders(lambda v: uh(w @ u(v)), inv, t, r_max, lam0 if stop else None)
+    for j, (b, col) in enumerate(zip(live.tolist(), g.T.copy())):
+        try:
+            ratio, tail = _decay(col, lam0[j], profile)
+            if not real[j]:
+                raise InvariantViolation(f"the coefficients {col!r} must be real")
+            lam = float(lam0[j]) + float(np.sum(col[1:]))
+            if abs(lam - lam0[j]) >= radius[b]:
+                raise NonConvergent(f"lambda {lam:.12g} outside the contour ({radius[b]:.3g})")
+            out[b] = (lam, ratio, tail)
+        except NonConvergent as exc:
+            out[b] = exc
+    return out, g, vs
 
 
 def generic_step(
@@ -478,9 +505,9 @@ def generic_step(
     """Taylor coefficients of the isolated model eigenvalue under the
     in-level perturbation, their sum, and the rank-one projector.
 
-    Each order applies W~ v = U^H (W (U v)) with sparse U and W, so the cost
-    per order is a few sparse matvecs.  With with_projector it also returns
-    the projector orders G_1..G_n (n = store_orders, else r_max, capped at 8
+    Each order applies W~ v = U^H (W (U v)) by `_columns`, the route of
+    `LevelEvaluator.eigenvalues`.  With with_projector it also returns the
+    projector orders G_1..G_n (n = store_orders, else r_max, capped at 8
     when d > 512), each one product G_r = V~ C_r V~^H: V~ = U [v_0 .. v_r]
     rotates the order vectors by the block eigenbasis U, and the Hankel
     C_r[a,b] = d[r-a-b] (zero for a+b > r) holds the inverse norm series d,
@@ -494,15 +521,21 @@ def generic_step(
     Arnoldi or the dense finish run.
 
     Raises ContourHit when the contour is not clear of the model spectrum and
-    NonConvergent when the coefficient magnitudes stop decaying.
+    NonConvergent when the coefficient magnitudes stop decaying or lam leaves
+    the contour.
     """
     r_max = profile.r_max if r_max is None else r_max
-    g, vs = _series(state, r_max, stop=False)
-    lam0 = state.lambda0
-    ratio, tail = _decay(g, lam0, profile)
-    lam = _inside(state, lam0 + float(np.sum(g[1:])))  # the first-order term vanishes
+    (res,), g, vs = _columns(
+        state.w, state.couplings, [u[None] for u in state.vecs], state.block_vals[None],
+        np.array([state.target]), np.array([state.lambda0]), [state.contour.radius],
+        r_max, False, profile,
+    )
+    if isinstance(res, Exception):
+        raise res
+    (lam, ratio, tail), g = res, g[:, 0]
 
-    v_full = state.u @ np.sum(vs, axis=0)
+    rotate = _rotations(state.couplings, [u[None] for u in state.vecs])[0]  # one U for every column
+    v_full = rotate(np.sum(vs, axis=0))[:, 0]
     v_full = v_full / np.linalg.norm(v_full)
 
     projector = g_mats = g_norms = None
@@ -510,7 +543,7 @@ def generic_step(
         d = state.dim
         projector = np.outer(v_full, v_full.conj())
         n_store = min(r_max, 8 if d > 512 else r_max) if store_orders is None else store_orders
-        v_ser = np.stack(vs[: n_store + 1], axis=1)
+        v_ser = np.concatenate(vs[: n_store + 1], axis=1)
         # norm series ||v(eps)||^2 = sum c_n eps^n and its inverse d_ser = 1/c
         gram = np.fliplr(v_ser.conj().T @ v_ser)
         c = np.array([np.trace(gram, offset=n_store - nn) for nn in range(n_store + 1)])
@@ -519,15 +552,14 @@ def generic_step(
         for nn in range(1, n_store + 1):
             d_ser[nn] = -np.sum(c[1 : nn + 1] * d_ser[nn - 1 :: -1][: nn])
         # G_r = sum_{a+b<=r} d_ser[r-a-b] v_a v_b^H in the index basis
-        v_rot = state.u @ v_ser
+        v_rot = rotate(v_ser)
         g_mats = []
         for r in range(1, n_store + 1):
             v_r = v_rot[:, : r + 1]
             g_mats.append((v_r @ hankel(d_ser[r::-1])) @ v_r.conj().T)
         g_norms = np.array([np.linalg.norm(g_r) for g_r in g_mats])
 
-    oracle_lambda = None
-    oracle_count = None
+    oracle_lambda = oracle_count = None
     if check_oracle:
         mat = FiberMatrix(indices=state.indices, kappa=np.zeros(2), entries=state.section)
         inside = eigvals_oracle(
@@ -537,21 +569,11 @@ def generic_step(
         oracle_lambda = float(inside[0])
 
     return SeriesResult(
-        lam=lam,
-        lambda_base=lam0,
-        g=g,
-        tail_estimate=float(tail),
+        lam=lam, lambda_base=state.lambda0, g=g, tail_estimate=float(tail),
         converged=True,  # _decay raised NonConvergent otherwise
-        contour=state.contour,
-        indices=state.indices,
-        vector=v_full,
-        decay_ratio=float(ratio),
-        orders=r_max,
-        projector=projector,
-        g_matrices=g_mats,
-        g_norms=g_norms,
-        oracle_lambda=oracle_lambda,
-        oracle_count=oracle_count,
+        contour=state.contour, indices=state.indices, vector=v_full,
+        decay_ratio=float(ratio), orders=r_max, projector=projector, g_matrices=g_mats,
+        g_norms=g_norms, oracle_lambda=oracle_lambda, oracle_count=oracle_count,
     )
 
 
@@ -562,7 +584,8 @@ def generic_step(
 
 def _w_tilde_dense(state: LevelState) -> np.ndarray:
     """W~ = U^H W U as a dense array, for the quadrature routes."""
-    return (state.u.conj().T @ state.w @ state.u).toarray()
+    u = state.u_full
+    return u.conj().T @ (state.w @ u)
 
 
 def _check_contour_clear(state: LevelState) -> None:
@@ -643,11 +666,8 @@ def contour_projector_series(
         e0_prev, gs_prev = e0, gs
         if delta <= 1e-12:
             break
-    def rot(m):  # U m U^H = (U (U m)^H)^H
-        return (state.u @ (state.u @ m).conj().T).conj().T
-
-    e_total = e0_prev + sum(gs_prev)
-    return rot(e_total), [rot(gm) for gm in gs_prev]
+    u = state.u_full  # rotated back as U m U^H
+    return u @ (e0_prev + sum(gs_prev)) @ u.conj().T, [u @ gm @ u.conj().T for gm in gs_prev]
 
 
 # ---------------------------------------------------------------------------
@@ -692,12 +712,7 @@ def eigenvalue_level(
 ) -> SeriesResult:
     """Dressed eigenvalue and unit eigenvector, without projector orders."""
     state = build_state(n, point, spec, profile, geometry)
-    return generic_step(
-        state,
-        profile,
-        with_projector=False,
-        check_oracle=check_oracle,
-    )
+    return generic_step(state, profile, with_projector=False, check_oracle=check_oracle)
 
 
 def projector_level(
@@ -709,12 +724,7 @@ def projector_level(
     geometry: Level2Geometry | None = None,
 ) -> SeriesResult:
     state = build_state(n, point, spec, profile, geometry)
-    return generic_step(
-        state,
-        profile,
-        with_projector=True,
-        check_oracle=check_oracle,
-    )
+    return generic_step(state, profile, with_projector=True, check_oracle=check_oracle)
 
 
 class LevelEvaluator:
@@ -727,8 +737,10 @@ class LevelEvaluator:
 
     Everything but the diagonal is kappa-independent: the indices, the
     coupling components of the blocks, the cross-block W (CSR) and the dense
-    coupling of each multi-row component, stacked by size, are built once;
-    `state(kappa)` adds the diagonal and eigendecomposes each stack.
+    coupling of each multi-row component, stacked by size, are built once.
+    A block of kappas gets its diagonals, one `eigh` per size stack and its
+    aim (target, lambda0, contour radius), where alone the levels differ;
+    `state(kappa)` is column 0 of such a block.
     """
 
     def __init__(
@@ -737,86 +749,70 @@ class LevelEvaluator:
         profile: ParameterProfile,
         geometry: Level2Geometry | None = None,
     ):
-        self.spec = spec
-        self.profile = profile
-        self.geometry = geometry
-        radius = profile.core_radius if geometry is None else profile.box_r1
+        self.spec, self.profile, self.geometry = spec, profile, geometry
         if geometry is None:
-            self.indices = box_indices(radius)
-            self.rows = enumerate_box_array(radius)
+            self.indices = box_indices(profile.core_radius)
+            self.rows = enumerate_box_array(profile.core_radius)
             labels = np.arange(len(self.indices))
             self.target = self.indices.index(ZERO_INDEX)
-            # the free levels of the exclusion-zone box set the contour radius
-            self._far_duals = box_table(profile.tilde_radius, spec.params)[2]
+            # one box holds the core rows and the exclusion-zone box, whose
+            # free levels set the contour radius
+            radius = max(profile.core_radius, profile.tilde_radius)
+            box = enumerate_box_array(radius)
+            self._core = row_positions(box, self.rows)
+            norms = triple_norm_array(box)
+            self._not_free = np.flatnonzero((norms == 0) | (norms > profile.tilde_radius))
         else:
+            radius = profile.box_r1
             self.indices = geometry.indices
-            self.rows = geometry.rows
+            self.rows = box = geometry.rows
             labels = geometry.block_labels
         # the table's duals, with the zero row's (0, 0) at the middle of the box
-        self._duals = np.insert(box_table(radius, spec.params)[2], len(self.rows) // 2, 0, axis=0)
+        self._duals = np.insert(box_table(radius, spec.params)[2], len(box) // 2, 0, axis=0)
         self.split = _BlockSplit(coupling_matrix(self.rows, spec), labels)
 
-    def state(self, kappa) -> LevelState:
-        kap = np.asarray(kappa, dtype=float)
-        diag = shifted_energies(kap, self._duals)
-        state = self.split.state(1 if self.geometry is None else 2, self.indices, diag)
-        lambda0 = float(kap @ kap)
+    def _aim(self, kappas: np.ndarray):
+        """(diag, model eigenvalues, eigenvector stacks, targets, lambda0,
+        contour radii) of each row of a (B, 2) block of kappas."""
+        energies = shifted_energies(kappas, self._duals)
+        value = np.array([kap @ kap for kap in kappas])
+        margin = self.profile.contour_margin
         if self.geometry is not None:
+            vals, vecs = self.split.eigh(energies)
             # the dressed eigenvalue of the core block nearest |kappa|^2
-            return _aim_nearest(state, self.geometry.core_positions, lambda0, self.profile)
-        levels = shifted_energies(kap, self._far_duals)
-        gap = float(np.min(np.abs(levels - lambda0)))
-        return _aim(state, self.target, lambda0, gap, self.profile)
+            return (energies, vals, vecs) + _aim_nearest(vals, self.geometry.core_positions, value, margin)
+        diag = energies[:, self._core]
+        energies[:, self._not_free] = math.inf
+        gap = np.min(np.abs(energies - value[:, None]), axis=1)
+        vals, vecs = self.split.eigh(diag)
+        return diag, vals, vecs, np.full(len(kappas), self.target), value, margin * gap
+
+    def state(self, kappa) -> LevelState:
+        aimed = self._aim(np.asarray(kappa, dtype=float)[None])
+        return _state(1 if self.geometry is None else 2, self.indices, self.split, *aimed, self.profile)
 
     def eigenvalue(self, kappa, r_max: int | None = None) -> float:
         """generic_step's lam to 1 ulp: stopped as in `_rs_orders` unless r_max."""
-        if self.geometry is None:
-            (lam,) = self.eigenvalues(np.asarray(kappa, dtype=float)[None], r_max)
-            if isinstance(lam, Exception):
-                raise lam
-            return lam
-        state = self.state(kappa)
-        g, _ = _series(state, self.profile.r_max if r_max is None else r_max, r_max is None)
-        _decay(g, state.lambda0, self.profile)
-        return _inside(state, state.lambda0 + float(np.sum(g[1:])))
+        (lam,) = self.eigenvalues(np.asarray(kappa, dtype=float)[None], r_max)
+        if isinstance(lam, Exception):
+            raise lam
+        return lam
 
     def eigenvalues(self, kappas, r_max: int | None = None) -> list:
         """`eigenvalue` at each row of a (B, 2) block of kappas: per row the
-        value, or the ContourHit / NonConvergent it raises there.  Level 2
-        goes row by row; level 1 runs the recursion on the block, one W V
-        product per order on generic_step's CSR W (U is the identity here),
-        each column bit-identical to generic_step."""
-        if self.geometry is not None:
-            out = []
-            for kap in kappas:
-                try:
-                    out.append(self.eigenvalue(kap, r_max))
-                except (ContourHit, NonConvergent) as exc:
-                    out.append(exc)
-            return out
+        value, or the ContourHit / NonConvergent it raises there.  Both levels
+        run generic_step's `_columns` on blocks of _BLOCK_ENTRIES entries
+        (columns x d), each column bit-identical to its one-kappa run."""
         stop = r_max is None
-        r_max = self.profile.r_max if r_max is None else r_max
-        diag = shifted_energies(kappas, self._duals)
-        t = self.target
-        # lambda0 as state() takes it; diag[:, t] can differ in the last bit
-        lam0 = np.array([kap @ kap for kap in kappas])
-        dist = np.abs(diag - lam0[:, None])
-        dist[:, t] = np.inf
-        hit = dist.min(axis=1) <= 0.0
-        out = [ContourHit("degenerate free gap at kappa") if h else None for h in hit]
-        live = np.flatnonzero(~hit)
-        for at in range(0, len(live), _BLOCK_COLUMNS):
-            cols = live[at : at + _BLOCK_COLUMNS]
-            # one column runs on vectors, where numpy's scalar operands are cheapest
-            block = diag[cols[0]] if len(cols) == 1 else np.ascontiguousarray(diag[cols].T)
-            inv = _reduced_inverse(block, lam0[cols], t)
-            g, _ = _rs_orders(self.split.w.dot, inv, t, r_max, lam0[cols] if stop else None)
-            for b, col in zip(cols, g.reshape(r_max, len(cols)).T.copy()):
-                try:
-                    _decay(col, lam0[b], self.profile)
-                    out[b] = float(lam0[b]) + float(np.sum(col[1:]))
-                except NonConvergent as exc:
-                    out[b] = exc
+        r_max = self.profile.r_max if stop else r_max
+        kappas = np.asarray(kappas, dtype=float).reshape(-1, 2)
+        step = max(1, _BLOCK_ENTRIES // len(self.indices))
+        out = []
+        for at in range(0, len(kappas), step):
+            _, vals, vecs, t, lam0, radius = self._aim(kappas[at : at + step])
+            res, _, _ = _columns(self.split.w, self.split.couplings, vecs, vals, t, lam0, radius,
+                                 r_max, stop, self.profile)
+            out += [r if isinstance(r, Exception) else r[0] for r in res]
         return out
 
     def solve(self, columns, r_max: int | None = None) -> list:

@@ -17,6 +17,7 @@ from qp2d.lattice import (
     dual_array,
     dual_vector,
     enumerate_box,
+    enumerate_box_array,
     indices_to_array,
     triple_norm,
     triple_norm_array,
@@ -276,7 +277,7 @@ class TestProjector:
 def dense_reference(state, prof):
     """Reference: the recursion on dense arrays, W~ = U^H W U formed as a
     d x d matrix.  Returns (lam, unit vector, [v_0 .. v_r], dense U)."""
-    u = state.u.toarray()
+    u = state.u_full
     w_tilde = u.conj().T @ state.w.toarray() @ u
     t, d = state.target, state.dim
     denom = state.block_vals - state.lambda0
@@ -445,7 +446,7 @@ class TestBlockPartition:
         with pytest.raises(ValueError, match="exactly once"):
             toy_state(h, blocks, idx, target_value=0.0, profile=prof)
         state = toy_state(h, [[0, 1], [2], [3]], idx, target_value=0.0, profile=prof)
-        u = state.u.toarray()
+        u = state.u_full
         assert np.allclose(u.conj().T @ u, np.eye(4), rtol=0.0, atol=1e-15)
 
     def test_overlapping_projector_blocks_raise(self, spec, params, rng, monkeypatch):
@@ -475,23 +476,26 @@ def resonance_block_state(state, kap, geometry, prof):
     """The state at kap with one eigh per multi-row resonance block of the
     geometry, as before blocks were split into coupling components: the
     reference for the split."""
-    d = state.dim
     h = state.h_full
     labels = geometry.block_labels
     vals = state.diag.real.copy()
-    parts = []
+    couplings, vecs = [], []
     firsts, sizes = np.unique(labels, return_counts=True)
     for first in firsts[sizes > 1]:
         pos = np.flatnonzero(labels == first)
-        bv, bu = np.linalg.eigh(h[np.ix_(pos, pos)])
+        blk = h[np.ix_(pos, pos)]
+        bv, bu = np.linalg.eigh(blk)
         vals[pos] = bv
-        parts.append((np.repeat(pos, len(pos)), np.tile(pos, len(pos)), bu.ravel()))
-    single = np.flatnonzero(np.bincount(labels, minlength=d)[labels] == 1)
-    parts.append((single, single, np.ones(len(single), dtype=complex)))
-    r, c, v = (np.concatenate(x) for x in zip(*parts))
-    u = sp.csr_matrix((v, (r, c)), shape=(d, d))
-    ref = replace(state, labels=labels, block_vals=vals, u=u)
-    return perturb._aim_nearest(ref, geometry.core_positions, float(kap @ kap), prof)
+        couplings.append((pos[None], (blk - np.diag(np.diag(blk)))[None]))
+        vecs.append(bu[None])
+    t, lam0, radius = perturb._aim_nearest(
+        vals[None], geometry.core_positions, np.array([kap @ kap]), prof.contour_margin
+    )
+    return replace(
+        state, labels=labels, couplings=couplings, block_vals=vals, vecs=vecs,
+        target=int(t[0]), lambda0=float(lam0[0]),
+        contour=perturb.Contour(float(lam0[0]), float(radius[0]), prof.quad_nodes),
+    )
 
 
 def assert_phase_aligned(v, ref, tol):
@@ -516,10 +520,15 @@ class TestComponentBlocks:
 
     @staticmethod
     def stopped_eigenvalue(state, prof):
-        # LevelEvaluator.eigenvalue on a given state
-        g, _ = perturb._series(state, prof.r_max, True)
-        perturb._decay(g, state.lambda0, prof)
-        return perturb._inside(state, state.lambda0 + float(np.sum(g[1:])))
+        # LevelEvaluator.eigenvalue on a given state: the stopped series
+        (res,), _, _ = perturb._columns(
+            state.w, state.couplings, [u[None] for u in state.vecs], state.block_vals[None],
+            np.array([state.target]), np.array([state.lambda0]), [state.contour.radius],
+            prof.r_max, True, prof,
+        )
+        if isinstance(res, Exception):
+            raise res
+        return res[0]
 
     def test_model_unchanged_and_lambda_close(self, spec, params, rng):
         from scipy.sparse.csgraph import connected_components
@@ -603,18 +612,42 @@ class TestLevels:
             ).lam
             assert fast == slow
 
-    def test_batch_eigenvalues_identical(self, spec, params, rng, monkeypatch):
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_batch_eigenvalues_identical(self, level, spec, params, rng, monkeypatch):
         # a block of kappas gives each row's one-column value or rejection
-        # bit for bit, whatever the block's make-up
+        # bit for bit, whatever the block's make-up, at either level
         k = 40.0
         prof = make_profile(k)
-        ev = LevelEvaluator(spec, prof)
-        phis = rng.uniform(0, TWO_PI, 240)
-        radii = k + rng.uniform(-0.05, 0.05, 240)
-        kaps = radii[:, None] * np.stack([np.cos(phis), np.sin(phis)], axis=1)
-        # kappa = -p_m/2 puts the free level of m on the target's exactly
-        m = indices_to_array([LatticeIndex((1, 0), (0, 0))])
-        kaps[7] = -0.5 * dual_array(m, params)[0]
+        if level == 1:
+            ev = LevelEvaluator(spec, prof)
+            phis = rng.uniform(0, TWO_PI, 240)
+            radii = k + rng.uniform(-0.05, 0.05, 240)
+            kaps = radii[:, None] * np.stack([np.cos(phis), np.sin(phis)], axis=1)
+            # kappa = -p_m/2 puts the free level of m on the target's exactly
+            m = indices_to_array([LatticeIndex((1, 0), (0, 0))])
+            kaps[7] = -0.5 * dual_array(m, params)[0]
+            # near-resonant kappas (off -p_m/2 along p_m) stop after more
+            # orders than far ones
+            near = kaps[7] + np.array([[0.1, 0.0], [0.2, 0.0], [-0.3, 0.0], [0.5, 0.0]])
+        else:
+            phi = admissible_phi(build_omega1(k, prof, params, 8.0), rng)
+            ev = LevelEvaluator(spec, prof, level2_geometry(phi, spec, prof))
+            ang = phi + rng.uniform(-1e-4, 1e-4, 24)
+            kaps = (k + rng.uniform(-0.05, 0.05, 24))[:, None] * np.stack(
+                [np.cos(ang), np.sin(ang)], axis=1
+            )
+            # across the resonance line 2 kappa.p + |p|^2 = 0 of another row
+            # of the target's component, the target moves to another position
+            # and the series takes more orders
+            state = ev.state(kaps[0])
+            assert state.target == len(ev.rows) // 2  # the zero row's
+            comp = np.flatnonzero(state.labels == state.labels[state.target])
+            p = dual_array(ev.rows[comp[comp != state.target]], params)
+            pp = np.sum(p * p, axis=1)
+            on = kaps[0] - ((2 * p @ kaps[0] + pp) / (2 * pp))[:, None] * p
+            unit = p / np.sqrt(pp)[:, None]
+            near = np.concatenate([on - 1e-3 * unit, on + 1e-3 * unit])
+            kaps = np.concatenate([kaps, near])
 
         def one(kap):
             try:
@@ -626,18 +659,20 @@ class TestLevels:
             return [type(v) if isinstance(v, Exception) else v for v in values]
 
         want = [one(kap) for kap in kaps]
-        assert want[7] is ContourHit
+        if level == 1:
+            assert want[7] is ContourHit
         assert typed(ev.eigenvalues(kaps)) == want
         assert typed(ev.eigenvalues(kaps[::-1]))[::-1] == want
         assert typed(ev.eigenvalues(kaps[5:9])) == want[5:9]
 
-        # near-resonant kappas (off -p_m/2 along p_m) stop after more orders
-        # than far ones; a block of both still gives each column its one-kappa
-        # value bit for bit, and the block runs as many orders as its last
-        near = kaps[7] + np.array([[0.1, 0.0], [0.2, 0.0], [-0.3, 0.0], [0.5, 0.0]])
+        # a block of near and far kappas still gives each column its
+        # one-kappa value bit for bit, and each block of it runs as many
+        # orders as its slowest column
         far = kaps[:6]
         assert all(isinstance(w, float) for w in want[:6])
         mixed = np.concatenate([near[:2], far[:3], near[2:], far[3:]])
+        if level == 2:
+            assert len({ev.state(kap).target for kap in mixed}) >= 2
         calls = []
         real = perturb._rs_orders
 
@@ -654,13 +689,15 @@ class TestLevels:
             calls.clear()
             want.append(ev.eigenvalue(kap))
             orders.append(len(calls))
-        near_orders = orders[:2] + orders[5:7]
-        far_orders = orders[2:5] + orders[7:]
+        near_orders = orders[:2] + orders[5 : len(near) + 3]
+        far_orders = orders[2:5] + orders[len(near) + 3 :]
         assert max(far_orders) < max(near_orders) < prof.r_max
         assert len(set(orders)) >= 3
+        step = perturb._BLOCK_ENTRIES // len(ev.indices)
+        blocks = range(0, len(mixed), step)
         calls.clear()
         assert ev.eigenvalues(mixed) == want
-        assert len(calls) == max(orders)
+        assert len(calls) == sum(max(orders[at : at + step]) for at in blocks)
         # an explicit r_max runs exactly that many orders (appendix4_count)
         for kap in (near[0], far[0]):
             calls.clear()
@@ -668,7 +705,58 @@ class TestLevels:
             assert len(calls) == 14
         calls.clear()
         ev.eigenvalues(mixed, r_max=14)
-        assert len(calls) == 14
+        assert len(calls) == 14 * len(blocks)
+
+    def test_divergent_column_in_a_block(self, spec, params, rng):
+        # at kappa = -p_m/2, m = ((-1, -3), (0, 0)), the level-1 series
+        # diverges until its coefficients are no longer real: the column is
+        # NonConvergent, and the rest of its block is unchanged bit for bit
+        k = 40.0
+        prof = make_profile(k)
+        ev = LevelEvaluator(spec, prof)
+        bad = -0.5 * dual_vector(LatticeIndex((-1, -3), (0, 0)), params).p
+        phis = rng.uniform(0, TWO_PI, 5)
+        kaps = np.concatenate([k * np.stack([np.cos(phis), np.sin(phis)], axis=1), [bad]])
+        got = ev.eigenvalues(kaps)
+        assert got[:5] == [ev.eigenvalue(kap) for kap in kaps[:5]]
+        assert isinstance(got[5], NonConvergent)
+        state = ev.state(bad)
+        with pytest.raises(NonConvergent):
+            generic_step(state, prof, with_projector=False)
+        # both defects are there: decay is judged first
+        lam0 = np.array([state.lambda0])
+        inv = perturb._reduced_inverse(state.block_vals[None], lam0, [state.target])
+        g, _, real = perturb._rs_orders(state.w.dot, inv, [state.target], prof.r_max)
+        assert not real[0]
+        with pytest.raises(NonConvergent):
+            perturb._decay(g[:, 0], state.lambda0, prof)
+
+    def test_no_sparse_matrix_per_kappa(self, spec, params, rng, monkeypatch):
+        # the model eigenbasis is applied from its eigh stacks: a level-2
+        # eigenvalues block and generic_step without the oracle build no
+        # scipy.sparse matrix
+        from scipy.sparse import _base
+
+        k = 40.0
+        prof = make_profile(k)
+        phi = admissible_phi(build_omega1(k, prof, params, 8.0), rng)
+        ev = LevelEvaluator(spec, prof, level2_geometry(phi, spec, prof))
+        ang = phi + rng.uniform(-1e-4, 1e-4, 8)
+        kaps = k * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        state = ev.state(kaps[0])
+        assert state.couplings
+        built = []
+        real_init = _base._spbase.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_base._spbase, "__init__", counting)
+        assert all(isinstance(v, float) for v in ev.eigenvalues(kaps))
+        generic_step(state, prof, with_projector=False)
+        assert built == []
+        assert state.section.nnz > 0 and built  # the oracle's CSR section is counted
 
     def test_level2_same_code_path(self, spec, params, rng):
         k = 40.0
@@ -746,6 +834,15 @@ class TestLambdaOnlyStop:
             )
             # the exact hit, and near-resonances that do not converge
             level1 = np.concatenate([level1, [half, half + [1e-3, 0.0]]])
+            if k == 40.0:
+                # -p_m/2 and points 1e-3 off it, on and off the resonance line,
+                # for the exclusion-zone rows m outside the core box: their
+                # free levels set the contour radius of the core-box series
+                rows = enumerate_box_array(prof.tilde_radius)
+                p = dual_array(rows[triple_norm_array(rows) > prof.core_radius], params)
+                unit = p / np.linalg.norm(p, axis=1)[:, None]
+                on = unit[:, ::-1] * [-1.0, 1.0]
+                level1 = np.concatenate([level1, -0.5 * p, -0.5 * p + 1e-3 * on, -0.5 * p + 1e-3 * unit])
             cases = [(LevelEvaluator(spec, prof), prof, level1)]
             for _ in range(2):
                 phi = admissible_phi(om8, rng)
@@ -776,7 +873,7 @@ class TestLambdaOnlyStop:
         lam0, eps, c = 1600.0, 1e-8, 1e2
         tol = np.spacing(lam0) / 16
         w = np.array([[0.0, eps, 0.0], [eps, 0.0, c], [0.0, c, 0.0]], dtype=complex)
-        inv = np.array([0.0, 1.0, 1.0])
+        inv = np.array([[0.0], [1.0], [1.0]])  # one column, target 0
 
         def run(w, lam0=None):
             calls = []
@@ -785,8 +882,8 @@ class TestLambdaOnlyStop:
                 calls.append(1)
                 return w @ v
 
-            g, _ = perturb._rs_orders(apply_w, inv, 0, 12, lam0)
-            return g, len(calls)
+            g, _, _ = perturb._rs_orders(apply_w, inv, [0], 12, lam0)
+            return g[:, 0], len(calls)
 
         full, _ = run(w)
         assert full[0] == 0.0 and 0.0 < abs(full[1]) < tol < abs(full[3])
