@@ -159,7 +159,8 @@ def separation_check(
     t_q = float(base @ nu)
     t_perp = float(base @ nu_perp)
 
-    members = [sub.central + q.scale(n) for n in range(sub.n_minus, sub.n_plus + 1)]
+    ns = np.arange(sub.n_minus, sub.n_plus + 1)
+    members = np.array(sub.central.as_row()) + ns[:, None] * np.array(q.as_row())
     block = assemble(kap, members, spec, spec.params).entries
     model = _window_matrix(cls, sub, t_q, spec) + (t_perp**2) * np.eye(len(members))
     return float(np.max(np.abs(block - model)))

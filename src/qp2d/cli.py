@@ -2,7 +2,9 @@
 
 Every run is driven by a JSON config (alpha descriptor, potential, grids,
 profile overrides, seed) and writes machine-readable outputs.  Exit codes:
-0 pass, 1 check failure, 2 config error, 3 numerical non-convergence.
+0 pass, 1 check failure, 2 config error, 3 numerical rejection (any of
+`isoenergetic.REJECTIONS`: a resonant base angle, overlapping blocks, a
+contour hit, non-convergence, a non-unique eigenvalue or no root).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 from . import isoenergetic, multiscale, perturb, resonance, wavefunction
 from .lattice import NoApproximant, RationalAlpha
-from .perturb import ContourHit, NonConvergent, NotUnique
 from .verify import CheckRecord, ConfigError, RunConfig, run_all
 
 TWO_PI = 2.0 * math.pi
@@ -111,11 +112,7 @@ def cmd_regions(args) -> int:
     phi0 = _base_angle(args.phi, k, prof, params, rng, 8.0)
     if phi0 is None:
         return EXIT_NONCONVERGENT
-    try:
-        m2, dec = multiscale.build_m2set(phi0, k, None, spec, prof)
-    except (resonance.ResonantBase, resonance.OverlapDetected) as exc:
-        print(f"base angle rejected: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENT
+    m2, dec = multiscale.build_m2set(phi0, k, None, spec, prof)
     rmap = multiscale.region_map(m2, k, spec, prof, decomp=dec)
     stats = multiscale.region_stats(rmap, m2, spec, prof, rng=rng)
     payload = {
@@ -125,7 +122,7 @@ def cmd_regions(args) -> int:
         "components": [
             {
                 "color": c.color,
-                "size": len(c.indices),
+                "size": len(c.rows),
                 "n_points": c.n_resonant_points,
                 "boundary": len(c.boundary),
             }
@@ -157,13 +154,9 @@ def cmd_resonance_map(args) -> int:
     phi0 = _base_angle(args.phi, k, prof, params, rng, 8.0)
     if phi0 is None:
         return EXIT_NONCONVERGENT
-    try:
-        dec = resonance.classify(phi0, k, spec, prof)
-        dec = resonance.strength(dec, k, phi0, spec, prof)
-        proj = resonance.assemble_projector(dec, k, prof, spec)
-    except (resonance.ResonantBase, resonance.OverlapDetected) as exc:
-        print(f"base angle rejected: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENT
+    dec = resonance.classify(phi0, k, spec, prof)
+    dec = resonance.strength(dec, k, phi0, spec, prof)
+    proj = resonance.assemble_projector(dec, k, prof, spec)
     payload = {
         "k": k,
         "phi0": phi0,
@@ -190,7 +183,7 @@ def cmd_resonance_map(args) -> int:
             "strong_clusters": [len(g) for g in dec.strong_clusters],
         },
         "blocks": [
-            {"kind": b.kind, "size": len(b.indices)} for b in proj.blocks
+            {"kind": b.kind, "size": len(b.positions)} for b in proj.blocks
         ],
     }
     out = _out_path(cfg, args.out, f"resonance-map-k{k:.0f}.json")
@@ -214,13 +207,7 @@ def cmd_eigen(args) -> int:
     if phi is None:
         return EXIT_NONCONVERGENT
     kap = k * np.array([math.cos(phi), math.sin(phi)])
-    try:
-        res = perturb.eigenvalue_level(
-            args.level, kap, spec, prof, check_oracle=not args.no_oracle
-        )
-    except (NonConvergent, ContourHit, NotUnique) as exc:
-        print(f"series failed: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENT
+    res = perturb.eigenvalue_level(args.level, kap, spec, prof, check_oracle=not args.no_oracle)
     payload = {
         "point": {"k": k, "phi": phi},
         "level": args.level,
@@ -254,11 +241,7 @@ def cmd_wavefunction(args) -> int:
     if phi is None:
         return EXIT_NONCONVERGENT
     kap = k * np.array([math.cos(phi), math.sin(phi)])
-    try:
-        wf = wavefunction.synthesize(args.level, kap, spec, prof)
-    except (NonConvergent, ContourHit, NotUnique) as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENT
+    wf = wavefunction.synthesize(args.level, kap, spec, prof)
     grid = wavefunction.unit_cell_grid(args.grid)
     sampled = wavefunction.sample(wf, grid)
     out = _out_path(cfg, args.out, f"wavefunction-l{args.level}-k{k:.0f}.csv")
@@ -342,8 +325,8 @@ def main(argv=None) -> int:
     except (ConfigError, RationalAlpha, NoApproximant) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (NonConvergent, ContourHit, NotUnique) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except isoenergetic.REJECTIONS as exc:
+        print(f"numerical rejection ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENT
 
 

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import (
-    LatticeIndex,
-    QPParams,
-    dual_array,
-    indices_to_array,
-    row_positions,
-)
+from .lattice import QPParams, dual_array, pack_rows, row_positions
 from .potential import PotentialSpec
 
 
@@ -52,13 +46,13 @@ EIG_CAP_DEFAULT = 4096
 
 @dataclass(frozen=True)
 class FiberMatrix:
-    indices: tuple[LatticeIndex, ...]
+    rows: np.ndarray  # (d, 4) lattice points of the basis
     kappa: np.ndarray
     entries: np.ndarray | sp.spmatrix  # Hermitian, energy units; CSR for the oracle
 
     @property
     def dim(self) -> int:
-        return len(self.indices)
+        return len(self.rows)
 
 
 def diagonal_energies(kappa, rows: np.ndarray, params: QPParams) -> np.ndarray:
@@ -76,13 +70,12 @@ def shifted_energies(kappa, duals: np.ndarray) -> np.ndarray:
 def coupling_pairs(rows: np.ndarray, spec: PotentialSpec):
     """All (i, j, V_q) with rows[i] - rows[j] = q over the nonzero support,
     one entry per ordered pair."""
-    support = spec.nonzero_support
-    shifted = rows[None, :, :] - indices_to_array(support)[:, None, :]
+    support, vals = spec.nonzero_table
     out = []
-    for q, pos in zip(support, row_positions(rows, shifted)):
+    for v, pos in zip(vals.tolist(), row_positions(rows, rows[None, :, :] - support[:, None, :])):
         i_idx = np.flatnonzero(pos >= 0)
         if len(i_idx):
-            out.append((i_idx, pos[i_idx], spec.coeffs[q]))
+            out.append((i_idx, pos[i_idx], v))
     return out
 
 
@@ -107,16 +100,14 @@ def coupling_matrix(rows: np.ndarray, spec: PotentialSpec) -> sp.csr_matrix:
     )
 
 
-def assemble(kappa, indices, spec: PotentialSpec, params: QPParams) -> FiberMatrix:
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        raise DuplicateIndex("index list contains duplicates")
-    rows = indices_to_array(idx)
+def assemble(kappa, rows, spec: PotentialSpec, params: QPParams) -> FiberMatrix:
+    """The dense section over the rows (N, 4) of distinct lattice points."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+    if len(np.unique(pack_rows(rows))) != len(rows):
+        raise DuplicateIndex("row list contains duplicates")
     h = coupling_matrix(rows, spec).toarray()
     np.fill_diagonal(h, diagonal_energies(kappa, rows, params))
-    return FiberMatrix(
-        indices=tuple(idx), kappa=np.asarray(kappa, dtype=float), entries=h
-    )
+    return FiberMatrix(rows=rows, kappa=np.asarray(kappa, dtype=float), entries=h)
 
 
 def eigvals_oracle(

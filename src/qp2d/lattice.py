@@ -3,15 +3,18 @@ p_m = 2*pi*(s1 + alpha*s2) in R^2, box enumeration in the triple norm
 |||m||| = |s1|_inf + |s2|_inf, best rational approximation of alpha, and the
 cluster geometry of the lattice image at a given approximation scale.
 
-Point sets are (N, 4) integer rows; `row_positions` finds rows among rows by
-packed int64 keys, a set is sorted positions into `enumerate_box_array(R)`
-(`LatticeIndex` order), `box_table` caches a box's nonzero rows with
-their norms and duals, and `dual_buckets` those duals in a bucket grid that
-finds the rows near a circle.  `cluster_decompose` labels residue clusters with
-`np.unique` over their keys, takes diameters from per-cluster bounding boxes
-and the separation from one exact k-d tree search.  `components` is the
-package's one connected-components routine.  `LatticeIndex` is the scalar
-API surface, built only for what a function returns.
+Every point set of the package is an (N, 4) int64 array of rows
+(s1x, s1y, s2x, s2y), in box order where it is sorted: lexicographic, which is
+`LatticeIndex` order.  `row_positions` finds rows among rows by packed int64
+keys, a subset of a box is sorted positions into `enumerate_box_array(R)`,
+`box_table` caches a box's nonzero rows with their norms and duals, and
+`dual_buckets` those duals in a bucket grid that finds the rows near a circle.
+`cluster_decompose` labels residue clusters with `np.unique` over their keys,
+takes diameters from per-cluster bounding boxes and the separation from one
+exact k-d tree search.  `components` is the package's one connected-components
+routine.  `LatticeIndex` is the scalar API surface: single points (a
+potential's frequencies, a class direction), and `indices_to_array` /
+`array_to_indices` convert at the edge of the API only.
 
 alpha is represented exactly, either as a quadratic irrational (a + b*sqrt(d))/c
 or as a continued-fraction prefix, so that colinearity questions reduce to
@@ -247,6 +250,11 @@ def array_to_indices(rows: np.ndarray) -> list[LatticeIndex]:
     return [LatticeIndex((a, b), (c, d)) for a, b, c, d in np.asarray(rows).tolist()]
 
 
+def concat_rows(parts) -> np.ndarray:
+    """Row arrays stacked into one (N, 4) array; (0, 4) when there are none."""
+    return np.concatenate([np.zeros((0, 4), dtype=np.int64), *parts])
+
+
 def triple_norm_array(rows: np.ndarray) -> np.ndarray:
     """|||m||| of each row of an (..., 4) array."""
     return np.max(np.abs(rows[..., :2]), axis=-1) + np.max(np.abs(rows[..., 2:]), axis=-1)
@@ -313,13 +321,6 @@ def enumerate_box_array(radius: int) -> np.ndarray:
 
 def enumerate_box(radius: int) -> list[LatticeIndex]:
     return array_to_indices(enumerate_box_array(radius))
-
-
-@lru_cache(maxsize=32)
-def box_indices(radius: int) -> tuple[LatticeIndex, ...]:
-    """enumerate_box as a shared tuple, built on first use per radius; sorted,
-    so a filtered pass over it needs no sort."""
-    return tuple(array_to_indices(enumerate_box_array(radius)))
 
 
 def box_size(radius: int) -> int:
@@ -642,6 +643,16 @@ def cross_combination(m: LatticeIndex, mp: LatticeIndex) -> tuple[int, int, int]
 def duals_colinear(m: LatticeIndex, mp: LatticeIndex, params: QPParams) -> bool:
     """Exact test: p_m and p_mp lie on one line through the origin."""
     return params.combination_is_zero(*cross_combination(m, mp))
+
+
+def duals_colinear_rows(a: np.ndarray, b: np.ndarray, params: QPParams) -> np.ndarray:
+    """duals_colinear per row pair of two broadcastable (..., 4) int arrays:
+    the integer triples of cross_combination, each tested exactly."""
+    c = lambda u, v: u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    s1, s2, t1, t2 = a[..., :2], a[..., 2:], b[..., :2], b[..., 2:]
+    n = np.stack([c(s1, t1), c(s1, t2) + c(s2, t1), c(s2, t2)], axis=-1)
+    zero = [params.combination_is_zero(*t) for t in n.reshape(-1, 3).tolist()]
+    return np.array(zero, dtype=bool).reshape(n.shape[:-1])
 
 
 def rational_ratio(m: LatticeIndex, mp: LatticeIndex) -> Fraction | None:

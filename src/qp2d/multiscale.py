@@ -3,8 +3,10 @@ the larger momentum box, and the simple/black/grey/white/non-resonant region
 map with its merging rules and exact boundary identities.
 
 Boxes for the coloring are cells of the 2D dual-plane tiling (counts of deep
-resonances per cell and its 8 neighbors); regions themselves are index sets
+resonances per cell and its 8 neighbors); regions themselves are point sets
 in Z^4, grown by triple-norm neighborhoods and merged lighter-into-darker.
+M^(2), region components and their boundaries are (N, 4) int64 rows in box
+order.
 """
 
 from __future__ import annotations
@@ -15,12 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
-    LatticeIndex,
-    array_to_indices,
     box_table,
+    concat_rows,
     dual_array,
     enumerate_box_array,
-    indices_to_array,
     row_positions,
     triple_norm_array,
     triple_norm_components,
@@ -66,12 +66,13 @@ def local_pole_discs(
     else:
         projector = geometry.projector
     half = profile.interval_width / 2.0
+    box = enumerate_box_array(profile.box_r1)
     return [
         (pole, profile.o2_disc_radius)
         for blk in projector.blocks
         if blk.kind != "core"
         for pole, _ in block_poles(
-            blk.indices, k, (phi0 - half, phi0 + half), spec, profile, scan_points=64
+            box[blk.positions], k, (phi0 - half, phi0 + half), spec, profile, scan_points=64
         )
     ]
 
@@ -111,11 +112,12 @@ def build_m2set(
     r2_radius: int | None,
     spec: PotentialSpec,
     profile: ParameterProfile,
-) -> tuple[list[LatticeIndex], ClusterDecomposition]:
-    """Members of the r2-box resonant set (minus weak windows) whose local
-    block resolvent has a pole within the membership disc of phi0.
+) -> tuple[np.ndarray, ClusterDecomposition]:
+    """Rows, in box order, of the members of the r2-box resonant set (minus
+    weak windows) whose local block resolvent has a pole within the
+    membership disc of phi0.
 
-    Membership is decided per block, so all indices of one block share it.
+    Membership is decided per block, so all rows of one block share it.
     """
     r2 = profile.box_r2 if r2_radius is None else r2_radius
     decomp = classify(phi0, k, spec, profile, box_radius=r2)
@@ -127,13 +129,13 @@ def build_m2set(
         poles = block_poles(block, k, (phi0 - half, phi0 + half), spec, profile, scan_points=32)
         return any(abs(p - phi0) <= profile.m2_disc_radius for p, _ in poles)
 
-    blocks = [(m,) for m in decomp.m1] + [
+    blocks = list(decomp.m1[:, None, :]) + [
         sub.members for cls in decomp.classes for sub in cls.subsets if sub.strength != "weak"
     ]
-    near = [m for block in blocks if block_has_near_pole(block) for m in block]
+    near = [block for block in blocks if block_has_near_pole(block)]
     # sorted and distinct, without the inner r1-box
-    rows = np.unique(indices_to_array(near), axis=0)
-    return array_to_indices(rows[triple_norm_array(rows) > profile.box_r1]), decomp
+    rows = np.unique(concat_rows(near), axis=0)
+    return rows[triple_norm_array(rows) > profile.box_r1], decomp
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +143,24 @@ def build_m2set(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionComponent:
+    """One connected region of a color: its rows and the rows among them
+    that the potential connects to a point outside (`boundary`), both in box
+    order.  Equal components agree in every field, rows exactly."""
+
     color: str  # simple | black | grey | white | nonresonant
-    indices: tuple[LatticeIndex, ...]
-    boundary: tuple[LatticeIndex, ...]
+    rows: np.ndarray
+    boundary: np.ndarray
     n_resonant_points: int
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, RegionComponent)
+            and (self.color, self.n_resonant_points) == (other.color, other.n_resonant_points)
+            and np.array_equal(self.rows, other.rows)
+            and np.array_equal(self.boundary, other.boundary)
+        )
 
 
 @dataclass(frozen=True)
@@ -159,7 +173,7 @@ class RegionMap:
 
 
 def region_map(
-    m2_points,
+    m2_rows,
     k: float,
     spec: PotentialSpec,
     profile: ParameterProfile,
@@ -176,12 +190,13 @@ def region_map(
     black).  Components of one color are the classes of the same linking at
     their own scale, ordered by their smallest index.
 
-    Regions are sorted positions into enumerate_box_array(r2); deep
-    resonances outside the box act as centers only.
+    m2_rows are the deep resonances as (N, 4) rows.  Regions are sorted
+    positions into enumerate_box_array(r2); deep resonances outside the box
+    act as centers only.
     """
     r2 = profile.box_r2
     box = enumerate_box_array(r2)
-    m2_rows = indices_to_array(sorted(set(m2_points)))
+    m2_rows = np.unique(np.asarray(m2_rows, dtype=np.int64).reshape(-1, 4), axis=0)
     m2_pos = row_positions(box, m2_rows)
     duals = dual_array(m2_rows, spec.params)
     nonzero, _, nonzero_duals = box_table(r2, spec.params)
@@ -228,11 +243,11 @@ def region_map(
     # that carry no deep resonance
     nonres = np.zeros(0, dtype=np.int64)
     if decomp is not None:
-        m_rows = indices_to_array(decomp.m_set)
+        m_rows = decomp.m_set
         m_norms = triple_norm_array(m_rows)
         keep = (
             (row_positions(m2_rows, m_rows) < 0)
-            & (row_positions(indices_to_array(decomp.trivial_weak_points()), m_rows) < 0)
+            & (row_positions(decomp.trivial_weak_points(), m_rows) < 0)
             & (m_norms > profile.box_r1)
             & (m_norms <= r2)
             & ~np.isin(row_positions(box, m_rows), simple)
@@ -254,7 +269,7 @@ def region_map(
     white, black = absorb(white, black, max(profile.white_nbhd, 1) + 1)
     grey, black = absorb(grey, black, max(profile.grey_nbhd, 1) + 1)
 
-    support = indices_to_array(spec.nonzero_support)
+    support = spec.nonzero_table[0]
     comps: list[RegionComponent] = []
 
     def push(color: str, region, sep: int) -> None:
@@ -264,14 +279,11 @@ def region_map(
             comp = region[labels == lab]
             rows = box[comp]
             outward = row_positions(rows, rows[None, :, :] + support[:, None, :]) < 0
-            indices = tuple(array_to_indices(rows))
             comps.append(
                 RegionComponent(
                     color=color,
-                    indices=indices,
-                    boundary=tuple(
-                        m for m, out in zip(indices, outward.any(axis=0)) if out
-                    ),
+                    rows=rows,
+                    boundary=rows[outward.any(axis=0)],
                     n_resonant_points=int(np.count_nonzero(np.isin(comp, m2_pos))),
                 )
             )
@@ -286,38 +298,35 @@ def region_map(
 
 def region_stats(
     rmap: RegionMap,
-    m2_points,
+    m2_rows,
     spec: PotentialSpec,
     profile: ParameterProfile,
-    sample_centers=None,
     rng: np.random.Generator | None = None,
 ) -> dict:
-    """Per-color component statistics plus sampled neighborhood counting
-    ratios count / k^(2*gamma'*r1/3 + 1)."""
+    """Per-color component statistics plus neighborhood counting ratios
+    count / k^(2*gamma'*r1/3 + 1) of the deep resonances (rows) around 20 box
+    rows drawn by rng, when rng is given and there are deep resonances."""
     per_color: dict = {}
     for c in rmap.components:
         d = per_color.setdefault(
             c.color, {"components": 0, "max_size": 0, "max_points": 0}
         )
         d["components"] += 1
-        d["max_size"] = max(d["max_size"], len(c.indices))
+        d["max_size"] = max(d["max_size"], len(c.rows))
         d["max_points"] = max(d["max_points"], c.n_resonant_points)
 
-    m2_list = sorted(set(m2_points))
+    m2_rows = np.unique(np.asarray(m2_rows, dtype=np.int64).reshape(-1, 4), axis=0)
     ratios = []
-    if sample_centers is None and rng is not None and m2_list:
+    if rng is not None and len(m2_rows):
         rows = enumerate_box_array(rmap.r2_radius)
-        sel = rng.choice(len(rows), size=min(20, len(rows)), replace=False)
-        sample_centers = array_to_indices(rows[sel])
-    if sample_centers:
+        centers = rows[rng.choice(len(rows), size=min(20, len(rows)), replace=False)]
         gamma_prime = 1.0
         k = profile.k
         r1_exp = profile.r1_exp
         nbhd = max(2, profile.box_r1)
         bound = k ** (2.0 * gamma_prime * r1_exp / 3.0 + 1.0)
-        m2_rows = indices_to_array(m2_list)
-        for c0 in sample_centers:
-            dist = triple_norm_array(m2_rows - np.array(c0.as_row()))
+        for c0 in centers:
+            dist = triple_norm_array(m2_rows - c0)
             ratios.append(int(np.count_nonzero(dist <= nbhd)) / bound)
     return {
         "per_color": per_color,
@@ -336,14 +345,14 @@ def boundary_check(
     largest violating |V| entry (0.0 when all identities hold).
     """
     comps = rmap.components
-    rows = indices_to_array([m for c in comps for m in c.indices])
-    owner = np.repeat(np.arange(len(comps)), [len(c.indices) for c in comps])
-    on_boundary = row_positions(rows, indices_to_array([m for c in comps for m in c.boundary]))
+    rows = concat_rows(c.rows for c in comps)
+    owner = np.repeat(np.arange(len(comps)), [len(c.rows) for c in comps])
+    on_boundary = row_positions(rows, concat_rows(c.boundary for c in comps))
     interior = np.ones(len(rows), dtype=bool)
     interior[on_boundary[on_boundary >= 0]] = False
-    support = spec.nonzero_support
-    nb = row_positions(rows, rows[None, :, :] + indices_to_array(support)[:, None, :])
+    support, vals = spec.nonzero_table
+    nb = row_positions(rows, rows[None, :, :] + support[:, None, :])
     # a neighbor in another component, or outside every component from an
-    # interior index
+    # interior row
     bad = np.where(nb >= 0, owner[nb] != owner, interior).any(axis=1)
-    return max((abs(spec.coeffs[q]) for q, b in zip(support, bad) if b), default=0.0)
+    return max((abs(v) for v in vals[bad].tolist()), default=0.0)

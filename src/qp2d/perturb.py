@@ -27,7 +27,8 @@ applies W~ V = U^H (W (U V)) with the stacks padded to the largest size, one
 `einsum` on the gathered positions and one W V product per order (level 1
 has no stacks).  The oracle check hands the section as CSR
 (`LevelState.section`) to the windowed shift-invert `eigvals_oracle`, so only
-the quadrature routes densify.
+the quadrature routes densify.  A level's basis is the (d, 4) rows of its box
+in box order (`LevelState.rows`); its blocks are positions into them.
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ from .fiber import (  # noqa: F401 - assemble, NotUnique are re-exported from pe
     shifted_energies,
 )
 from .lattice import (
-    LatticeIndex,
-    ZERO_INDEX,
-    box_indices,
     box_table,
     components,
     enumerate_box_array,
@@ -100,7 +98,8 @@ class Contour:
 
 @dataclass
 class LevelState:
-    """Model/perturbation split of one truncation level at one kappa.
+    """Model/perturbation split of one truncation level at one kappa, over
+    the basis rows (d, 4).
 
     labels: per position the first position of its model block, each block
     one coupling component of a multi-index block (`blocks` lists them as
@@ -115,7 +114,7 @@ class LevelState:
     """
 
     level: int
-    indices: tuple[LatticeIndex, ...]
+    rows: np.ndarray
     diag: np.ndarray
     labels: np.ndarray
     couplings: list[tuple[np.ndarray, np.ndarray]]
@@ -128,7 +127,7 @@ class LevelState:
 
     @property
     def dim(self) -> int:
-        return len(self.indices)
+        return len(self.rows)
 
     @property
     def blocks(self) -> list[np.ndarray]:
@@ -172,8 +171,8 @@ class SeriesResult:
     tail_estimate: float
     converged: bool
     contour: Contour
-    indices: tuple[LatticeIndex, ...]
-    vector: np.ndarray  # unit eigenvector in the index basis
+    rows: np.ndarray  # (d, 4) basis rows
+    vector: np.ndarray  # unit eigenvector in the basis of rows
     decay_ratio: float  # last per-order rate of |g_r| (0.0: fewer than two nonzero)
     orders: int  # r_max, the number of orders computed
     projector: np.ndarray | None = None
@@ -266,11 +265,11 @@ def _aim_nearest(vals: np.ndarray, cand: np.ndarray, value: np.ndarray, margin: 
     return t, lam0, margin * _gaps(vals, t, lam0)
 
 
-def _state(level: int, indices, split: _BlockSplit, diag, vals, vecs, t, lam0, radius,
+def _state(level: int, rows, split: _BlockSplit, diag, vals, vecs, t, lam0, radius,
            profile: ParameterProfile) -> LevelState:
     """Column 0 of an aimed block as a LevelState."""
     lam0, contour = float(lam0[0]), Contour(float(lam0[0]), float(radius[0]), profile.quad_nodes)
-    return LevelState(level, indices, diag[0], split.labels, split.couplings, split.w, vals[0],
+    return LevelState(level, rows, diag[0], split.labels, split.couplings, split.w, vals[0],
                       [u[0] for u in vecs], int(t[0]), lam0, contour)
 
 
@@ -283,8 +282,7 @@ class Level2Geometry:
     decomp: ClusterDecomposition
     projector: object  # BlockProjector
     block_labels: np.ndarray  # per box row, the first position of its block
-    indices: tuple[LatticeIndex, ...]
-    rows: np.ndarray  # indices as an (N, 4) array
+    rows: np.ndarray  # the box_r1 box
     core_positions: np.ndarray
 
 
@@ -297,7 +295,6 @@ def level2_geometry(
     decomp = classify(phi0, k, spec, profile)
     decomp = strength(decomp, k, phi0, spec, profile)
     projector = assemble_projector(decomp, k, profile, spec)
-    indices = box_indices(profile.box_r1)
     rows = enumerate_box_array(profile.box_r1)
     # block positions ascend, so each block's label is its first position
     blocks = [blk.positions for blk in projector.blocks]
@@ -306,7 +303,7 @@ def level2_geometry(
         raise InvariantViolation(
             "a projector block row lies outside the box_r1 box or in another block"
         )
-    labels = np.arange(len(indices))
+    labels = np.arange(len(rows))
     labels[every] = np.repeat([pos[0] for pos in blocks], [len(pos) for pos in blocks])
     core_positions = next(blk.positions for blk in projector.blocks if blk.kind == "core")
     return Level2Geometry(
@@ -314,7 +311,6 @@ def level2_geometry(
         decomp=decomp,
         projector=projector,
         block_labels=labels,
-        indices=indices,
         rows=rows,
         core_positions=core_positions,
     )
@@ -323,14 +319,15 @@ def level2_geometry(
 def toy_state(
     h_full: np.ndarray,
     blocks,
-    indices,
+    rows,
     target_value: float,
     profile: ParameterProfile,
     level: int = 3,
 ) -> LevelState:
-    """Caller-assembled state for structural tests of higher levels; the
-    caller's off-diagonal entries become the CSR coupling as they are.
-    ValueError unless blocks partition range(len(h_full))."""
+    """Caller-assembled state over the basis rows (d, 4), for structural
+    tests of higher levels; the caller's off-diagonal entries become the CSR
+    coupling as they are.  ValueError unless blocks partition
+    range(len(h_full))."""
     h = np.asarray(h_full, dtype=complex)
     diag = np.diag(h).copy()
     d = len(diag)
@@ -344,7 +341,7 @@ def toy_state(
     split = _BlockSplit(sp.csr_matrix(h - np.diag(diag)), labels)
     vals, vecs = split.eigh(diag[None])
     aim = _aim_nearest(vals, np.arange(d), np.array([float(target_value)]), profile.contour_margin)
-    return _state(level, tuple(indices), split, diag[None], vals, vecs, *aim, profile)
+    return _state(level, np.asarray(rows), split, diag[None], vals, vecs, *aim, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +558,7 @@ def generic_step(
 
     oracle_lambda = oracle_count = None
     if check_oracle:
-        mat = FiberMatrix(indices=state.indices, kappa=np.zeros(2), entries=state.section)
+        mat = FiberMatrix(rows=state.rows, kappa=np.zeros(2), entries=state.section)
         inside = eigvals_oracle(
             mat, state.contour.center, state.contour.radius, cap=profile.eig_cap, count=1
         )
@@ -571,7 +568,7 @@ def generic_step(
     return SeriesResult(
         lam=lam, lambda_base=state.lambda0, g=g, tail_estimate=float(tail),
         converged=True,  # _decay raised NonConvergent otherwise
-        contour=state.contour, indices=state.indices, vector=v_full,
+        contour=state.contour, rows=state.rows, vector=v_full,
         decay_ratio=float(ratio), orders=r_max, projector=projector, g_matrices=g_mats,
         g_norms=g_norms, oracle_lambda=oracle_lambda, oracle_count=oracle_count,
     )
@@ -735,7 +732,7 @@ class LevelEvaluator:
     Level2Geometry it is level 2, for kappa in the small angular window of
     the geometry's base angle.
 
-    Everything but the diagonal is kappa-independent: the indices, the
+    Everything but the diagonal is kappa-independent: the rows, the
     coupling components of the blocks, the cross-block W (CSR) and the dense
     coupling of each multi-row component, stacked by size, are built once.
     A block of kappas gets its diagonals, one `eigh` per size stack and its
@@ -751,10 +748,9 @@ class LevelEvaluator:
     ):
         self.spec, self.profile, self.geometry = spec, profile, geometry
         if geometry is None:
-            self.indices = box_indices(profile.core_radius)
             self.rows = enumerate_box_array(profile.core_radius)
-            labels = np.arange(len(self.indices))
-            self.target = self.indices.index(ZERO_INDEX)
+            labels = np.arange(len(self.rows))
+            self.target = len(self.rows) // 2  # the box is symmetric under m -> -m
             # one box holds the core rows and the exclusion-zone box, whose
             # free levels set the contour radius
             radius = max(profile.core_radius, profile.tilde_radius)
@@ -764,7 +760,6 @@ class LevelEvaluator:
             self._not_free = np.flatnonzero((norms == 0) | (norms > profile.tilde_radius))
         else:
             radius = profile.box_r1
-            self.indices = geometry.indices
             self.rows = box = geometry.rows
             labels = geometry.block_labels
         # the table's duals, with the zero row's (0, 0) at the middle of the box
@@ -789,7 +784,7 @@ class LevelEvaluator:
 
     def state(self, kappa) -> LevelState:
         aimed = self._aim(np.asarray(kappa, dtype=float)[None])
-        return _state(1 if self.geometry is None else 2, self.indices, self.split, *aimed, self.profile)
+        return _state(1 if self.geometry is None else 2, self.rows, self.split, *aimed, self.profile)
 
     def eigenvalue(self, kappa, r_max: int | None = None) -> float:
         """generic_step's lam to 1 ulp: stopped as in `_rs_orders` unless r_max."""
@@ -806,7 +801,7 @@ class LevelEvaluator:
         stop = r_max is None
         r_max = self.profile.r_max if stop else r_max
         kappas = np.asarray(kappas, dtype=float).reshape(-1, 2)
-        step = max(1, _BLOCK_ENTRIES // len(self.indices))
+        step = max(1, _BLOCK_ENTRIES // len(self.rows))
         out = []
         for at in range(0, len(kappas), step):
             _, vals, vecs, t, lam0, radius = self._aim(kappas[at : at + step])

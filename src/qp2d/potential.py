@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,9 +22,11 @@ from .lattice import (
     ZERO_INDEX,
     dual_vector,
     duals_colinear,
+    indices_to_array,
     primitive_direction,
     rational_ratio,
     triple_norm,
+    triple_norm_array,
 )
 
 
@@ -59,6 +62,17 @@ class PotentialSpec:
     def nonzero_support(self) -> list[LatticeIndex]:
         return sorted(q for q, v in self.coeffs.items() if v != 0)
 
+    @cached_property
+    def nonzero_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero support as (rows (S, 4), coefficients (S,)), rows in
+        box order; built on first use, read-only."""
+        support = self.nonzero_support
+        rows = indices_to_array(support)
+        vals = np.array([self.coeffs[q] for q in support], dtype=complex)
+        for arr in (rows, vals):
+            arr.setflags(write=False)
+        return rows, vals
+
     @property
     def coeff_l1(self) -> float:
         """sum |V_q|, an operator-norm bound for multiplication by V."""
@@ -66,8 +80,7 @@ class PotentialSpec:
 
     @property
     def max_support_norm(self) -> int:
-        nz = self.nonzero_support
-        return max((triple_norm(q) for q in nz), default=0)
+        return int(triple_norm_array(self.nonzero_table[0]).max(initial=0))
 
 
 def build(

@@ -26,8 +26,6 @@ class ParameterProfile:
     delta: float
     delta_star: float      # step-II threshold as a fraction of t1
     r1_exp: float
-    gamma: float
-    delta0: float
     # step-I geometry
     t1: float              # resonance threshold tau * k^(1 - 40*mu*delta)
     core_radius: int       # small-box radius (the level-1 basis)
@@ -41,7 +39,6 @@ class ParameterProfile:
     m1_box_radius: int     # neighborhood radius of isolated-resonance blocks
     body_radius: int       # strong-cluster neighborhood body radius
     pole_window: float     # half-width k^(-2-40*mu*delta) of the phi window
-    pole_scan_points: int
     pole_bisect_tol: float
     # level-2 admissibility
     o2_disc_radius: float
@@ -114,7 +111,6 @@ def make_profile(
     chain_radius: int = 2,
     m1_box_radius: int = 0,
     body_radius: int = 0,
-    gamma: float = 0.2,
     r_max: int = 30,
     quad_nodes: int = 64,
     eig_cap: int = 4096,
@@ -135,8 +131,6 @@ def make_profile(
         mu=float(mu),
         delta=float(delta),
         delta_star=float(delta_star),
-        gamma=float(gamma),
-        delta0=float(gamma / 100.0),
         core_radius=int(core_radius),
         tilde_radius=int(tilde_radius),
         box_r1=int(box_r1),
@@ -145,7 +139,6 @@ def make_profile(
         chain_radius=int(chain_radius),
         m1_box_radius=int(m1_box_radius),
         body_radius=int(body_radius),
-        pole_scan_points=400,
         pole_bisect_tol=1e-12,
         simple_nbhd=max(2, int(round(math.sqrt(box_r1)))),
         cell_black=3.0,

@@ -6,6 +6,12 @@ the larger box into isolated points, colinear chains (split into residue
 windows along a direction from the potential's support), labels each window
 weakly or strongly resonant via real pole detection of its block resolvent,
 and assembles the mutually orthogonal block projector of the model operator.
+
+Every point set here is an (N, 4) int64 array of lattice rows: the resonant
+sets M', M and M1 and class members in box order, window members in order of
+their offset along the class direction.  A block is its positions in the
+r1-box.  Only the per-class scalars (a window's central point, a class
+direction) are `LatticeIndex`.
 """
 
 from __future__ import annotations
@@ -22,16 +28,15 @@ from .lattice import (
     DualBuckets,
     LatticeIndex,
     QPParams,
-    array_to_indices,
-    box_indices,
     box_table,
+    concat_rows,
+    dual_array,
     dual_buckets,
     dual_vector,
     duals_colinear,
+    duals_colinear_rows,
     enumerate_box_array,
-    indices_to_array,
     primitive_direction,
-    rational_ratio,
     row_positions,
     triple_norm_components,
 )
@@ -186,7 +191,7 @@ def step1_arcs(
 ):
     """Per-index resonance arcs over the step-I exclusion zone.
 
-    Returns a list of (m, p, phi_m, arcs) for m in the zone, nonzero.
+    Returns a list of (row, p, phi_m, arcs) for the nonzero rows of the zone.
     """
     rows, _, duals = box_table(profile.tilde_radius, params)
     ps = np.linalg.norm(duals, axis=1)
@@ -196,7 +201,7 @@ def step1_arcs(
     for row, p, ang in zip(rows, ps, angs):
         arcs = resonance_arcs(k, float(p), float(ang), thr)
         if arcs:
-            out.append((LatticeIndex.from_row(row), float(p), float(ang), arcs))
+            out.append((row, float(p), float(ang), arcs))
     return out
 
 
@@ -230,9 +235,9 @@ def resonant_set_step1(
 @dataclass
 class ClusterSubset:
     """One residue window m_c + n*q, n in [n_minus, n_plus], along a class
-    direction; for a trivial class, a single lattice point."""
+    direction, as rows by ascending n; for a trivial class, a single row."""
 
-    members: tuple[LatticeIndex, ...]
+    members: np.ndarray
     central: LatticeIndex
     n_minus: int
     n_plus: int
@@ -244,9 +249,10 @@ class ClusterSubset:
 @dataclass
 class ClusterClass:
     """A maximal chain-connected component of the resonant set (colinear in
-    the dual plane), with its direction data and residue windows."""
+    the dual plane) as rows in box order, with its direction data and residue
+    windows."""
 
-    members: tuple[LatticeIndex, ...]
+    members: np.ndarray
     direction: LatticeIndex | None  # generating vector in the support, if any
     in_support: bool
     trivial: bool
@@ -258,22 +264,24 @@ class ClusterClass:
 
 @dataclass
 class ClusterDecomposition:
+    """M (`m_set`), M' (`m_prime`) and M1 (`m1`) as rows in box order, and
+    the chain classes of the rest of M."""
+
     phi0: float
     k: float
-    m_set: tuple[LatticeIndex, ...]
-    m_prime: tuple[LatticeIndex, ...]
-    m1: tuple[LatticeIndex, ...]
+    m_set: np.ndarray
+    m_prime: np.ndarray
+    m1: np.ndarray
     classes: list[ClusterClass]
     strong_clusters: list[list[tuple[int, int]]] = field(default_factory=list)
 
-    def trivial_weak_points(self) -> list[LatticeIndex]:
-        out = []
-        for cls in self.classes:
-            if cls.trivial:
-                for sub in cls.subsets:
-                    if sub.strength == "weak":
-                        out.extend(sub.members)
-        return sorted(out)
+    def trivial_weak_points(self) -> np.ndarray:
+        """The rows of the weak windows of trivial classes, in box order."""
+        rows = concat_rows(
+            sub.members for cls in self.classes if cls.trivial
+            for sub in cls.subsets if sub.strength == "weak"
+        )
+        return rows[np.lexsort(rows.T[::-1])]
 
 
 def _near_circle(
@@ -299,14 +307,6 @@ def _direction_in_support(
         if duals_colinear(q, step, spec.params):
             return primitive_direction(q)
     return None
-
-
-def _integer_offset(step: LatticeIndex, q: LatticeIndex) -> int | None:
-    """n with step = n*q exactly, else None."""
-    ratio = rational_ratio(q, step)
-    if ratio is None or ratio.denominator != 1:
-        return None
-    return int(ratio)
 
 
 def classify(
@@ -345,11 +345,9 @@ def classify(
     # M is the part of M' in the r-box: the same thresholds on the same rows
     pos = np.flatnonzero(norms[near[keep]] <= r1)
     m_rows = mp_rows[pos]
-    m_set = tuple(array_to_indices(m_rows))
-    m_prime = tuple(array_to_indices(mp_rows))
 
-    if len(m_set) == 0:
-        return ClusterDecomposition(phi0, k, (), m_prime, (), [])
+    if len(m_rows) == 0:
+        return ClusterDecomposition(phi0, k, m_rows, mp_rows, m_rows, [])
 
     # the separation scales must dominate the potential's reach, otherwise
     # isolated points could still be coupled
@@ -360,32 +358,27 @@ def classify(
     # rows that are singletons of M' at the isolation scale
     iso_labels = triple_norm_components(mp_rows, eff_iso)
     isolated = np.bincount(iso_labels)[iso_labels[pos]] == 1
-    m1 = tuple(m for m, alone in zip(m_set, isolated) if alone)
 
     # chain classes over M', one per component holding an M2 point
     labels = triple_norm_components(mp_rows, eff_chain)
+    duals = dual_array(mp_rows, params)
     classes: list[ClusterClass] = []
     for lab in np.unique(labels[pos[~isolated]]):
-        members = tuple(m_prime[i] for i in np.flatnonzero(labels == lab))
-        base = members[0]
-        colinear_ok = True
-        step = None
-        for m in members[1:]:
-            d = m - base
-            if step is None:
-                step = d
-            elif not duals_colinear(step, d, params):
-                colinear_ok = False
-        if step is None:
-            colinear_ok = False
-        gen = _direction_in_support(spec, step) if (colinear_ok and step) else None
-        in_support = gen is not None
-        if in_support:
-            direction = gen
-        elif colinear_ok and step is not None:
+        at = np.flatnonzero(labels == lab)
+        members, p = mp_rows[at], duals[at]
+        # colinear when every step from the first member is colinear with
+        # the first step, exactly
+        steps = members[1:] - members[0]
+        colinear_ok = len(steps) > 0 and bool(
+            duals_colinear_rows(steps[0], steps[1:], params).all()
+        )
+        direction = None
+        if colinear_ok:
+            step = LatticeIndex.from_row(steps[0])
+            direction = _direction_in_support(spec, step)
+        in_support = direction is not None
+        if colinear_ok and not in_support:
             direction = primitive_direction(step)
-        else:
-            direction = None
 
         t_perp = math.nan
         p_q = math.nan
@@ -395,8 +388,7 @@ def classify(
             p_q = dvq.length
             nu = dvq.p / p_q
             nu_perp = np.array([-nu[1], nu[0]])
-            shift = kvec + dual_vector(base, params).p
-            t_perp = float(shift @ nu_perp)
+            t_perp = float((kvec + p[0]) @ nu_perp)
             if in_support:
                 trivial = abs(k * k - t_perp * t_perp) > profile.t_star / 8.0
         cls = ClusterClass(
@@ -408,47 +400,36 @@ def classify(
             t_perp=t_perp,
             p_q=p_q,
         )
-        if cls.trivial or not colinear_ok:
-            for m in members:
-                dv = dual_vector(m, params)
-                t_here = float((kvec + dv.p) @ (dvq.p / p_q)) if direction else math.nan
+        if trivial:
+            for i, m in enumerate(members):
+                t_here = float((kvec + p[i]) @ nu) if direction is not None else math.nan
                 cls.subsets.append(
                     ClusterSubset(
-                        members=(m,), central=m, n_minus=0, n_plus=0, t_q=t_here
+                        members=members[i : i + 1], central=LatticeIndex.from_row(m),
+                        n_minus=0, n_plus=0, t_q=t_here,
                     )
                 )
         else:
-            residues: dict = {}
-            order = []
-            for m in members:
-                placed = False
-                for key in order:
-                    if _integer_offset(m - key, direction) is not None:
-                        residues[key].append(m)
-                        placed = True
-                        break
-                if not placed:
-                    residues[m] = [m]
-                    order.append(m)
-            nu = dual_vector(direction, params).p / p_q
-            for key in order:
-                group = residues[key]
-                t0 = float((kvec + dual_vector(key, params).p) @ nu)
+            # residues modulo the primitive direction d: two rows differ by a
+            # multiple of d exactly when their 2x2 minors with d agree
+            d = np.array(direction.as_row(), dtype=np.int64)
+            i, j = np.triu_indices(4, 1)
+            minors = members[:, i] * d[j] - members[:, j] * d[i]
+            _, first, residue = np.unique(minors, axis=0, return_index=True, return_inverse=True)
+            residue = residue.reshape(-1)
+            lead = np.flatnonzero(d)[0]
+            for r in np.argsort(first):  # residues by their first member
+                t0 = float((kvec + p[first[r]]) @ nu)
                 shift_n = math.floor(t0 / p_q)
-                central = key - direction.scale(shift_n)
-                tq = t0 - shift_n * p_q
-                offs = sorted(
-                    _integer_offset(m - central, direction) for m in group
-                )
+                central = members[first[r]] - shift_n * d
+                offs = np.sort((members[residue == r, lead] - central[lead]) // d[lead])
                 cls.subsets.append(
                     ClusterSubset(
-                        members=tuple(
-                            central + direction.scale(n) for n in offs
-                        ),
-                        central=central,
-                        n_minus=offs[0],
-                        n_plus=offs[-1],
-                        t_q=tq,
+                        members=central + offs[:, None] * d,
+                        central=LatticeIndex.from_row(central),
+                        n_minus=int(offs[0]),
+                        n_plus=int(offs[-1]),
+                        t_q=t0 - shift_n * p_q,
                     )
                 )
             cls.subsets.sort(key=lambda s: s.central)
@@ -457,9 +438,9 @@ def classify(
     return ClusterDecomposition(
         phi0=phi0,
         k=k,
-        m_set=m_set,
-        m_prime=m_prime,
-        m1=m1,
+        m_set=m_rows,
+        m_prime=mp_rows,
+        m1=m_rows[isolated],
         classes=classes,
     )
 
@@ -503,23 +484,23 @@ def tangency_base(
 
 
 def block_poles(
-    block,
+    rows: np.ndarray,
     k: float,
     phi_interval: tuple[float, float],
     spec: PotentialSpec,
     profile: ParameterProfile,
-    scan_points: int | None = None,
+    scan_points: int,
 ) -> list[tuple[float, int]]:
-    """All phi in the interval where the block matrix at kappa = k(phi) has
-    the eigenvalue k^2.
+    """All phi in the interval where the matrix of the block (its (n, 4)
+    rows) at kappa = k(phi) has the eigenvalue k^2.
 
-    Eigenvalue branches are sampled on a scan grid and each sign change is
-    refined by bisection; branches are monotone over windows of the stated
-    width, so each carries at most one crossing per sign change.
+    Eigenvalue branches are sampled on a grid of scan_points intervals and
+    each sign change is refined by bisection; branches are monotone over
+    windows of the stated width, so each carries at most one crossing per
+    sign change.
     """
     lo, hi = phi_interval
     target = k * k
-    rows = indices_to_array(block)
     n = len(rows)
     coupling = coupling_matrix(rows, spec).toarray()
 
@@ -529,8 +510,7 @@ def block_poles(
         np.fill_diagonal(h, diagonal_energies(kappa, rows, spec.params))
         return np.linalg.eigvalsh(h)
 
-    n_scan = profile.pole_scan_points if scan_points is None else scan_points
-    grid = np.linspace(lo, hi, n_scan + 1)
+    grid = np.linspace(lo, hi, scan_points + 1)
     table = np.array([eigs(p) for p in grid]) - target
     roots: list[float] = []
     for b in range(n):
@@ -606,7 +586,7 @@ def strength(
     subsets = [decomp.classes[ci].subsets[si] for ci, si in strong_ids]
     sizes = [len(sub.members) for sub in subsets]
     labels = triple_norm_components(
-        indices_to_array([m for sub in subsets for m in sub.members]),
+        concat_rows(sub.members for sub in subsets),
         max(profile.chain_radius, spec.max_support_norm),
         group=np.repeat(np.arange(len(subsets)), sizes),
     )
@@ -624,22 +604,18 @@ def strength(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Block:
+    """One block of the model operator: its rows are
+    enumerate_box_array(box_r1)[positions]."""
+
     kind: str  # core | m1-box | trivial-strong | nontrivial-strong | nontrivial-weak
-    indices: tuple[LatticeIndex, ...]
-    # the positions of indices in the box_r1 box, ascending
-    positions: np.ndarray = field(compare=False, repr=False)
+    positions: np.ndarray  # in the box_r1 box, ascending
 
 
 @dataclass(frozen=True)
 class BlockProjector:
     blocks: tuple[Block, ...]
-
-    def block_of(self) -> dict[LatticeIndex, int]:
-        return {
-            m: i for i, b in enumerate(self.blocks) for m in b.indices
-        }
 
 
 def norm_ball(center_rows: np.ndarray, radius: int, box_radius: int) -> np.ndarray:
@@ -653,15 +629,15 @@ def norm_ball(center_rows: np.ndarray, radius: int, box_radius: int) -> np.ndarr
 
 
 def orthogonality_violation(blocks, spec: PotentialSpec) -> float:
-    """Max |V_{m-m'}| over pairs in distinct blocks (0.0 when orthogonal): one
-    lookup of every block row shifted by every support vector q finds the
-    owner of each shifted row."""
-    rows = indices_to_array([m for blk in blocks for m in blk])
+    """Max |V_{m-m'}| over pairs in distinct blocks, each an (n, 4) row array
+    (0.0 when orthogonal): one lookup of every block row shifted by every
+    support vector q finds the owner of each shifted row."""
+    rows = concat_rows(blocks)
     owner = np.repeat(np.arange(len(blocks)), [len(blk) for blk in blocks])
-    support = spec.nonzero_support
-    pos = row_positions(rows, rows[None, :, :] - indices_to_array(support)[:, None, :])
+    support, vals = spec.nonzero_table
+    pos = row_positions(rows, rows[None, :, :] - support[:, None, :])
     crossed = ((pos >= 0) & (owner[pos] != owner)).any(axis=1)
-    return max((abs(spec.coeffs[q]) for q, c in zip(support, crossed) if c), default=0.0)
+    return max((abs(v) for v in vals[crossed].tolist()), default=0.0)
 
 
 @lru_cache(maxsize=32)
@@ -685,16 +661,15 @@ def assemble_projector(
     block), then isolated-resonance boxes, then standalone weak windows of
     non-trivial classes.  The small central box is always a block of its own;
     the rest of the r1-box belongs to no block.  Blocks are committed as
-    positions in the r1-box; their indices come from the shared box tuple.
+    positions in the r1-box.
     """
     if any(sub.strength is None for cls in decomp.classes for sub in cls.subsets):
         raise ValueError("strength labels must be attached first")
     r1 = profile.box_r1
     box = enumerate_box_array(r1)
-    indices = box_indices(r1)
     core = _core_positions(profile.core_radius, r1)
 
-    blocks: list[Block] = [Block("core", box_indices(profile.core_radius), core)]
+    blocks: list[Block] = [Block("core", core)]
     taken = np.zeros(len(box), dtype=bool)
     taken[core] = True
 
@@ -702,7 +677,7 @@ def assemble_projector(
         """members: sorted positions in the r1-box."""
         if taken[members].any():
             raise OverlapDetected(f"{what} intersects an earlier block")
-        blocks.append(Block(kind, tuple(indices[p] for p in members.tolist()), members))
+        blocks.append(Block(kind, members))
         taken[members] = True
 
     def in_box(rows: np.ndarray) -> np.ndarray:
@@ -711,7 +686,7 @@ def assemble_projector(
 
     # a weak window touches the body when a member, or a member shifted by a
     # support vector, lies in it
-    support = indices_to_array(q for q, v in spec.coeffs.items() if v != 0)
+    support = spec.nonzero_table[0]
     shifts = np.concatenate([np.zeros((1, 4), np.int64), support, -support])
 
     # strong clusters with attached weak windows; class members come from the
@@ -720,9 +695,7 @@ def assemble_projector(
     for group in decomp.strong_clusters:
         ci = group[0][0]
         cls = decomp.classes[ci]
-        members = indices_to_array(
-            m for gci, si in group for m in decomp.classes[gci].subsets[si].members
-        )
+        members = concat_rows(decomp.classes[gci].subsets[si].members for gci, si in group)
         body = np.concatenate(
             [box[norm_ball(members, profile.body_radius, r1)], members]
         )
@@ -733,21 +706,19 @@ def assemble_projector(
                 for si, sub in enumerate(cls.subsets):
                     if sub.strength != "weak" or (ci, si) in attached:
                         continue
-                    sub_rows = indices_to_array(sub.members)
-                    near = sub_rows[None, :, :] + shifts[:, None, :]
+                    near = sub.members[None, :, :] + shifts[:, None, :]
                     if np.any(row_positions(body, near) >= 0):
-                        body = np.concatenate([body, sub_rows])
+                        body = np.concatenate([body, sub.members])
                         attached.add((ci, si))
                         changed = True
         kind = "trivial-strong" if cls.trivial else "nontrivial-strong"
         commit(kind, in_box(body), f"{kind} block")
 
     # isolated resonances not swallowed by a strong neighborhood
-    for m in decomp.m1:
-        m_row = indices_to_array((m,))
-        if taken[in_box(m_row)].any():
+    for m in decomp.m1[:, None, :]:
+        if taken[in_box(m)].any():
             continue
-        commit("m1-box", norm_ball(m_row, profile.m1_box_radius, r1), f"m1 box at {m}")
+        commit("m1-box", norm_ball(m, profile.m1_box_radius, r1), f"m1 box at {m[0].tolist()}")
 
     # standalone weak windows of non-trivial classes
     for ci, cls in enumerate(decomp.classes):
@@ -757,12 +728,13 @@ def assemble_projector(
             if sub.strength == "weak" and (ci, si) not in attached:
                 commit(
                     "nontrivial-weak",
-                    in_box(indices_to_array(sub.members)),
+                    in_box(sub.members),
                     f"weak window at {sub.central}",
                 )
 
     # a lone block has no other block to couple to
-    viol = orthogonality_violation([b.indices for b in blocks], spec) if len(blocks) > 1 else 0.0
+    rows = [box[b.positions] for b in blocks]
+    viol = orthogonality_violation(rows, spec) if len(blocks) > 1 else 0.0
     if viol != 0.0:
         raise OverlapDetected(
             f"blocks are connected by the potential (max |V| = {viol:.3g})"

@@ -19,7 +19,6 @@ from .lattice import (
     array_to_indices,
     dual_array,
     enumerate_box_array,
-    indices_to_array,
     row_positions,
     triple_norm_array,
 )
@@ -59,7 +58,7 @@ def synthesize(
 
     The projector is rank one, so its range is the series eigenvector: the
     eigen-only series gives it without building the projector orders.  The
-    level's indices are the box |||m||| <= radius in box order."""
+    level's rows are the box |||m||| <= radius in box order."""
     res = eigenvalue_level(n, point, spec, profile, check_oracle=False, geometry=geometry)
     radius = profile.core_radius if n == 1 else profile.box_r1
     rows = enumerate_box_array(radius)
@@ -92,9 +91,9 @@ def residual(wf: WaveFunction, spec: PotentialSpec) -> tuple[np.ndarray, np.ndar
     if np.any(triple_norm_array(wf.rows) > wf.box_radius):
         raise ValueError("wave function has coefficients outside its box")
     big = enumerate_box_array(wf.box_radius + spec.max_support_norm)
-    support, n = spec.nonzero_support, len(wf.rows)
-    pos = row_positions(big, wf.rows + indices_to_array(support)[:, None, :])
-    vals = np.repeat([spec.coeffs[q] for q in support], n)
+    (support, coeffs), n = spec.nonzero_table, len(wf.rows)
+    pos = row_positions(big, wf.rows + support[:, None, :])
+    vals = np.repeat(coeffs, n)
     cols = np.tile(np.arange(n), len(support))
     g = sp.csr_matrix((vals, (pos.ravel(), cols)), shape=(len(big), n)) @ wf.amps
     diag = diagonal_energies(wf.kappa, wf.rows, spec.params)

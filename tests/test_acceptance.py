@@ -5,6 +5,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines stream, or
 `qp verify` for the same battery with a JSONL report.
 """
 
+import json
+
 import pytest
 
 from qp2d.verify import CRITERIA, RunConfig
@@ -22,6 +24,9 @@ def _run(label, fn, cfg):
         print(rec.line())
     failed = [r.name for r in records if not r.passed]
     assert not failed, f"failed checks: {failed}"
+    # every record times its own work, and its report shows it
+    untimed = [r.name for r in records if not json.loads(r.as_json())["runtime"] > 0]
+    assert not untimed, f"records without a measured runtime: {untimed}"
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,15 @@ class TestSubcommands:
         assert out.returncode == EXIT_NONCONVERGENT, out.stderr
         assert "measure 0" in out.stderr
 
+    @pytest.mark.parametrize("command", [["eigen", "--no-oracle"], ["wavefunction"]])
+    def test_resonant_base_angle_exits_nonconvergent(self, command, tmp_path, capsys):
+        # at k = 60 this angle lies in the step-I resonant set at tau = 8, so
+        # level 2 rejects it: a numerical rejection, not a failed check
+        rc = main([*command, "--level", "2", "--k", "60", "--phi", "0.05238389830840995",
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_NONCONVERGENT
+        assert "ResonantBase" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["curve", "wavefunction"])
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_nonpositive_grid_is_config_error(self, command, grid, config_file, capsys):

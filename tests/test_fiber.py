@@ -17,8 +17,10 @@ from qp2d.lattice import (
     LatticeIndex,
     ZERO_INDEX,
     dual_vector,
-    enumerate_box,
+    enumerate_box_array,
     indices_to_array,
+    row_positions,
+    triple_norm_array,
 )
 
 
@@ -29,15 +31,15 @@ def kappa():
 
 class TestAssemble:
     def test_zero_potential_diagonal(self, zero_spec, params, kappa):
-        idx = enumerate_box(2)
+        idx = enumerate_box_array(2)
         h = assemble(kappa, idx, zero_spec, params)
         assert np.count_nonzero(h.entries - np.diag(np.diag(h.entries))) == 0
-        d = diagonal_energies(kappa, indices_to_array(idx), params)
+        d = diagonal_energies(kappa, idx, params)
         assert np.allclose(np.diag(h.entries).real, d, atol=0)
 
     def test_single_index(self, spec, params, kappa):
         m = LatticeIndex((1, 1), (0, 0))
-        h = assemble(kappa, [m], spec, params)
+        h = assemble(kappa, indices_to_array([m]), spec, params)
         p = dual_vector(m, params).p
         assert h.entries.shape == (1, 1)
         assert h.entries[0, 0] == pytest.approx(float((kappa + p) @ (kappa + p)))
@@ -46,7 +48,7 @@ class TestAssemble:
         q = LatticeIndex((1, 0), (0, 0))
         v = spec.coeffs[q]
         idx = [ZERO_INDEX, -q]  # difference 0 - (-q) = q couples them
-        h = assemble(kappa, idx, spec, params)
+        h = assemble(kappa, indices_to_array(idx), spec, params)
         a = float(kappa @ kappa)
         pq = dual_vector(-q, params).p
         b = float((kappa + pq) @ (kappa + pq))
@@ -56,46 +58,42 @@ class TestAssemble:
         assert np.allclose(got, expected, rtol=1e-12)
 
     def test_exact_hermiticity(self, spec, params, kappa):
-        h = assemble(kappa, enumerate_box(3), spec, params).entries
+        h = assemble(kappa, enumerate_box_array(3), spec, params).entries
         assert np.array_equal(h, h.conj().T)  # bit-level, not approximate
 
     def test_band_support(self, spec, params, kappa):
-        idx = enumerate_box(3)
+        idx = enumerate_box_array(3)
         h = assemble(kappa, idx, spec, params)
-        from qp2d.lattice import triple_norm
-
-        for i, m in enumerate(idx):
-            for j, mp in enumerate(idx):
-                if triple_norm(m - mp) > spec.Q and i != j:
-                    assert h.entries[i, j] == 0
+        far = triple_norm_array(idx[:, None, :] - idx[None, :, :]) > spec.Q
+        assert far.any() and not np.any(h.entries[far])
 
     def test_duplicate_rejected(self, spec, params, kappa):
         with pytest.raises(DuplicateIndex):
-            assemble(kappa, [ZERO_INDEX, ZERO_INDEX], spec, params)
+            assemble(kappa, indices_to_array([ZERO_INDEX, ZERO_INDEX]), spec, params)
 
     def test_projection_consistency(self, spec, params, kappa):
-        big = assemble(kappa, enumerate_box(2), spec, params)
-        sub_idx = enumerate_box(1)
+        big = assemble(kappa, enumerate_box_array(2), spec, params)
+        sub_idx = enumerate_box_array(1)
         direct = assemble(kappa, sub_idx, spec, params)
-        pos = [big.indices.index(m) for m in sub_idx]
+        pos = row_positions(big.rows, sub_idx)
         assert np.array_equal(big.entries[np.ix_(pos, pos)], direct.entries)
 
 
 class TestOracle:
     def test_diagonal_input(self, zero_spec, params, kappa):
-        h = assemble(kappa, enumerate_box(2), zero_spec, params)
+        h = assemble(kappa, enumerate_box_array(2), zero_spec, params)
         vals = eigvals_oracle(h)
         assert np.allclose(vals, np.sort(np.diag(h.entries).real), rtol=1e-12)
 
     def test_trace_preserved(self, spec, params, kappa):
-        h = assemble(kappa, enumerate_box(2), spec, params)
+        h = assemble(kappa, enumerate_box_array(2), spec, params)
         vals = eigvals_oracle(h)
         assert np.sum(vals) == pytest.approx(
             np.trace(h.entries).real, rel=1e-10
         )
 
     def test_residual_and_orthonormality(self, spec, params, kappa):
-        h = assemble(kappa, enumerate_box(2), spec, params)
+        h = assemble(kappa, enumerate_box_array(2), spec, params)
         vals, vecs = np.linalg.eigh(h.entries)
         scale = np.linalg.norm(h.entries, 2)
         resid = h.entries @ vecs - vecs * vals[None, :]
@@ -104,13 +102,13 @@ class TestOracle:
         assert np.max(np.abs(gram - np.eye(h.dim))) <= 1e-10
 
     def test_free_eigenvalues_are_diagonal(self, zero_spec, params, kappa):
-        h = assemble(kappa, enumerate_box(3), zero_spec, params)
+        h = assemble(kappa, enumerate_box_array(3), zero_spec, params)
         vals = eigvals_oracle(h)
-        d = np.sort(diagonal_energies(kappa, indices_to_array(h.indices), params))
+        d = np.sort(diagonal_energies(kappa, h.rows, params))
         assert np.allclose(vals, d, rtol=1e-12)
 
     def test_dimension_cap(self, spec, params, kappa):
-        h = assemble(kappa, enumerate_box(1), spec, params)
+        h = assemble(kappa, enumerate_box_array(1), spec, params)
         with pytest.raises(DimensionCap):
             eigvals_oracle(h, cap=5)
 
@@ -122,13 +120,13 @@ def resolvent_gap(mat, z):
 
 class TestResolventGap:
     def test_far_below_spectrum(self, spec, params, kappa):
-        h = assemble(kappa, enumerate_box(1), spec, params)
+        h = assemble(kappa, enumerate_box_array(1), spec, params)
         vals = eigvals_oracle(h)
         z = vals[0] - 100.0
         assert resolvent_gap(h, z) == pytest.approx(vals[0] - z, rel=1e-12)
 
     def test_at_eigenvalue(self, spec, params, kappa):
-        h = assemble(kappa, enumerate_box(1), spec, params)
+        h = assemble(kappa, enumerate_box_array(1), spec, params)
         vals = eigvals_oracle(h)
         assert resolvent_gap(h, vals[2]) == pytest.approx(0.0, abs=1e-12)
 
@@ -138,7 +136,7 @@ class TestResolventGap:
             a = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
             h = (a + a.conj().T) / 2
             mat = FiberMatrix(
-                indices=tuple(range(20)), kappa=np.zeros(2), entries=h
+                rows=np.zeros((20, 4), dtype=np.int64), kappa=np.zeros(2), entries=h
             )
             z = complex(rng.normal(scale=10), 0)
             inv_norm = np.linalg.norm(np.linalg.inv(h - z * np.eye(20)), 2)
@@ -147,17 +145,17 @@ class TestResolventGap:
 
 class TestSpectralWindow:
     def test_simple_eigenvalue(self, spec, params, kappa):
-        h = assemble(kappa, enumerate_box(1), spec, params)
+        h = assemble(kappa, enumerate_box_array(1), spec, params)
         vals = eigvals_oracle(h)
         inside = eigvals_oracle(h, float(vals[0]), 1e-9)
         assert len(inside) == 1 and inside[0] == pytest.approx(vals[0])
 
     def test_covers_all(self, spec, params, kappa):
-        h = assemble(kappa, enumerate_box(1), spec, params)
+        h = assemble(kappa, enumerate_box_array(1), spec, params)
         assert len(eigvals_oracle(h, 0.0, 1e9)) == h.dim
 
     def test_recount(self, spec, params, kappa, rng):
-        h = assemble(kappa, enumerate_box(2), spec, params)
+        h = assemble(kappa, enumerate_box_array(2), spec, params)
         vals = eigvals_oracle(h)
         for _ in range(10):
             c = float(rng.uniform(vals[0], vals[-1]))
@@ -175,7 +173,7 @@ def hermitian(rng, n, scale):
 
 
 def as_fiber(h):
-    return FiberMatrix(indices=tuple(range(h.shape[0])), kappa=np.zeros(2), entries=h)
+    return FiberMatrix(rows=np.zeros((h.shape[0], 4), dtype=np.int64), kappa=np.zeros(2), entries=h)
 
 
 class TestWindowedOracle:
@@ -219,13 +217,13 @@ class TestWindowedOracle:
 
     def test_center_on_an_eigenvalue(self, zero_spec, params, kappa):
         # a diagonal section shifted by one of its entries is exactly singular
-        h = assemble(kappa, enumerate_box(2), zero_spec, params)
+        h = assemble(kappa, enumerate_box_array(2), zero_spec, params)
         d = np.sort(np.diag(h.entries).real)
         got = eigvals_oracle(h, float(d[50]), 1e-9)
         assert np.array_equal(got, d[np.abs(d - d[50]) <= 1e-9])
 
     def test_empty_window(self, spec, params, kappa):
-        h = assemble(kappa, enumerate_box(2), spec, params)
+        h = assemble(kappa, enumerate_box_array(2), spec, params)
         vals = np.linalg.eigvalsh(h.entries)
         gap = np.argmax(np.diff(vals))
         center = float(vals[gap] + vals[gap + 1]) / 2
@@ -233,7 +231,7 @@ class TestWindowedOracle:
         assert got.shape == (0,)
 
     def test_cap_binds_only_the_dense_finish(self, spec, params, kappa):
-        h = assemble(kappa, enumerate_box(2), spec, params)
+        h = assemble(kappa, enumerate_box_array(2), spec, params)
         vals = np.linalg.eigvalsh(h.entries)
         assert len(eigvals_oracle(h, float(vals[40]), 1e-9, cap=5)) == 1
         with pytest.raises(DimensionCap):

@@ -40,3 +40,33 @@ def test_the_check_sees_each_kind():
     ])
     kinds = [v.split(": ")[1] for v in _violations("probe.py", source)]
     assert kinds == ["assert", "bare except", "catch-all except", "catch-all except"]
+
+
+# modules whose point sets are (N, 4) rows: no LatticeIndex round trips
+ROW_MODULES = ("resonance.py", "multiscale.py", "perturb.py", "isoenergetic.py")
+ROUND_TRIPS = {"indices_to_array", "array_to_indices", "box_indices"}
+
+
+def _round_trips(name: str, source: str):
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if called in ROUND_TRIPS:
+                yield f"{name}:{node.lineno}: {called}"
+
+
+def test_no_index_round_trips_in_the_row_modules():
+    found = [v for n in ROW_MODULES for v in _round_trips(n, (SRC / n).read_text())]
+    assert all((SRC / n).is_file() for n in ROW_MODULES) and not found, found
+
+
+def test_the_round_trip_check_sees_each_call():
+    source = "\n".join([
+        "rows = indices_to_array(points)",
+        "points = lattice.array_to_indices(rows)",
+        "box = box_indices(4)",
+        "rows = enumerate_box_array(4)",
+    ])
+    calls = [v.split(": ")[1] for v in _round_trips("probe.py", source)]
+    assert calls == ["indices_to_array", "array_to_indices", "box_indices"]

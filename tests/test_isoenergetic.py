@@ -147,7 +147,7 @@ class TestRadiusAgainstOracle:
             geometry = level2_geometry(s.phi, spec, prof) if n == 2 else None
             state = build_state(n, point, spec, prof, geometry)
             tail = generic_step(state, prof, with_projector=False).tail_estimate
-            mat = FiberMatrix(indices=state.indices, kappa=point, entries=state.section)
+            mat = FiberMatrix(rows=state.rows, kappa=point, entries=state.section)
             inside = eigvals_oracle(mat, lam, state.contour.radius)
             assert len(inside) == 1
             assert abs(inside[0] - lam) <= max(1e-9 * lam, 10.0 * tail)

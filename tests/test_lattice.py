@@ -16,7 +16,6 @@ from qp2d.lattice import (
     ZERO_INDEX,
     array_to_indices,
     best_rational,
-    box_indices,
     box_table,
     cluster_decompose,
     components,
@@ -25,6 +24,7 @@ from qp2d.lattice import (
     dual_array,
     dual_vector,
     duals_colinear,
+    duals_colinear_rows,
     enumerate_box,
     enumerate_box_array,
     indices_to_array,
@@ -80,13 +80,14 @@ class TestDualVector:
             assert dv.length >= TWO_PI * c1 * float(n) ** (-params.mu) - 1e-9
 
 
-class TestBoxIndices:
+class TestBoxRows:
     @pytest.mark.parametrize("radius", [0, 2, 4])
-    def test_cached_box_tuple(self, radius):
-        box = box_indices(radius)
-        assert box == tuple(array_to_indices(enumerate_box_array(radius)))
-        assert box == tuple(sorted(box))
-        assert box_indices(radius) is box
+    def test_cached_box_rows(self, radius):
+        # box order is LatticeIndex order, and the rows are shared read-only
+        box = enumerate_box_array(radius)
+        points = array_to_indices(box)
+        assert points == sorted(points) and len(set(points)) == len(points)
+        assert enumerate_box_array(radius) is box and not box.flags.writeable
 
 
 class TestBoxTable:
@@ -419,6 +420,21 @@ class TestExactArithmetic:
         assert cross_combination(m, LatticeIndex((0, 0), (2, 0))) == (0, 0, 0)
         assert cross_combination(m, LatticeIndex((0, 1), (0, 0))) == (1, 0, 0)
         assert cross_combination(m, LatticeIndex((0, 0), (0, 3))) == (0, 3, 0)
+
+    def test_colinearity_of_rows(self, params, rng):
+        # the row test is the scalar test, pair by pair, for a quadratic alpha
+        # and a continued-fraction prefix alike
+        cf = QPParams(cf_prefix=(0, 3, 30, 1, 1, 1, 1, 1), mu=2.0)
+        for p in (params, cf):
+            a = rng.integers(-3, 4, size=(300, 4))
+            b = rng.integers(-3, 4, size=(300, 4))
+            b[::3] = -2 * a[::3]
+            b[1::5, 2:] = 0
+            a[1::5, 2:] = 0
+            want = [duals_colinear(*array_to_indices(np.stack([x, y])), p) for x, y in zip(a, b)]
+            assert duals_colinear_rows(a, b, p).tolist() == want
+            assert any(want) and not all(want)
+        assert duals_colinear_rows(a[0], a[:0], cf).shape == (0,)
 
     def test_rational_ratio(self):
         m = LatticeIndex((1, -2), (3, 0))

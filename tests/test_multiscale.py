@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from qp2d.lattice import (
     LatticeIndex,
     ZERO_INDEX,
+    array_to_indices,
     dual_array,
     enumerate_box_array,
-    triple_norm,
+    indices_to_array,
     triple_norm_array,
 )
 from qp2d.multiscale import (
@@ -23,7 +25,7 @@ from qp2d.multiscale import (
 )
 from qp2d.potential import build
 from qp2d.profile import make_profile
-from qp2d.resonance import build_omega1, classify
+from qp2d.resonance import OverlapDetected, ResonantBase, build_omega1, classify
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,7 +44,7 @@ def synthetic_m2(params, profile, rng, n_dense=9, n_sparse=5):
     far = np.nonzero(d2 > 10 * profile.cell_black)[0]
     sparse = rng.choice(far, size=min(n_sparse, len(far)), replace=False)
     picked = sorted(set(dense.tolist()) | set(sparse.tolist()))
-    return [LatticeIndex.from_row(rows_o[i]) for i in picked]
+    return rows_o[picked]
 
 
 class TestSecondResonantSet:
@@ -54,7 +56,7 @@ class TestSecondResonantSet:
             phi0 = float(rng.uniform(0, TWO_PI))
             if not om8.contains(phi0):
                 continue
-            if not classify(phi0, k, spec, prof).m_set:
+            if not len(classify(phi0, k, spec, prof).m_set):
                 break
         assert local_pole_discs(phi0, k, spec, prof) == []
 
@@ -72,7 +74,7 @@ class TestSecondResonantSet:
         for phi0 in grid:
             try:
                 n_discs += len(local_pole_discs(phi0, k, spec, prof))
-            except Exception:
+            except (ResonantBase, OverlapDetected):
                 pass
         for a, b in o2.intervals:
             assert (b - a) <= max(n_discs, 1) * 2 * prof.o2_disc_radius + 1e-12
@@ -101,10 +103,9 @@ class TestM2Set:
                 continue
             try:
                 m2, dec = build_m2set(phi0, k, None, spec, prof)
-            except Exception:
+            except (ResonantBase, OverlapDetected):
                 continue
-            for m in m2:
-                assert triple_norm(m) > prof.box_r1
+            assert np.all(triple_norm_array(m2) > prof.box_r1)
             checked += 1
             if checked >= 3:
                 break
@@ -122,17 +123,19 @@ class TestM2Set:
                 continue
             try:
                 m2, dec = build_m2set(phi0, k, None, spec, prof)
-            except Exception:
+            except (ResonantBase, OverlapDetected):
                 continue
-            m2set = set(m2)
+            m2set = set(array_to_indices(m2))
             for cls in dec.classes:
                 for sub in cls.subsets:
                     if sub.strength == "weak":
                         continue
-                    inside = [m for m in sub.members if triple_norm(m) > prof.box_r1]
+                    outer = triple_norm_array(sub.members) > prof.box_r1
+                    inside = array_to_indices(sub.members[outer])
                     got = [m in m2set for m in inside]
                     assert len(set(got)) <= 1
             return
+        pytest.fail("no sampled base angle gave a deep-resonance set")
 
 
 class TestRegionMap:
@@ -148,13 +151,28 @@ class TestRegionMap:
         b = region_map(m2, 40.0, spec, prof)
         assert a == b
 
+    def test_equality_compares_rows(self, spec, params, rng):
+        # components hold rows, so equality must compare them exactly
+        prof = make_profile(40.0)
+        a = region_map(synthetic_m2(params, prof, rng), 40.0, spec, prof)
+        i = next(i for i, c in enumerate(a.components) if len(c.boundary) > 1)
+        c = a.components[i]
+        for changed in (
+            dataclasses.replace(c, boundary=c.boundary[1:]),
+            dataclasses.replace(c, rows=c.rows[::-1]),
+            dataclasses.replace(c, n_resonant_points=c.n_resonant_points + 1),
+        ):
+            b = dataclasses.replace(a, components=a.components[:i] + (changed,) + a.components[i + 1 :])
+            assert a != b and not (a == b)
+        assert a == dataclasses.replace(a, components=tuple(dataclasses.replace(c) for c in a.components))
+
     def test_colors_present_and_disjoint(self, spec, params, rng):
         prof = make_profile(40.0)
         m2 = synthetic_m2(params, prof, rng)
         rmap = region_map(m2, 40.0, spec, prof)
         seen: dict = {}
         for c in rmap.components:
-            for m in c.indices:
+            for m in array_to_indices(c.rows):
                 assert m not in seen, "components must be pairwise disjoint"
                 seen[m] = c.color
         assert any(c.color in ("black", "grey", "white") for c in rmap.components)
@@ -173,9 +191,7 @@ class TestRegionMap:
             for b in comps[i + 1 :]:
                 if a.color != b.color or a.color not in seps:
                     continue
-                d = min(
-                    triple_norm(x - y) for x in a.indices for y in b.indices
-                )
+                d = triple_norm_array(a.rows[:, None, :] - b.rows[None, :, :]).min()
                 assert d >= seps[a.color]
 
     def test_boundary_identities_exact(self, spec, params, rng):
@@ -195,9 +211,12 @@ class TestRegionMap:
 
 
 def planted_map(*parts) -> RegionMap:
-    """RegionMap from (indices, boundary) pairs."""
+    """RegionMap from (points, boundary points) pairs."""
     return RegionMap(
-        tuple(RegionComponent("white", tuple(ix), tuple(bd), 0) for ix, bd in parts),
+        tuple(
+            RegionComponent("white", indices_to_array(ix), indices_to_array(bd), 0)
+            for ix, bd in parts
+        ),
         r2_radius=8,
     )
 

@@ -14,12 +14,12 @@ from qp2d.fiber import FiberMatrix, assemble, eigvals_oracle
 from qp2d.lattice import (
     LatticeIndex,
     ZERO_INDEX,
+    array_to_indices,
     dual_array,
     dual_vector,
     enumerate_box,
     enumerate_box_array,
     indices_to_array,
-    triple_norm,
     triple_norm_array,
 )
 from qp2d.perturb import (
@@ -51,9 +51,9 @@ def admissible_phi(om, rng):
             return phi
 
 
-def pair_norms(indices):
-    """|||s||| + |||s'||| for every entry (s, s') of a matrix over indices."""
-    norms = triple_norm_array(indices_to_array(indices))
+def pair_norms(rows):
+    """|||s||| + |||s'||| for every entry (s, s') of a matrix over rows."""
+    norms = triple_norm_array(rows)
     return norms[:, None] + norms[None, :]
 
 
@@ -153,9 +153,8 @@ class TestSeriesStructure:
 
     def test_contour_hit_raised(self, spec, params):
         h = np.diag([0.0, 1.0, 2.0]).astype(complex)
-        idx = enumerate_box(0) * 1
         state = toy_state(
-            h, [[0], [1], [2]], [LatticeIndex((i, 0), (0, 0)) for i in range(3)],
+            h, [[0], [1], [2]], indices_to_array([LatticeIndex((i, 0), (0, 0)) for i in range(3)]),
             target_value=0.0, profile=make_profile(10.0),
         )
         object.__setattr__(state.contour, "radius", 1.0) if False else None
@@ -167,7 +166,7 @@ class TestSeriesStructure:
         # coupling comparable to the gap: the coefficient sequence stalls
         prof = make_profile(10.0)
         h = np.array([[0.0, 0.9], [0.9, 1.0]], dtype=complex)
-        idx = [LatticeIndex((0, 0), (0, 0)), LatticeIndex((1, 0), (0, 0))]
+        idx = indices_to_array([LatticeIndex((0, 0), (0, 0)), LatticeIndex((1, 0), (0, 0))])
         state = toy_state(h, [[0], [1]], idx, target_value=0.0, profile=prof)
         with pytest.raises(NonConvergent):
             generic_step(state, prof)
@@ -185,7 +184,7 @@ class TestSeriesStructure:
             ],
             dtype=complex,
         )
-        idx = [LatticeIndex((i, 0), (0, 0)) for i in range(3)]
+        idx = indices_to_array([LatticeIndex((i, 0), (0, 0)) for i in range(3)])
         state = toy_state(h, [[0], [1], [2]], idx, target_value=0.0, profile=prof)
         with pytest.raises(NotUnique):
             generic_step(state, prof, check_oracle=True)
@@ -199,8 +198,8 @@ class TestProjector:
         phi = admissible_phi(om, rng)
         kap = k * np.array([math.cos(phi), math.sin(phi)])
         res = projector_level(1, kap, zero_spec, prof)
-        i0 = res.indices.index(ZERO_INDEX)
-        expected = np.zeros((len(res.indices),) * 2, dtype=complex)
+        i0 = array_to_indices(res.rows).index(ZERO_INDEX)
+        expected = np.zeros((len(res.rows),) * 2, dtype=complex)
         expected[i0, i0] = 1.0
         assert np.array_equal(res.projector, expected)
 
@@ -228,7 +227,7 @@ class TestProjector:
         kap = k * np.array([math.cos(phi), math.sin(phi)])
         state = build_state(1, kap, spec1, prof)
         res = generic_step(state, prof, with_projector=True, store_orders=6)
-        pair_norm = pair_norms(res.indices)
+        pair_norm = pair_norms(res.rows)
         for r, g_r in enumerate(res.g_matrices, start=1):
             mask = r * spec1.Q < pair_norm
             assert np.all(g_r[mask] == 0.0)  # bit-exact, not approximate
@@ -244,7 +243,7 @@ class TestProjector:
         state = build_state(1, kap, spec1, prof)
         _, gs = contour_projector_series(state, prof, r_max=4)
         scale = max(np.max(np.abs(gm)) for gm in gs)
-        pair_norm = pair_norms(state.indices)
+        pair_norm = pair_norms(state.rows)
         for r, g_r in enumerate(gs, start=1):
             mask = r * spec1.Q < pair_norm
             assert np.all(np.abs(g_r[mask]) <= 1e-12 * scale)
@@ -256,7 +255,7 @@ class TestProjector:
         phi = admissible_phi(om, rng)
         kap = k * np.array([math.cos(phi), math.sin(phi)])
         res = projector_level(1, kap, spec, prof)
-        h = assemble(kap, list(res.indices), spec, params)
+        h = assemble(kap, res.rows, spec, params)
         vals, vecs = np.linalg.eigh(h.entries)
         pos = int(np.argmin(np.abs(vals - res.lam)))
         v = vecs[:, pos]
@@ -389,7 +388,7 @@ class TestSparseState:
     def test_w_is_the_cross_block_coupling(self, spec, params, rng):
         prof, kap = self.level2_point(spec, params, rng)
         state = build_state(2, kap, spec, prof)
-        h = assemble(kap, list(state.indices), spec, params).entries
+        h = assemble(kap, state.rows, spec, params).entries
         assert np.array_equal(state.w.toarray(), h - in_block_model(h, state.blocks))
         owner = np.empty(state.dim, dtype=np.int64)
         for b, pos in enumerate(state.blocks):
@@ -402,7 +401,7 @@ class TestSparseState:
     def test_h_full_is_assemble(self, level, spec, params, rng):
         prof, kap = self.level2_point(spec, params, rng)
         state = build_state(level, kap, spec, prof)
-        h = assemble(kap, list(state.indices), spec, params).entries
+        h = assemble(kap, state.rows, spec, params).entries
         assert np.array_equal(state.h_full, h)
 
     def test_block_eigenvalues_from_the_dense_section(self, spec, params, rng):
@@ -433,7 +432,7 @@ class TestBlockPartition:
         h = np.diag([0.0, 0.3, 0.7, 1.2]).astype(complex)
         for a in range(3):
             h[a, a + 1] = h[a + 1, a] = 0.1
-        return h, [LatticeIndex((a, 0), (0, 0)) for a in range(4)]
+        return h, indices_to_array([LatticeIndex((a, 0), (0, 0)) for a in range(4)])
 
     @pytest.mark.parametrize(
         "blocks", [[[0, 1], [1, 2], [3]], [[0, 1], [3]], [[0, 1], [2], [3], [4]]]
@@ -463,7 +462,7 @@ class TestBlockPartition:
             proj = real(*args, **kwargs)
             core = proj.blocks[0]
             return BlockProjector(
-                proj.blocks + (Block("m1-box", core.indices[:2], core.positions[:2]),)
+                proj.blocks + (Block("m1-box", core.positions[:2]),)
             )
 
         level2_geometry(phi, spec, prof)
@@ -693,7 +692,7 @@ class TestLevels:
         far_orders = orders[2:5] + orders[len(near) + 3 :]
         assert max(far_orders) < max(near_orders) < prof.r_max
         assert len(set(orders)) >= 3
-        step = perturb._BLOCK_ENTRIES // len(ev.indices)
+        step = perturb._BLOCK_ENTRIES // len(ev.rows)
         blocks = range(0, len(mixed), step)
         calls.clear()
         assert ev.eigenvalues(mixed) == want
@@ -795,10 +794,11 @@ class TestLevels:
         om = build_omega1(k, prof, params)
         phi = admissible_phi(om, rng)
         kap = k * np.array([math.cos(phi), math.sin(phi)])
-        idx = enumerate_box(3)
+        idx = enumerate_box_array(3)
         h = assemble(kap, idx, spec, params).entries
-        core = [i for i, m in enumerate(idx) if triple_norm(m) <= 2]
-        rest = [[i] for i, m in enumerate(idx) if triple_norm(m) > 2]
+        norms = triple_norm_array(idx)
+        core = np.flatnonzero(norms <= 2).tolist()
+        rest = [[i] for i in np.flatnonzero(norms > 2).tolist()]
         state = toy_state(
             h, [core] + rest, idx, target_value=float(kap @ kap),
             profile=prof, level=3,
@@ -931,7 +931,7 @@ class TestWindowedOracle:
         prof = make_profile(k)
         phi = admissible_phi(build_omega1(k, prof, params, 8.0), rng)
         state = build_state(2, k * np.array([math.cos(phi), math.sin(phi)]), spec, prof)
-        mat = FiberMatrix(indices=state.indices, kappa=np.zeros(2), entries=state.section)
+        mat = FiberMatrix(rows=state.rows, kappa=np.zeros(2), entries=state.section)
         runs = [
             eigvals_oracle(mat, state.contour.center, state.contour.radius).tobytes()
             for _ in range(10)
@@ -950,14 +950,14 @@ class TestWindowedOracle:
         h = np.zeros((2 * n, 2 * n), dtype=complex)
         h[:n, :n] = h[n:, n:] = a
         blocks = [[i] for i in range(n)] + [list(range(n, 2 * n))]
-        idx = [LatticeIndex((i, 0), (0, 0)) for i in range(2 * n)]
+        idx = indices_to_array([LatticeIndex((i, 0), (0, 0)) for i in range(2 * n)])
         lam = float(np.linalg.eigvalsh(a)[n // 2])
         return toy_state(h, blocks, idx, target_value=lam, profile=prof)
 
     def test_planted_double_is_not_unique(self, rng):
         prof = make_profile(10.0)
         state = self.planted_double(rng, prof)
-        mat = FiberMatrix(indices=state.indices, kappa=np.zeros(2), entries=state.section)
+        mat = FiberMatrix(rows=state.rows, kappa=np.zeros(2), entries=state.section)
         assert len(eigvals_oracle(mat, state.contour.center, state.contour.radius)) == 2
         with pytest.raises(NotUnique):
             generic_step(state, prof, with_projector=False, check_oracle=True)
@@ -982,7 +982,7 @@ class TestWindowedOracle:
         phi = admissible_phi(build_omega1(k, prof, params, 8.0), rng)
         kap = k * np.array([math.cos(phi), math.sin(phi)])
         res = eigenvalue_level(2, kap, spec, prof, check_oracle=True)
-        assert len(res.indices) == 4817 > prof.eig_cap
+        assert len(res.rows) == 4817 > prof.eig_cap
         assert res.oracle_count == 1
         assert res.delta_vs_oracle <= max(1e-9 * k * k, 10 * res.tail_estimate)
 
@@ -1068,7 +1068,7 @@ class TestDerivatives:
 GUARDS_SCRIPT = """
 import sys
 import numpy as np
-from qp2d.lattice import LatticeIndex, QPParams
+from qp2d.lattice import LatticeIndex, QPParams, indices_to_array
 from qp2d.perturb import contour_coeff_series, generic_step, toy_state
 from qp2d.potential import InvariantViolation, PotentialSpec, evaluate
 from qp2d.profile import make_profile
@@ -1078,7 +1078,7 @@ if not sys.flags.optimize:
 prof = make_profile(10.0)
 # non-Hermitian coupling: the second-order coefficient is imaginary
 h = np.array([[0.0, 0.1], [0.1j, 1.0]])
-idx = [LatticeIndex((0, 0), (0, 0)), LatticeIndex((1, 0), (0, 0))]
+idx = indices_to_array([LatticeIndex((0, 0), (0, 0)), LatticeIndex((1, 0), (0, 0))])
 state = toy_state(h, [[0], [1]], idx, target_value=0.0, profile=prof)
 g = LatticeIndex((1, 0), (0, 0))
 params = QPParams(quadratic=(-1, 1, 2, 1), mu=2.0)

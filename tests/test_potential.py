@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qp2d.lattice import LatticeIndex, ZERO_INDEX, dual_vector
+from qp2d.lattice import LatticeIndex, ZERO_INDEX, dual_vector, triple_norm
 from qp2d.potential import (
     ColinearityViolation,
     NormViolation,
@@ -61,6 +61,15 @@ class TestBuild:
         again = build(list(spec.generators), Q=spec.Q, params=params)
         assert set(again.coeffs) == set(spec.coeffs)
         assert all(again.coeffs[q] == spec.coeffs[q] for q in spec.coeffs)
+
+
+class TestNonzeroTable:
+    def test_rows_and_values_of_the_nonzero_support(self, spec):
+        rows, vals = spec.nonzero_table
+        assert [LatticeIndex.from_row(r) for r in rows] == spec.nonzero_support
+        assert vals.tolist() == [spec.coeffs[q] for q in spec.nonzero_support]
+        assert spec.nonzero_table[0] is rows and not rows.flags.writeable
+        assert spec.max_support_norm == max(triple_norm(q) for q in spec.nonzero_support)
 
 
 class TestCoefficient:

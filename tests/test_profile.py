@@ -1,7 +1,11 @@
+import json
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qp2d.profile import make_profile
+from qp2d.verify import ConfigError, RunConfig
 
 ks = st.floats(min_value=1.5, max_value=500.0, allow_nan=False)
 shape = st.fixed_dictionaries(
@@ -11,7 +15,7 @@ shape = st.fixed_dictionaries(
         "mu": st.floats(0.5, 4.0),
         "delta_star": st.floats(0.1, 1.0),
         "box_r1": st.integers(1, 8),
-        "gamma": st.floats(0.01, 1.0),
+        "core_radius": st.integers(1, 3),
         "r_max": st.integers(4, 40),
     },
 )
@@ -19,12 +23,12 @@ shape = st.fixed_dictionaries(
 overrides = st.fixed_dictionaries(
     {},
     optional={
-        "delta0": st.floats(1e-4, 0.1),
+        "pole_bisect_tol": st.floats(1e-14, 1e-8),
         "contour_margin": st.floats(0.05, 0.9),
         "divergence_ratio": st.floats(0.3, 0.95),
         "cell_black": st.floats(1.0, 8.0),
         "n_grey": st.integers(1, 6),
-        "pole_scan_points": st.integers(50, 800),
+        "white_nbhd": st.integers(0, 3),
     },
 )
 
@@ -45,18 +49,29 @@ class TestWithK:
     def test_overrides_survive(self):
         p = make_profile(
             40.0,
-            gamma=0.5,
-            delta0=0.01,
+            pole_bisect_tol=1e-10,
+            n_black=9,
             contour_margin=0.3,
             divergence_ratio=0.6,
             cell_black=5.0,
         )
         q = p.with_k(25.0)
         assert q.k == 25.0 and q.t1 == make_profile(25.0).t1
-        assert (q.gamma, q.delta0, q.contour_margin, q.divergence_ratio, q.cell_black) == (
-            0.5,
-            0.01,
+        assert (q.pole_bisect_tol, q.n_black, q.contour_margin, q.divergence_ratio, q.cell_black) == (
+            1e-10,
+            9,
             0.3,
             0.6,
             5.0,
         )
+
+
+@pytest.mark.parametrize("name", ["gamma", "delta0", "pole_scan_points"])
+def test_removed_fields_are_config_errors(name, tmp_path):
+    # no computation read these fields, so an override of one is an unknown field
+    with pytest.raises(TypeError):
+        make_profile(40.0, **{name: 1})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"alpha": {"quadratic": [-1, 1, 2, 1]}, "profile": {name: 1}}))
+    with pytest.raises(ConfigError, match=name):
+        RunConfig.from_json(str(path))

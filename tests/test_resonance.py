@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from qp2d.lattice import (
     QPParams,
     ZERO_INDEX,
     array_to_indices,
-    box_indices,
     box_table,
     components,
     dual_buckets,
@@ -96,11 +97,9 @@ def find_chain_setup(chain_spec, chain_params):
 def m1_by_pairs(dec, eff_iso):
     """The rows of M with no other M' row within eff_iso, by pairwise
     triple norms."""
-    dist = triple_norm_array(
-        indices_to_array(dec.m_set)[:, None, :] - indices_to_array(dec.m_prime)[None, :, :]
-    )
+    dist = triple_norm_array(dec.m_set[:, None, :] - dec.m_prime[None, :, :])
     crowded = ((dist > 0) & (dist <= eff_iso)).any(axis=1)
-    return tuple(m for m, c in zip(dec.m_set, crowded) if not c)
+    return dec.m_set[~crowded]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +203,7 @@ class TestStepOneResonant:
         rows = box_table(prof.tilde_radius, params)[0]
         assert len(rows) == len(enumerate_box_array(prof.tilde_radius)) - 1
         assert not np.any(np.all(rows == 0, axis=1))
-        assert all(not m.is_zero() for m, *_ in step1_arcs(10.0, prof, params))
+        assert all(np.any(m != 0) for m, *_ in step1_arcs(10.0, prof, params))
 
 
 class TestOmegaOne:
@@ -268,7 +267,7 @@ def _check_m_from_m_prime(phi0, k, spec, prof, params):
             rows, norms, duals = box_table(r, params)
             det = shifted_energies(kvec, duals) - k * k
             thr = np.where(norms <= prof.tilde_radius, prof.t1, prof.t_star)
-            assert list(got) == array_to_indices(rows[np.abs(det) <= thr])
+            assert np.array_equal(got, rows[np.abs(det) <= thr])
 
 
 class TestClassify:
@@ -291,11 +290,11 @@ class TestClassify:
             if not om8.contains(phi0):
                 continue
             dec = classify(phi0, k, spec, prof)
-            if not dec.m_set:
+            if not len(dec.m_set):
                 found = dec
                 break
         assert found is not None
-        assert found.m1 == () and found.classes == []
+        assert found.m1.shape == (0, 4) and found.classes == []
 
     def test_partition_refinement(self, params, spec, rng):
         k = 40.0
@@ -307,14 +306,14 @@ class TestClassify:
             if not om8.contains(phi0):
                 continue
             dec = classify(phi0, k, spec, prof)
-            if not dec.m_set:
+            if not len(dec.m_set):
                 continue
             checked += 1
-            m1 = set(dec.m1)
+            m1 = set(array_to_indices(dec.m1))
             subsets = [
-                set(s.members) for c in dec.classes for s in c.subsets
+                set(array_to_indices(s.members)) for c in dec.classes for s in c.subsets
             ]
-            for m in dec.m_set:
+            for m in array_to_indices(dec.m_set):
                 owners = int(m in m1) + sum(m in s for s in subsets)
                 assert owners == 1, f"{m} appears in {owners} components"
             if checked >= 10:
@@ -333,8 +332,8 @@ class TestClassify:
             if not om8.contains(phi0):
                 continue
             dec = classify(float(phi0), k, spec, prof, box_radius=radius)
-            if dec.m_set:
-                assert dec.m1 == m1_by_pairs(dec, eff_iso)
+            if len(dec.m_set):
+                assert np.array_equal(dec.m1, m1_by_pairs(dec, eff_iso))
                 checked += 1
                 n_m1 += len(dec.m1)
             if checked == 6:
@@ -364,13 +363,25 @@ class TestClassify:
         assert cls.in_support
         # members of every window line on the class direction, exactly
         for sub in cls.subsets:
-            for m in sub.members:
+            for m in array_to_indices(sub.members):
                 d = m - sub.central
                 if not d.is_zero():
                     from qp2d.lattice import rational_ratio
 
                     r = rational_ratio(cls.direction, d)
                     assert r is not None and r.denominator == 1
+        # the windows are the residues of the class members modulo the
+        # direction, by the pairwise exact test
+        from qp2d.lattice import rational_ratio
+
+        windows = [set(array_to_indices(sub.members)) for sub in cls.subsets]
+        members = array_to_indices(cls.members)
+        assert sorted(m for w in windows for m in w) == members
+        for a in members:
+            for b in members:
+                r = rational_ratio(cls.direction, a - b) if a != b else Fraction(1)
+                together = any(a in w and b in w for w in windows)
+                assert together == (r is not None and r.denominator == 1)
         # window endpoints agree within one across residues
         if len(cls.subsets) >= 2:
             for s1 in cls.subsets:
@@ -381,14 +392,15 @@ class TestClassify:
     def test_chain_colinearity_exact(self, chain_params, chain_spec):
         k, phi0, prof, dec = find_chain_setup(chain_spec, chain_params)
         eff_iso = max(prof.m1_isolation, chain_spec.max_support_norm)
-        assert dec.m1 == m1_by_pairs(dec, eff_iso) != dec.m_set
+        assert np.array_equal(dec.m1, m1_by_pairs(dec, eff_iso))
+        assert not np.array_equal(dec.m1, dec.m_set)
         from qp2d.lattice import duals_colinear
 
         for cls in dec.classes:
             if cls.colinear_ok and len(cls.members) > 1:
-                base = cls.members[0]
-                for m in cls.members[1:]:
-                    assert duals_colinear(m - base, cls.members[1] - base, chain_params)
+                base, *rest = array_to_indices(cls.members)
+                for m in rest:
+                    assert duals_colinear(m - base, rest[0] - base, chain_params)
 
 
 def full_scan(duals, kvec, k, thr):
@@ -427,7 +439,8 @@ class TestAnnulusIndex:
                             outs.append(classify(phi, k, spec, prof, box_radius=radius))
                         except ResonantBase as exc:
                             outs.append(exc)
-                assert repr(outs[0]) == repr(outs[1])
+                with np.printoptions(threshold=sys.maxsize):
+                    assert repr(outs[0]) == repr(outs[1])
                 assert isinstance(outs[0], ResonantBase) == resonant_base
                 n_rows += 0 if resonant_base else len(outs[0].m_prime)
             if resonant_base:
@@ -573,7 +586,7 @@ class TestStrength:
                     for sub in cls.subsets:
                         if len(sub.members) != 1:
                             continue
-                        mm = sub.members[0]
+                        mm = LatticeIndex.from_row(sub.members[0])
                         dv = dual_vector(mm, params)
                         w = 2.0 * prof.pole_window
                         grid = np.linspace(p0 - w, p0 + w, 4001)
@@ -618,7 +631,7 @@ class TestStrength:
             if not om8.contains(phi0):
                 continue
             dec = classify(phi0, k, spec, prof)
-            if not dec.m_set:
+            if not len(dec.m_set):
                 continue
             dec = strength(dec, k, phi0, spec, prof)
             for cls in dec.classes:
@@ -627,7 +640,7 @@ class TestStrength:
                     windows += 1
             for m in dec.m1:
                 w = 2 * prof.pole_window
-                poles = block_poles((m,), k, (phi0 - w, phi0 + w), spec, prof)
+                poles = block_poles(m[None], k, (phi0 - w, phi0 + w), spec, prof, scan_points=400)
                 assert len(poles) <= 2
                 windows += 1
             if windows >= 25:
@@ -658,7 +671,7 @@ class TestStrength:
         for cls in dec.classes:
             for sub in cls.subsets:
                 signs = []
-                for m in sub.members:
+                for m in array_to_indices(sub.members):
                     dv = dual_vector(m, chain_params)
                     der = -2.0 * k * dv.length * math.sin(phi0 - dv.angle)
                     signs.append(math.copysign(1.0, der))
@@ -675,7 +688,8 @@ class TestBlockPoles:
         assert tg is not None
         phi_plus = tg[0]
         poles = block_poles(
-            (m,), k, (phi_plus - 1e-3, phi_plus + 1e-3), zero_spec, prof
+            indices_to_array([m]), k, (phi_plus - 1e-3, phi_plus + 1e-3), zero_spec, prof,
+            scan_points=400,
         )
         assert len(poles) == 1
         assert poles[0][0] == pytest.approx(phi_plus, abs=1e-9)
@@ -693,16 +707,22 @@ class TestBlockPoles:
                 continue
             dec = classify(phi0, k, spec, prof)
             for m in dec.m1:
-                p = dual_vector(m, params).length
+                p = dual_vector(LatticeIndex.from_row(m), params).length
                 if abs(2 * k - p) < 1:
                     continue
                 w = 2 * prof.pole_window
-                poles = block_poles((m,), k, (phi0 - w, phi0 + w), spec, prof)
+                poles = block_poles(m[None], k, (phi0 - w, phi0 + w), spec, prof, scan_points=400)
                 assert len(poles) <= 1
                 seen += 1
             if seen >= 5:
                 return
         pytest.skip("no isolated resonances sampled")
+
+
+def block_owner(proj, box_radius: int) -> dict:
+    """The block of each lattice point of the projector's blocks."""
+    box = array_to_indices(enumerate_box_array(box_radius))
+    return {box[p]: i for i, b in enumerate(proj.blocks) for p in b.positions.tolist()}
 
 
 class TestProjector:
@@ -719,13 +739,13 @@ class TestProjector:
             if not om8.contains(phi0):
                 continue
             dec = self._labeled(phi0, k, spec, prof)
-            if not dec.m_set:
+            if not len(dec.m_set):
                 break
         proj = assemble_projector(dec, k, prof, spec)
         assert [b.kind for b in proj.blocks] == ["core"]
         from qp2d.lattice import box_size
 
-        assert len(proj.blocks[0].indices) == box_size(prof.core_radius)
+        assert len(proj.blocks[0].positions) == box_size(prof.core_radius)
 
     def test_orthogonality_exact(self, params, spec, rng):
         k = 40.0
@@ -737,14 +757,14 @@ class TestProjector:
             if not om8.contains(phi0):
                 continue
             dec = self._labeled(phi0, k, spec, prof)
-            if not dec.m_set:
+            if not len(dec.m_set):
                 continue
             try:
                 proj = assemble_projector(dec, k, prof, spec)
             except OverlapDetected:
                 continue
             built += 1
-            owner = proj.block_of()
+            owner = block_owner(proj, prof.box_r1)
             # exact: no potential coefficient connects two distinct blocks
             for m, i in owner.items():
                 for q in spec.nonzero_support:
@@ -760,7 +780,7 @@ class TestProjector:
         proj = assemble_projector(dec, k, prof, chain_spec)
         kinds = {b.kind for b in proj.blocks}
         assert "core" in kinds
-        owner = proj.block_of()
+        owner = block_owner(proj, prof.box_r1)
         for m, i in owner.items():
             for q in chain_spec.nonzero_support:
                 j = owner.get(m - q)
@@ -776,7 +796,7 @@ lattice_points = st.builds(
 def norm_ball_reference(centers, radius: int, ambient: set) -> set:
     """The set formula norm_ball replaced: members of ambient within
     triple-norm distance radius of some center."""
-    offsets = box_indices(radius)
+    offsets = array_to_indices(enumerate_box_array(radius))
     return {m for c in centers for m in (c + off for off in offsets) if m in ambient}
 
 
@@ -791,7 +811,7 @@ class TestNormBall:
         got = norm_ball(indices_to_array(centers), radius, box_radius)
         assert np.all(np.diff(got) > 0)
         box = enumerate_box_array(box_radius)
-        ambient = set(box_indices(box_radius))
+        ambient = set(array_to_indices(box))
         assert array_to_indices(box[got]) == sorted(
             norm_ball_reference(centers, radius, ambient)
         )
@@ -801,18 +821,18 @@ class TestOrthogonalityViolation:
     def test_planted_coupling(self, spec):
         far = LatticeIndex((9, 9), (0, 0))
         for q in spec.nonzero_support:
-            blocks = [(ZERO_INDEX, far), (ZERO_INDEX - q,)]
+            blocks = [indices_to_array([ZERO_INDEX, far]), indices_to_array([ZERO_INDEX - q])]
             assert orthogonality_violation(blocks, spec) == abs(spec.coeffs[q])
 
     def test_coupling_inside_one_block_allowed(self, spec):
-        blocks = [tuple(box_indices(1)), (LatticeIndex((9, 9), (0, 0)),)]
+        blocks = [enumerate_box_array(1), indices_to_array([LatticeIndex((9, 9), (0, 0))])]
         assert orthogonality_violation(blocks, spec) == 0.0
 
     def test_against_pairwise_brute_force(self, spec, rng):
         # disjoint random blocks from the r1-box: split at random, they are
         # coupled; made of whole coupling components, they are not
         box = enumerate_box_array(4)
-        support = indices_to_array(spec.nonzero_support)
+        support = spec.nonzero_table[0]
         seen = set()
         for trial in range(60):
             rows = box[np.sort(rng.choice(len(box), size=int(rng.integers(2, 160)), replace=False))]
@@ -824,8 +844,8 @@ class TestOrthogonalityViolation:
                 owner = components(len(rows), i, j) % n_blocks
             else:
                 owner = rng.integers(0, n_blocks, size=len(rows))
-            blocks = [tuple(array_to_indices(rows[owner == b])) for b in range(n_blocks)]
-            blocks = [blk for blk in blocks if blk]
+            blocks = [rows[owner == b] for b in range(n_blocks)]
+            blocks = [blk for blk in blocks if len(blk)]
             want = pairwise_violation(blocks, spec)
             assert orthogonality_violation(blocks, spec) == want
             if len(blocks) == 1:
@@ -839,8 +859,8 @@ def pairwise_violation(blocks, spec) -> float:
     worst = 0.0
     for bi, blk in enumerate(blocks):
         for other in blocks[bi + 1 :]:
-            for m in blk:
-                for mp in other:
+            for m in array_to_indices(blk):
+                for mp in array_to_indices(other):
                     for q in (m - mp, mp - m):
                         worst = max(worst, abs(spec.coeffs.get(q, 0.0)))
     return worst

@@ -9,7 +9,6 @@ from qp2d.fiber import assemble, coupling_matrix, diagonal_energies
 from qp2d.lattice import (
     ZERO_INDEX,
     array_to_indices,
-    box_indices,
     dual_array,
     enumerate_box_array,
     indices_to_array,
@@ -52,8 +51,9 @@ class TestSynthesize:
     def test_matches_oracle_eigenvector(self, spec, params, rng):
         kap, prof = admissible_kappa(40.0, params, rng)
         wf = synthesize(1, kap, spec, prof)
-        idx = array_to_indices(enumerate_box_array(prof.core_radius))
-        h = assemble(kap, idx, spec, spec.params)
+        rows = enumerate_box_array(prof.core_radius)
+        idx = array_to_indices(rows)
+        h = assemble(kap, rows, spec, spec.params)
         vals, vecs = np.linalg.eigh(h.entries)
         pos = int(np.argmin(np.abs(vals - wf.lam)))
         v = vecs[:, pos]
@@ -64,14 +64,15 @@ class TestSynthesize:
 
     def test_coeffs_as_built_from_the_series(self, spec, params, rng):
         # the dict at the API edge: the phase-fixed series vector's nonzero
-        # entries keyed by the level's indices, in their order
+        # entries keyed by the level's rows, in their order
         kap, prof = admissible_kappa(40.0, params, rng, factor=8.0)
         for level in (1, 2):
             wf = synthesize(level, kap, spec, prof)
             res = eigenvalue_level(level, kap, spec, prof, check_oracle=False)
-            i0 = res.indices.index(ZERO_INDEX)
+            points = array_to_indices(res.rows)
+            i0 = points.index(ZERO_INDEX)
             v = res.vector * (abs(res.vector[i0]) / res.vector[i0])
-            ref = {m: complex(c) for m, c in zip(res.indices, v) if c != 0}
+            ref = {m: complex(c) for m, c in zip(points, v) if c != 0}
             assert list(wf.coeffs.items()) == list(ref.items())
 
     def test_coeff_outside_support_is_zero(self, spec, params, rng):
@@ -114,10 +115,9 @@ class TestResidual:
         # independent route: assemble the enlarged matrix and apply it
         kap, prof = admissible_kappa(40.0, params, rng)
         wf = synthesize(1, kap, spec, prof)
-        big_idx = array_to_indices(
-            enumerate_box_array(wf.box_radius + spec.max_support_norm)
-        )
-        h = assemble(kap, big_idx, spec, spec.params).entries
+        big = enumerate_box_array(wf.box_radius + spec.max_support_norm)
+        big_idx = array_to_indices(big)
+        h = assemble(kap, big, spec, spec.params).entries
         v = np.array([wf.coeff(m) for m in big_idx])
         direct = np.linalg.norm(h @ v - wf.lam * v)
         assert np.linalg.norm(residual(wf, spec)[1]) == pytest.approx(direct, abs=1e-12)
@@ -162,7 +162,7 @@ def residual_reference(wf, spec):
     diag = diagonal_energies(wf.kappa, enumerate_box_array(radius), spec.params)
     nz = [(q, v) for q, v in spec.coeffs.items() if v != 0]
     g, scale = {}, {}
-    for s, d in zip(box_indices(radius), diag):
+    for s, d in zip(array_to_indices(enumerate_box_array(radius)), diag):
         val = (d - wf.lam) * wf.coeff(s)
         scale[s] = abs(d - wf.lam) * abs(wf.coeff(s))
         for q, vq in nz:
