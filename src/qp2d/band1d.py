@@ -119,20 +119,19 @@ def finite_vs_periodic(
     spec: PotentialSpec,
     profile: ParameterProfile,
     n_ref: int | None = None,
-    energy_window: float | None = None,
 ) -> float:
-    """Largest deviation between window-section eigenvalues near the working
-    energy and the spectrum of a much larger reference section."""
+    """Largest deviation between window-section eigenvalues within
+    profile.t_star of the working energy and the spectrum of a much larger
+    reference section."""
     if cls.trivial or cls.direction is None:
         raise ValueError("finite_vs_periodic applies to non-trivial chains")
     width = sub.n_plus - sub.n_minus
     n_ref = max(64, 4 * max(width, 1)) if n_ref is None else n_ref
-    win = energy_window if energy_window is not None else profile.t_star
     h_fin = _window_matrix(cls, sub, t, spec)
     fin = np.linalg.eigvalsh(h_fin)
     ref = np.linalg.eigvalsh(assemble_periodic(cls.direction, t, n_ref, spec))
     target = k * k - cls.t_perp**2
-    sel = fin[np.abs(fin - target) <= win]
+    sel = fin[np.abs(fin - target) <= profile.t_star]
     if len(sel) == 0:
         sel = fin[[int(np.argmin(np.abs(fin - target)))]]
     return float(max(np.min(np.abs(ref - lam)) for lam in sel))

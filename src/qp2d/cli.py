@@ -53,19 +53,26 @@ def _out_path(cfg: RunConfig, flag_value: str | None, default_name: str) -> str:
     return os.path.join(base, default_name)
 
 
-def _base_angle(phi, k, prof, params, rng, tau_factor: float) -> float | None:
-    """phi if set, else the first uniform draw in the tau_factor good set at
-    k; None, after a message, when that set has measure zero."""
-    if phi is not None:
-        return phi
-    om = resonance.build_omega1(k, prof, params, tau_factor)
-    phi = 0.0
-    while not om.contains(phi):
-        if om.measure == 0.0:
-            print(f"no base angle: the good set at k={k:g} has measure 0", file=sys.stderr)
-            return None
-        phi = float(rng.uniform(0, TWO_PI))
-    return phi
+def _one_point(args, tau_factor: float):
+    """(config, k, profile, spec, rng, phi) of a one-point command: k is --k
+    or the config's last k; phi is --phi, else 0 if it lies in the tau_factor
+    good set at k, else the first uniform draw in it, or None, after a
+    message, when that set has measure zero."""
+    cfg = _load_config(args.config)
+    k = args.k if args.k is not None else cfg.k_grid[-1]
+    prof = cfg.profile_at(k)
+    rng = cfg.rng()
+    phi = args.phi
+    if phi is None:
+        om = resonance.build_omega1(k, prof, cfg.params(), tau_factor)
+        phi = 0.0
+        while not om.contains(phi):
+            if om.measure == 0.0:
+                print(f"no base angle: the good set at k={k:g} has measure 0", file=sys.stderr)
+                phi = None
+                break
+            phi = float(rng.uniform(0, TWO_PI))
+    return cfg, k, prof, cfg.spec(), rng, phi
 
 
 def cmd_verify(args) -> int:
@@ -103,13 +110,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    cfg = _load_config(args.config)
-    k = args.k if args.k is not None else cfg.k_grid[-1]
-    prof = cfg.profile_at(k)
-    spec = cfg.spec()
-    params = cfg.params()
-    rng = cfg.rng()
-    phi0 = _base_angle(args.phi, k, prof, params, rng, 8.0)
+    cfg, k, prof, spec, rng, phi0 = _one_point(args, 8.0)
     if phi0 is None:
         return EXIT_NONCONVERGENT
     m2, dec = multiscale.build_m2set(phi0, k, None, spec, prof)
@@ -144,16 +145,10 @@ def cmd_regions(args) -> int:
 
 
 def cmd_resonance_map(args) -> int:
-    cfg = _load_config(args.config)
-    k = args.k if args.k is not None else cfg.k_grid[-1]
-    prof = cfg.profile_at(k)
-    spec = cfg.spec()
-    params = cfg.params()
-    rng = cfg.rng()
-    om1 = resonance.build_omega1(k, prof, params)
-    phi0 = _base_angle(args.phi, k, prof, params, rng, 8.0)
+    cfg, k, prof, spec, _, phi0 = _one_point(args, 8.0)
     if phi0 is None:
         return EXIT_NONCONVERGENT
+    om1 = resonance.build_omega1(k, prof, spec.params)
     dec = resonance.classify(phi0, k, spec, prof)
     dec = resonance.strength(dec, k, phi0, spec, prof)
     proj = resonance.assemble_projector(dec, k, prof, spec)
@@ -197,13 +192,7 @@ def cmd_resonance_map(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    cfg = _load_config(args.config)
-    k = args.k if args.k is not None else cfg.k_grid[-1]
-    prof = cfg.profile_at(k)
-    spec = cfg.spec()
-    params = cfg.params()
-    rng = cfg.rng()
-    phi = _base_angle(args.phi, k, prof, params, rng, 8.0 if args.level == 2 else 1.0)
+    cfg, k, prof, spec, _, phi = _one_point(args, 8.0 if args.level == 2 else 1.0)
     if phi is None:
         return EXIT_NONCONVERGENT
     kap = k * np.array([math.cos(phi), math.sin(phi)])
@@ -231,13 +220,7 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
-    cfg = _load_config(args.config)
-    k = args.k if args.k is not None else cfg.k_grid[-1]
-    prof = cfg.profile_at(k)
-    spec = cfg.spec()
-    params = cfg.params()
-    rng = cfg.rng()
-    phi = _base_angle(args.phi, k, prof, params, rng, 8.0 if args.level == 2 else 1.0)
+    cfg, k, prof, spec, _, phi = _one_point(args, 8.0 if args.level == 2 else 1.0)
     if phi is None:
         return EXIT_NONCONVERGENT
     kap = k * np.array([math.cos(phi), math.sin(phi)])

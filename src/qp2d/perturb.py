@@ -13,9 +13,11 @@ survive in the output bit-exactly.  `contour_coeff_series` and
 adaptive trapezoidal quadrature and serve as an independent route for
 cross-validation.
 
-For eigenvalues only (`LevelEvaluator`, no r_max) a series stops after order
-n >= 4 once |g_{n-1}|, |g_n| <= ulp(lambda0)/16; at `_decay`'s stall bound
-divergence_ratio = 0.75 the orders left out sum to <= 3/16 ulp (lam to 1 ulp).
+A `LevelEvaluator` series (eigenvalues only) stops after order n >= 4 once
+|g_{n-1}|, |g_n| <= ulp(lambda0)/16, or at profile.r_max orders; at `_decay`'s
+stall bound divergence_ratio = 0.75 the orders left out sum to <= 3/16 ulp
+(lam to 1 ulp).  `generic_step` runs all r_max orders, as the vector and the
+projector need each.
 
 The coupling is sparse, so no d x d array is built per kappa:
 `LevelEvaluator` splits it once into the cross-block W as CSR and the dense
@@ -57,12 +59,7 @@ from .lattice import (
 )
 from .potential import InvariantViolation, PotentialSpec
 from .profile import ParameterProfile
-from .resonance import (
-    ClusterDecomposition,
-    assemble_projector,
-    classify,
-    strength,
-)
+from .resonance import assemble_projector, classify, strength
 
 
 class ContourHit(ValueError):
@@ -113,7 +110,6 @@ class LevelState:
     the blocks and the identity on the singletons (`u_full` is it dense).
     """
 
-    level: int
     rows: np.ndarray
     diag: np.ndarray
     labels: np.ndarray
@@ -265,21 +261,19 @@ def _aim_nearest(vals: np.ndarray, cand: np.ndarray, value: np.ndarray, margin: 
     return t, lam0, margin * _gaps(vals, t, lam0)
 
 
-def _state(level: int, rows, split: _BlockSplit, diag, vals, vecs, t, lam0, radius,
+def _state(rows, split: _BlockSplit, diag, vals, vecs, t, lam0, radius,
            profile: ParameterProfile) -> LevelState:
     """Column 0 of an aimed block as a LevelState."""
     lam0, contour = float(lam0[0]), Contour(float(lam0[0]), float(radius[0]), profile.quad_nodes)
-    return LevelState(level, rows, diag[0], split.labels, split.couplings, split.w, vals[0],
+    return LevelState(rows, diag[0], split.labels, split.couplings, split.w, vals[0],
                       [u[0] for u in vecs], int(t[0]), lam0, contour)
 
 
 @dataclass
 class Level2Geometry:
-    """Resonance classification, labels and blocks at a base angle, reusable
-    for every kappa in its small angular window."""
+    """The block projector, block labels and core block at a base angle,
+    reusable for every kappa in its small angular window."""
 
-    phi0: float
-    decomp: ClusterDecomposition
     projector: object  # BlockProjector
     block_labels: np.ndarray  # per box row, the first position of its block
     rows: np.ndarray  # the box_r1 box
@@ -307,8 +301,6 @@ def level2_geometry(
     labels[every] = np.repeat([pos[0] for pos in blocks], [len(pos) for pos in blocks])
     core_positions = next(blk.positions for blk in projector.blocks if blk.kind == "core")
     return Level2Geometry(
-        phi0=phi0,
-        decomp=decomp,
         projector=projector,
         block_labels=labels,
         rows=rows,
@@ -322,7 +314,6 @@ def toy_state(
     rows,
     target_value: float,
     profile: ParameterProfile,
-    level: int = 3,
 ) -> LevelState:
     """Caller-assembled state over the basis rows (d, 4), for structural
     tests of higher levels; the caller's off-diagonal entries become the CSR
@@ -341,7 +332,7 @@ def toy_state(
     split = _BlockSplit(sp.csr_matrix(h - np.diag(diag)), labels)
     vals, vecs = split.eigh(diag[None])
     aim = _aim_nearest(vals, np.arange(d), np.array([float(target_value)]), profile.contour_margin)
-    return _state(level, np.asarray(rows), split, diag[None], vals, vecs, *aim, profile)
+    return _state(np.asarray(rows), split, diag[None], vals, vecs, *aim, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -672,31 +663,20 @@ def contour_projector_series(
 # ---------------------------------------------------------------------------
 
 
-def _evaluator_at(
-    n: int,
-    point,
-    spec: PotentialSpec,
-    profile: ParameterProfile,
-    geometry: Level2Geometry | None,
-) -> LevelEvaluator:
-    """The level-n evaluator for a point: level 2 uses geometry, or else the
-    geometry at the point's own angle; level 1 ignores geometry."""
+def _evaluator_at(n: int, point, spec: PotentialSpec, profile: ParameterProfile) -> LevelEvaluator:
+    """The level-n evaluator for a point; level 2 uses the geometry at the
+    point's own angle."""
     if n not in (1, 2):
         raise ValueError("levels 1 and 2 are constructed here; use toy_state beyond")
-    if n == 2 and geometry is None:
-        kap = np.asarray(point, dtype=float)
-        geometry = level2_geometry(math.atan2(kap[1], kap[0]) % (2 * math.pi), spec, profile)
-    return LevelEvaluator(spec, profile, geometry if n == 2 else None)
+    if n == 1:
+        return LevelEvaluator(spec, profile)
+    kap = np.asarray(point, dtype=float)
+    geometry = level2_geometry(math.atan2(kap[1], kap[0]) % (2 * math.pi), spec, profile)
+    return LevelEvaluator(spec, profile, geometry)
 
 
-def build_state(
-    n: int,
-    point,
-    spec: PotentialSpec,
-    profile: ParameterProfile,
-    geometry: Level2Geometry | None = None,
-) -> LevelState:
-    return _evaluator_at(n, point, spec, profile, geometry).state(point)
+def build_state(n: int, point, spec: PotentialSpec, profile: ParameterProfile) -> LevelState:
+    return _evaluator_at(n, point, spec, profile).state(point)
 
 
 def eigenvalue_level(
@@ -705,23 +685,14 @@ def eigenvalue_level(
     spec: PotentialSpec,
     profile: ParameterProfile,
     check_oracle: bool = True,
-    geometry: Level2Geometry | None = None,
 ) -> SeriesResult:
     """Dressed eigenvalue and unit eigenvector, without projector orders."""
-    state = build_state(n, point, spec, profile, geometry)
+    state = build_state(n, point, spec, profile)
     return generic_step(state, profile, with_projector=False, check_oracle=check_oracle)
 
 
-def projector_level(
-    n: int,
-    point,
-    spec: PotentialSpec,
-    profile: ParameterProfile,
-    check_oracle: bool = False,
-    geometry: Level2Geometry | None = None,
-) -> SeriesResult:
-    state = build_state(n, point, spec, profile, geometry)
-    return generic_step(state, profile, with_projector=True, check_oracle=check_oracle)
+def projector_level(n: int, point, spec: PotentialSpec, profile: ParameterProfile) -> SeriesResult:
+    return generic_step(build_state(n, point, spec, profile), profile)
 
 
 class LevelEvaluator:
@@ -784,33 +755,31 @@ class LevelEvaluator:
 
     def state(self, kappa) -> LevelState:
         aimed = self._aim(np.asarray(kappa, dtype=float)[None])
-        return _state(1 if self.geometry is None else 2, self.rows, self.split, *aimed, self.profile)
+        return _state(self.rows, self.split, *aimed, self.profile)
 
-    def eigenvalue(self, kappa, r_max: int | None = None) -> float:
-        """generic_step's lam to 1 ulp: stopped as in `_rs_orders` unless r_max."""
-        (lam,) = self.eigenvalues(np.asarray(kappa, dtype=float)[None], r_max)
+    def eigenvalue(self, kappa) -> float:
+        """generic_step's lam to 1 ulp, the series stopped as in `_rs_orders`."""
+        (lam,) = self.eigenvalues(np.asarray(kappa, dtype=float)[None])
         if isinstance(lam, Exception):
             raise lam
         return lam
 
-    def eigenvalues(self, kappas, r_max: int | None = None) -> list:
+    def eigenvalues(self, kappas) -> list:
         """`eigenvalue` at each row of a (B, 2) block of kappas: per row the
         value, or the ContourHit / NonConvergent it raises there.  Both levels
         run generic_step's `_columns` on blocks of _BLOCK_ENTRIES entries
         (columns x d), each column bit-identical to its one-kappa run."""
-        stop = r_max is None
-        r_max = self.profile.r_max if stop else r_max
         kappas = np.asarray(kappas, dtype=float).reshape(-1, 2)
         step = max(1, _BLOCK_ENTRIES // len(self.rows))
         out = []
         for at in range(0, len(kappas), step):
             _, vals, vecs, t, lam0, radius = self._aim(kappas[at : at + step])
             res, _, _ = _columns(self.split.w, self.split.couplings, vecs, vals, t, lam0, radius,
-                                 r_max, stop, self.profile)
+                                 self.profile.r_max, True, self.profile)
             out += [r if isinstance(r, Exception) else r[0] for r in res]
         return out
 
-    def solve(self, columns, r_max: int | None = None) -> list:
+    def solve(self, columns) -> list:
         """Generator columns in lockstep, one `eigenvalues` call per round: a
         column yields kappa points and is sent the value at each, or has its
         rejection thrown in.  Per column its return value, or the ContourHit,
@@ -828,7 +797,7 @@ class LevelEvaluator:
                     out[i] = stop.value
                 except (ContourHit, NonConvergent, NoRoot) as exc:
                     out[i] = exc
-            vals = self.eigenvalues(np.array(list(asked.values())), r_max) if asked else []
+            vals = self.eigenvalues(np.array(list(asked.values()))) if asked else []
             sent = dict(zip(asked, vals))
         return out
 
@@ -839,15 +808,15 @@ def derivative_probe(
     spec: PotentialSpec,
     profile: ParameterProfile,
     h: float = 1e-4,
-    geometry: Level2Geometry | None = None,
 ) -> tuple[float, float]:
     """(d lambda/d kappa, d lambda / d phi) by central differences, the four
-    probes in one call on one evaluator (level 2: geometry, else the point's
-    own); the first probe's rejection is raised."""
+    probes in one `eigenvalues` call on the point's evaluator (level 2: the
+    geometry at the point's own angle); the first probe's rejection is
+    raised."""
     kap = np.asarray(point, dtype=float)
     r = float(np.hypot(kap[0], kap[1]))
     phi = math.atan2(kap[1], kap[0])
-    ev = _evaluator_at(n, kap, spec, profile, geometry)
+    ev = _evaluator_at(n, kap, spec, profile)
     probes = [(r + h, phi), (r - h, phi), (r, phi + h), (r, phi - h)]
     pts = np.array([rr * np.array([math.cos(pp), math.sin(pp)]) for rr, pp in probes])
     vals = ev.eigenvalues(pts)

@@ -55,8 +55,8 @@ class ParameterProfile:
     grey_nbhd: int
     white_nbhd: int
     # perturbation engine
-    r_max: int             # series orders: a cap for eigenvalue-only evaluation,
-                           # exact for generic_step or an explicit r_max
+    r_max: int             # series orders: LevelEvaluator's cap (its series stop
+                           # earlier), the exact count run by generic_step
     quad_nodes: int
     divergence_ratio: float
     kappa_window_1: float

@@ -764,9 +764,6 @@ def appendix4_count(
     then the shifted eigenvalue; a sign change between neighbours is bisected
     80 times or to 1e-12, and a rejected point or midpoint makes its bracket a
     gap.  Returns the count and the sorted roots, those within 1e-8 merged.
-
-    r_max = 14 stays explicit: the eigenvalue-only stop rule has not been
-    shown to give the same roots on this scan.
     """
     from .perturb import LevelEvaluator, NonConvergent
 
@@ -805,14 +802,14 @@ def appendix4_count(
         if b - a >= 1e-9
     ]
     phis = [float(phi) for grid in grids for phi in grid]
-    vals = [math.nan if isinstance(v, Exception) else v for v in ev.solve(map(f, phis), r_max=14)]
+    vals = [math.nan if isinstance(v, Exception) else v for v in ev.solve(map(f, phis))]
     ends = set(np.cumsum([len(grid) for grid in grids]) - 1)  # no bracket across intervals
     brackets = [
         bisect(phis[i], phis[i + 1], vals[i])
         for i in range(len(phis) - 1)
         if i not in ends and vals[i] * vals[i + 1] <= 0
     ]
-    roots = sorted(r for r in ev.solve(brackets, r_max=14) if not isinstance(r, Exception))
+    roots = sorted(r for r in ev.solve(brackets) if not isinstance(r, Exception))
     dedup: list[float] = []
     for r in roots:
         if not dedup or abs(r - dedup[-1]) > 1e-8:

@@ -22,7 +22,7 @@ from .lattice import (
     row_positions,
     triple_norm_array,
 )
-from .perturb import Level2Geometry, eigenvalue_level
+from .perturb import eigenvalue_level
 from .potential import PotentialSpec
 from .profile import ParameterProfile
 
@@ -46,22 +46,16 @@ class WaveFunction:
         return self.coeffs.get(m, 0j)
 
 
-def synthesize(
-    n: int,
-    point,
-    spec: PotentialSpec,
-    profile: ParameterProfile,
-    geometry: Level2Geometry | None = None,
-) -> WaveFunction:
+def synthesize(n: int, point, spec: PotentialSpec, profile: ParameterProfile) -> WaveFunction:
     """Unit eigenvector of the level projector, with the central coefficient
     rotated to the positive real axis.
 
     The projector is rank one, so its range is the series eigenvector: the
-    eigen-only series gives it without building the projector orders.  The
-    level's rows are the box |||m||| <= radius in box order."""
-    res = eigenvalue_level(n, point, spec, profile, check_oracle=False, geometry=geometry)
-    radius = profile.core_radius if n == 1 else profile.box_r1
-    rows = enumerate_box_array(radius)
+    eigen-only series gives it without building the projector orders.  Its
+    basis is the series' own rows, the level's box in box order, and
+    box_radius their largest triple norm."""
+    res = eigenvalue_level(n, point, spec, profile, check_oracle=False)
+    rows = res.rows
     v = res.vector
     i0 = len(rows) // 2  # the sorted box is symmetric under m -> -m
     if v[i0] != 0:
@@ -73,7 +67,7 @@ def synthesize(
         rows=rows[nz],
         amps=v[nz],
         lam=res.lam,
-        box_radius=radius,
+        box_radius=int(triple_norm_array(rows).max()),
         params=spec.params,
     )
 

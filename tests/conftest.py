@@ -41,7 +41,7 @@ class _Along(LevelEvaluator):
     def __init__(self, f):
         self.f = f
 
-    def eigenvalues(self, kappas, r_max=None):
+    def eigenvalues(self, kappas):
         return self.f(np.rint(kappas[:, 1] / kappas[:, 0]).astype(int), kappas[:, 0])
 
 

@@ -38,13 +38,13 @@ def scalar_count(m, k, eps0, spec, profile, scan_points):
         nu = np.array([math.cos(phi), math.sin(phi)])
         kap = k
         for _ in range(6):
-            r = ev.eigenvalue(kap * nu, r_max=14) - lam_target
+            r = ev.eigenvalue(kap * nu) - lam_target
             if abs(r) <= 1e-10 * lam_target:
                 break
             kap -= r / (2.0 * kap)
         else:
             raise NonConvergent(f"radius Newton at phi={phi:.6f} left |r| = {abs(r):.3g}")
-        lam = ev.eigenvalue(kap * nu + dv.p, r_max=14)
+        lam = ev.eigenvalue(kap * nu + dv.p)
         return lam - lam_target - eps0
 
     roots: list[float] = []
@@ -107,8 +107,8 @@ class TestAgainstScalarScan:
         assert count > 0
         series = LevelEvaluator.eigenvalues
 
-        def rejected_near_first_root(self, kappas, r_max=None):
-            vals = series(self, kappas, r_max)
+        def rejected_near_first_root(self, kappas):
+            vals = series(self, kappas)
             for i, kappa in enumerate(kappas):
                 phi = math.atan2(kappa[1], kappa[0])
                 if abs((phi - roots[0] + math.pi) % TWO_PI - math.pi) < 1e-6:

@@ -18,7 +18,6 @@ from qp2d.perturb import (
     ContourHit,
     LevelEvaluator,
     NonConvergent,
-    build_state,
     generic_step,
     level2_geometry,
 )
@@ -145,7 +144,7 @@ class TestRadiusAgainstOracle:
         for s in picks:
             point = s.kappa * np.array([math.cos(s.phi), math.sin(s.phi)])
             geometry = level2_geometry(s.phi, spec, prof) if n == 2 else None
-            state = build_state(n, point, spec, prof, geometry)
+            state = LevelEvaluator(spec, prof, geometry).state(point)
             tail = generic_step(state, prof, with_projector=False).tail_estimate
             mat = FiberMatrix(rows=state.rows, kappa=point, entries=state.section)
             inside = eigvals_oracle(mat, lam, state.contour.radius)
@@ -331,10 +330,10 @@ class TestRejections:
     @pytest.fixture()
     def raising(self, monkeypatch):
         def install(exc):
-            def eigenvalue(self, kappa, r_max=None):
+            def eigenvalue(self, kappa):
                 raise exc("raised by the evaluator")
 
-            def eigenvalues(self, kappas, r_max=None):
+            def eigenvalues(self, kappas):
                 return [exc("raised by the evaluator") for _ in kappas]
 
             monkeypatch.setattr(LevelEvaluator, "eigenvalue", eigenvalue)

@@ -697,14 +697,6 @@ class TestLevels:
         calls.clear()
         assert ev.eigenvalues(mixed) == want
         assert len(calls) == sum(max(orders[at : at + step]) for at in blocks)
-        # an explicit r_max runs exactly that many orders (appendix4_count)
-        for kap in (near[0], far[0]):
-            calls.clear()
-            ev.eigenvalue(kap, r_max=14)
-            assert len(calls) == 14
-        calls.clear()
-        ev.eigenvalues(mixed, r_max=14)
-        assert len(calls) == 14 * len(blocks)
 
     def test_divergent_column_in_a_block(self, spec, params, rng):
         # at kappa = -p_m/2, m = ((-1, -3), (0, 0)), the level-1 series
@@ -763,9 +755,8 @@ class TestLevels:
         om8 = build_omega1(k, prof, params, 8.0)
         phi = admissible_phi(om8, rng)
         kap = k * np.array([math.cos(phi), math.sin(phi)])
-        geometry = level2_geometry(phi, spec, prof)
-        state1 = build_state(2, kap, spec, prof, geometry)
-        state2 = build_state(2, kap, spec, prof, geometry)
+        ev = LevelEvaluator(spec, prof, level2_geometry(phi, spec, prof))
+        state1, state2 = ev.state(kap), ev.state(kap)
         r1 = generic_step(state1, prof, with_projector=False)
         r2 = generic_step(state2, prof, with_projector=False)
         assert r1.lam == r2.lam and np.array_equal(r1.g, r2.g)
@@ -800,8 +791,7 @@ class TestLevels:
         core = np.flatnonzero(norms <= 2).tolist()
         rest = [[i] for i in np.flatnonzero(norms > 2).tolist()]
         state = toy_state(
-            h, [core] + rest, idx, target_value=float(kap @ kap),
-            profile=prof, level=3,
+            h, [core] + rest, idx, target_value=float(kap @ kap), profile=prof
         )
         res = generic_step(state, prof, check_oracle=True)
         assert res.oracle_count == 1
@@ -1033,20 +1023,21 @@ class TestDerivatives:
         om = build_omega1(k, prof, params, 8.0)
         for _ in range(3):
             phi = admissible_phi(om, rng)
-            geo = level2_geometry(phi, spec, prof) if n == 2 else None
+            kap = k * np.array([math.cos(phi), math.sin(phi)])
+            r, p = float(np.hypot(kap[0], kap[1])), math.atan2(kap[1], kap[0])
+            # derivative_probe's own evaluator: level 2 at the point's angle
+            geo = level2_geometry(p % TWO_PI, spec, prof) if n == 2 else None
             ev = LevelEvaluator(spec, prof, geo)
 
             def at(rr, pp):
                 pt = rr * np.array([math.cos(pp), math.sin(pp)])
                 return generic_step(ev.state(pt), prof, with_projector=False).lam
 
-            kap = k * np.array([math.cos(phi), math.sin(phi)])
-            r, p = float(np.hypot(kap[0], kap[1])), math.atan2(kap[1], kap[0])
             expected = (
                 (at(r + h, p) - at(r - h, p)) / (2.0 * h),
                 (at(r, p + h) - at(r, p - h)) / (2.0 * h),
             )
-            assert derivative_probe(n, kap, spec, prof, h=h, geometry=geo) == expected
+            assert derivative_probe(n, kap, spec, prof, h=h) == expected
 
     def test_angular_derivative_small_trend(self, spec, params, rng):
         sups = []

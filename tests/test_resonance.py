@@ -873,7 +873,7 @@ class TestAppendix4Rejections:
     M = LatticeIndex((2, 2), (0, -1))
 
     def test_bug_propagates(self, spec, monkeypatch):
-        def broken(self, kappas, r_max=None):
+        def broken(self, kappas):
             raise ValueError("shape mismatch")
 
         monkeypatch.setattr(LevelEvaluator, "eigenvalues", broken)
@@ -881,7 +881,7 @@ class TestAppendix4Rejections:
             appendix4_count(self.M, 25.0, 0.0, spec, make_profile(25.0), scan_points=50)
 
     def test_contour_hit_is_a_gap(self, spec, monkeypatch):
-        def rejected(self, kappas, r_max=None):
+        def rejected(self, kappas):
             return [ContourHit("on the contour") for _ in kappas]
 
         monkeypatch.setattr(LevelEvaluator, "eigenvalues", rejected)
@@ -893,7 +893,7 @@ class TestAppendix4Rejections:
     def test_newton_stall_is_a_gap(self, spec, monkeypatch):
         # the true derivative is kappa, so the 2*kappa guess only halves the
         # error per step and the radius never reaches tolerance in 6 steps
-        def half(self, kappas, r_max=None):
+        def half(self, kappas):
             return [float(kappa @ kappa) / 2.0 for kappa in kappas]
 
         monkeypatch.setattr(LevelEvaluator, "eigenvalues", half)
@@ -909,7 +909,7 @@ class TestAppendix4Rejections:
         k, prof = 25.0, make_profile(25.0)
         eps0 = dual_vector(self.M, spec.params).length ** 2
 
-        def free(self, kappas, r_max=None):
+        def free(self, kappas):
             return [float(kappa @ kappa) for kappa in kappas]
 
         monkeypatch.setattr(LevelEvaluator, "eigenvalues", free)
@@ -920,7 +920,7 @@ class TestAppendix4Rejections:
             phi = math.atan2(kappa[1], kappa[0])
             return any(abs((phi - root + math.pi) % TWO_PI - math.pi) < 1e-6 for root in roots)
 
-        def rejected_near_roots(self, kappas, r_max=None):
+        def rejected_near_roots(self, kappas):
             return [
                 NonConvergent("near a root") if near_root(kappa) else float(kappa @ kappa)
                 for kappa in kappas
