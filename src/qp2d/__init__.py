@@ -1,8 +1,8 @@
 """Spectral toolkit for the two-dimensional quasi-periodic Schrodinger
-operator: fiber-matrix sections with a windowed shift-invert oracle,
-resonance-set geometry, contour-integral eigenvalue and projector series,
-isoenergetic curve tracing, momentum-space multiscale regions, and
-approximate eigenfunctions.
+operator: fiber-matrix sections with an oracle that diagonalizes them one
+coupling component at a time, resonance-set geometry, contour-integral
+eigenvalue and projector series, isoenergetic curve tracing, momentum-space
+multiscale regions, and approximate eigenfunctions.
 """
 
 from .lattice import (

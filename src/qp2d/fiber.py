@@ -10,10 +10,17 @@ Hermiticity is exact at the bit level: each conjugate pair of entries is
 written from a single coefficient.
 
 The oracle (`eigvals_oracle`) answers one question: which eigenvalues lie in
-a disc.  It counts them by the inertia of two sparse LU factorizations and
-finds them by shift-invert Arnoldi; dense eigvalsh, the only O(d^3) step,
-serves an infinite or wide window and the cases the sparse route cannot
-decide.
+a disc.  The section's spectrum is the union of those of the connected
+components of its coupling (`component_stacks`): a component that no
+Gershgorin disc joins to the disc is skipped, and the others are
+diagonalized by one center-shifted eigvalsh stack per size.  With the
+default two-generator potentials the d = 1121 section splits into 81
+components of at most 33 rows.  A component of more than `_DENSE_ROWS` rows
+(a potential whose support spans all four lattice directions joins nearly
+the whole box) goes by sparse LU inertia counts and shift-invert Arnoldi.
+The stacks put an eigenvalue within 8 ulp of a 40-digit reference on the
+24 eigen-oracle benchmark points of seeds 1-3 (Arnoldi: 0.5 ulp); the
+checks that use the oracle allow 1e-13 |lambda| or more, over 400 ulp.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import QPParams, dual_array, pack_rows, row_positions
+from .lattice import QPParams, components, dual_array, pack_rows, row_positions
 from .potential import PotentialSpec
 
 
@@ -110,6 +117,61 @@ def assemble(kappa, rows, spec: PotentialSpec, params: QPParams) -> FiberMatrix:
     return FiberMatrix(rows=rows, kappa=np.asarray(kappa, dtype=float), entries=h)
 
 
+def component_stacks(
+    d: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, keep: np.ndarray | None = None
+):
+    """The connected components of the entries (i, j, v) over positions
+    0..d-1, with the entries as dense blocks stacked by component size.
+
+    Returns (labels, stacks): labels[p] is the first position of p's
+    component; stacks holds per size s > 1, ascending, the (m, s) positions
+    of its m components (ascending within each, components by first
+    position) and their (m, s, s) blocks, each entry v at its two positions'
+    places and zero elsewhere.  With keep (a bool per position), only the
+    components that hold a kept position are stacked."""
+    comp = components(d, i, j)
+    # positions by component, ascending within each; comp is numbered in
+    # order of first position, so starts[c] is component c's first slot
+    order = np.argsort(comp, kind="stable")
+    sizes = np.bincount(comp)
+    starts = np.cumsum(sizes) - sizes
+    labels = order[starts][comp]
+    loc = np.empty(d, dtype=np.int64)
+    loc[order] = np.arange(d) - starts[comp[order]]
+    stacked = sizes > 1
+    if keep is not None:
+        hit = np.zeros(len(sizes), dtype=bool)
+        hit[comp[keep]] = True
+        stacked &= hit
+    entry_size = np.where(stacked, sizes, 0)[comp[i]]
+    stacks = []
+    for s in np.unique(sizes[stacked]).tolist():
+        first = starts[stacked & (sizes == s)]
+        pos = order[first[:, None] + np.arange(s)]
+        which = np.empty(d, dtype=np.int64)
+        which[pos] = np.arange(len(pos))[:, None]
+        sel = entry_size == s
+        blk = np.zeros((len(pos), s, s), dtype=complex)
+        blk[which[i[sel]], loc[i[sel]], loc[j[sel]]] = v[sel]
+        stacks.append((pos, blk))
+    return labels, stacks
+
+
+# Rows up to which a kept coupling component is diagonalized by a dense
+# eigvalsh stack; a larger one goes by `_sparse_window`.  At the crossover:
+# the largest component of a four-generator potential's section at |kappa| =
+# 40, a disc around its eigenvalue nearest 1600, best of 40 with one BLAS
+# thread on a 2-core host, dense against sparse: 1.0 / 1.9 ms at 111 rows,
+# 1.8 / 2.3 at 141, 2.3 / 2.4 at 155, 2.9 / 2.5 at 171, 3.8 / 2.8 at 185.
+_DENSE_ROWS = 160
+
+# Slack of the Gershgorin skip, relative to |H_ii| + sum_j |H_ij| + |center|
+# per row: a component is dropped only when its Gershgorin discs miss the disc
+# by more than this, far above the few ulp by which a computed eigenvalue
+# leaves its exact one.
+_GERSHGORIN_SLACK = 64 * np.finfo(float).eps
+
+
 def eigvals_oracle(
     mat: FiberMatrix,
     center: float = 0.0,
@@ -120,23 +182,75 @@ def eigvals_oracle(
     """The eigenvalues in the closed disc |lambda - center| <= radius,
     ascending.
 
-    A finite disc goes by `_sparse_window` when that can decide; otherwise
-    (an infinite radius included) the dense eigvalsh of the same matrix
-    finishes, and only that finish is capped at cap rows.  With count set,
-    NotUnique is raised unless the disc holds exactly count eigenvalues; a
-    certified inertia count decides that before Arnoldi or the dense finish.
+    The section's spectrum is the union of those of the connected components
+    of its off-diagonal pattern.  With a finite radius a component is
+    dropped unless one of its rows has |H_ii - center| <= radius +
+    sum_j |H_ij| (+ `_GERSHGORIN_SLACK`): by Gershgorin's theorem it has no
+    eigenvalue in the disc.  A kept singleton is its diagonal entry; the kept
+    components of each size s are one eigvalsh stack of A - center*I (center
+    added back).  A kept component of more than min(cap, `_DENSE_ROWS`) rows
+    goes by `_sparse_window`, all such components together; when that cannot
+    decide, each is diagonalized densely.  cap bounds the rows of every dense
+    diagonalization (DimensionCap), and an infinite radius, which keeps every
+    component, also requires dim <= cap.  With count set, NotUnique is raised
+    unless the disc holds exactly count eigenvalues; a certified inertia
+    count decides that before Arnoldi or a dense finish runs.
+
+    Named tolerance: the shifted stacks differ from a 40-digit reference by
+    up to 8 ulp of |lambda| on the eigen-oracle benchmark points (Arnoldi by
+    0.5 ulp); the series-against-oracle gates allow 1e-9 k^2 or more.
     """
-    if math.isfinite(radius):
-        inside = _sparse_window(sp.csc_matrix(mat.entries), center, radius, count)
-        if inside is not None:
-            return inside
-    if mat.dim > cap:
-        raise DimensionCap(f"dimension {mat.dim} exceeds the oracle cap {cap}")
-    dense = mat.entries.toarray() if sp.issparse(mat.entries) else mat.entries
-    vals = np.linalg.eigvalsh(dense)
-    inside = vals[np.abs(vals - center) <= radius]
-    _check_count(len(inside), count, center, radius)
-    return inside
+    d = mat.dim
+    finite = math.isfinite(radius)
+    if not finite and d > cap:
+        raise DimensionCap(f"dimension {d} exceeds the oracle cap {cap}")
+    a = sp.csr_matrix(mat.entries)
+    diag = a.diagonal().real
+    coo = a.tocoo()
+    i, j, v = coo.row, coo.col, coo.data
+    # a stored zero couples nothing, so it joins no components
+    off = (i != j) & (v != 0)
+    i, j, v = i[off], j[off], v[off]
+    near = None
+    if finite:
+        rowsum = np.bincount(i, weights=np.abs(v), minlength=d)
+        reach = radius + rowsum + _GERSHGORIN_SLACK * (np.abs(diag) + rowsum + abs(center))
+        near = np.abs(diag - center) <= reach
+    labels, stacks = component_stacks(d, i, j, v, near)
+    single = np.bincount(labels, minlength=d)[labels] == 1
+    found = [diag[single]]
+    large = []
+    for pos, blk in stacks:
+        if finite and pos.shape[1] > min(cap, _DENSE_ROWS):
+            large.append((pos, blk))
+        else:
+            found.append(_stack_eigvals(diag, pos, blk, center))
+    vals = np.concatenate(found)
+    vals = vals[np.abs(vals - center) <= radius]
+    if large:
+        every = np.concatenate([pos.ravel() for pos, _ in large])
+        sub = a[every][:, every].tocsc()
+        inside = _sparse_window(sub, center, radius, count, len(vals))
+        if inside is None:
+            for pos, blk in large:
+                if pos.shape[1] > cap:
+                    raise DimensionCap(
+                        f"a component of {pos.shape[1]} rows exceeds the oracle cap {cap}"
+                    )
+            finish = np.concatenate([_stack_eigvals(diag, pos, blk, center) for pos, blk in large])
+            inside = finish[np.abs(finish - center) <= radius]
+        vals = np.concatenate([vals, inside])
+    _check_count(len(vals), count, center, radius)
+    return np.sort(vals)
+
+
+def _stack_eigvals(diag: np.ndarray, pos: np.ndarray, blk: np.ndarray, center: float):
+    """The eigenvalues of the (m, s, s) blocks with diagonals diag[pos],
+    from one eigvalsh stack of the blocks shifted by -center."""
+    s = pos.shape[1]
+    a = blk.copy()
+    a[:, np.arange(s), np.arange(s)] = diag[pos] - center
+    return (np.linalg.eigvalsh(a) + center).ravel()
 
 
 def _check_count(m: int, count: int | None, center: float, radius: float) -> None:
@@ -146,15 +260,17 @@ def _check_count(m: int, count: int | None, center: float, radius: float) -> Non
         )
 
 
-def _sparse_window(a: sp.csc_matrix, center: float, radius: float, count: int | None):
+def _sparse_window(a: sp.csc_matrix, center: float, radius: float, count: int | None,
+                   known: int = 0):
     """The eigenvalues in the disc from sparse LU factorizations, or None
     when this route cannot decide.
 
     The count m is certified by Sylvester's law of inertia: an LU of
     a - s with diagonal pivots only is an LDL^H factorization, and its
     negative pivots number the eigenvalues below s; m is that number at
-    center + radius minus the one at center - radius, and a count other than
-    the caller's raises NotUnique here.  The m eigenvalues nearest center
+    center + radius minus the one at center - radius, and when known + m
+    (known: the eigenvalues the caller found elsewhere) is not the caller's
+    count, NotUnique is raised here.  The m eigenvalues nearest center
     are then found by shift-invert Arnoldi (ARPACK through scipy's eigsh,
     partial-pivoting LU of a - center, start vector of ones).
     None when an inertia LU needed an off-diagonal pivot, a shift is an
@@ -181,7 +297,7 @@ def _sparse_window(a: sp.csc_matrix, center: float, radius: float, count: int | 
                 return None
             below.append(int(np.count_nonzero(lu.U.diagonal().real < 0)))
         m = below[1] - below[0]
-        _check_count(m, count, center, radius)
+        _check_count(known + m, count, center, radius)
         if m == 0:
             return np.empty(0)
         if 2 * m >= d:

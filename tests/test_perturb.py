@@ -899,7 +899,7 @@ class TestLambdaOnlyStop:
 
 
 class TestWindowedOracle:
-    """The shift-invert oracle in generic_step against dense eigvalsh of the
+    """The component oracle in generic_step against dense eigvalsh of the
     same section, kept here as the independent reference."""
 
     @pytest.mark.parametrize("level", [1, 2])
@@ -915,6 +915,34 @@ class TestWindowedOracle:
         assert state.dim == (113 if level == 1 else 1121)
         assert res.oracle_count == len(inside) == 1
         assert abs(res.oracle_lambda - inside[0]) <= 1e-13 * abs(inside[0])
+
+    def test_level2_diagonalizes_only_near_components(self, spec, params, rng, monkeypatch):
+        # the default potential splits the d = 1121 section into 81 coupling
+        # components of at most 33 rows: Gershgorin leaves a few of them,
+        # each one dense stack, and no sparse LU or Arnoldi runs
+        import scipy.sparse.linalg as spl
+
+        def no_sparse(*args, **kwargs):
+            raise AssertionError("the sparse window ran on small components")
+
+        monkeypatch.setattr(spl, "splu", no_sparse)
+        monkeypatch.setattr(spl, "eigsh", no_sparse)
+        rows = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            rows.append(int(np.prod(a.shape[:-1])))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        k = 40.0
+        prof = make_profile(k)
+        phi = admissible_phi(build_omega1(k, prof, params, 8.0), rng)
+        res = eigenvalue_level(
+            2, k * np.array([math.cos(phi), math.sin(phi)]), spec, prof, check_oracle=True
+        )
+        assert len(res.rows) == 1121 and res.oracle_count == 1
+        assert 0 < sum(rows) <= 1121 // 10
 
     def test_repeats_are_bit_identical(self, spec, params, rng):
         k = 40.0
@@ -953,8 +981,9 @@ class TestWindowedOracle:
             generic_step(state, prof, with_projector=False, check_oracle=True)
 
     def test_planted_double_past_cap_from_count(self, rng, monkeypatch):
-        # with the dense finish capped below d = 40, the certified inertia
-        # count alone raises NotUnique, before Arnoldi runs
+        # with the cap below the two 20-row coupling components, both go by
+        # the sparse window, and its certified inertia count alone raises
+        # NotUnique, before Arnoldi runs
         prof = make_profile(10.0, eig_cap=10)
         state = self.planted_double(rng, prof)
 
