@@ -105,8 +105,9 @@ class LevelState:
     position arrays).  The model is diag plus the in-block coupling
     (`couplings`: per block size s > 1, the (m, s) positions of its m blocks
     and their (m, s, s) dense coupling with zero diagonal); w holds every
-    other coupling entry as CSR.  The three are disjoint, so they add up to
-    the section entrywise (`section`; `h_full` is it dense).  block_vals are
+    other coupling entry as CSR.  coupling is the whole off-diagonal coupling
+    as CSR, the two parts together, so the section is it plus the diagonal
+    (`section`; `h_full` is it dense).  block_vals are
     the model eigenvalues by position and vecs, per entry of couplings, the
     (m, s, s) eigenvectors of its blocks: the model eigenbasis U is them on
     the blocks and the identity on the singletons (`u_full` is it dense).
@@ -117,6 +118,7 @@ class LevelState:
     labels: np.ndarray
     couplings: list[tuple[np.ndarray, np.ndarray]]
     w: sp.csr_matrix
+    coupling: sp.csr_matrix
     block_vals: np.ndarray
     vecs: list[np.ndarray]
     target: int  # position of the target basis index (block-eigen target)
@@ -136,15 +138,9 @@ class LevelState:
 
     @property
     def section(self) -> sp.csr_matrix:
-        """H(kappa) as CSR, built on each access, for the oracle check."""
-        d = self.dim
-        coo = self.w.tocoo()
-        parts = [(coo.row, coo.col, coo.data), (np.arange(d), np.arange(d), self.diag)]
-        for pos, blk in self.couplings:
-            c, i, j = np.nonzero(blk)
-            parts.append((pos[c, i], pos[c, j], blk[c, i, j]))
-        r, c, v = (np.concatenate(x) for x in zip(*parts))
-        return sp.csr_matrix((v, (r, c)), shape=(d, d))
+        """H(kappa) as CSR, the coupling plus the diagonal, for the oracle
+        check."""
+        return (self.coupling + sp.diags(self.diag)).tocsr()
 
     @property
     def h_full(self) -> np.ndarray:
@@ -198,9 +194,11 @@ class _BlockSplit:
     block is split into the connected components of its own nonzero coupling;
     no in-block entry lies between two components, so the model is unchanged.
     Held: the labels of the components (first position of each), their dense
-    coupling stacked by size (`couplings`) and the rest W (CSR)."""
+    coupling stacked by size (`couplings`), the rest W (CSR) and the whole
+    coupling it was given (`off`)."""
 
     def __init__(self, off: sp.csr_matrix, labels: np.ndarray):
+        self.off = off
         d = off.shape[0]
         coo = off.tocoo()
         same = labels[coo.row] == labels[coo.col]
@@ -250,8 +248,8 @@ def _state(rows, split: _BlockSplit, diag, vals, vecs, t, lam0, radius,
            profile: ParameterProfile) -> LevelState:
     """Column 0 of an aimed block as a LevelState."""
     lam0, contour = float(lam0[0]), Contour(float(lam0[0]), float(radius[0]), profile.quad_nodes)
-    return LevelState(rows, diag[0], split.labels, split.couplings, split.w, vals[0],
-                      [u[0] for u in vecs], int(t[0]), lam0, contour)
+    return LevelState(rows, diag[0], split.labels, split.couplings, split.w, split.off,
+                      vals[0], [u[0] for u in vecs], int(t[0]), lam0, contour)
 
 
 @dataclass

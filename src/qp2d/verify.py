@@ -23,14 +23,14 @@ from .lattice import (
     LatticeIndex,
     QPParams,
     best_rational,
+    box_table,
     cluster_decompose,
     count_short_vectors,
+    dual_array,
     dual_vector,
-    enumerate_box,
     enumerate_box_array,
     primitive_direction,
     triple_norm_array,
-    dual_array,
 )
 from .potential import PotentialSpec, build
 from .profile import ParameterProfile, make_profile
@@ -153,6 +153,45 @@ class RunConfig:
         return np.random.default_rng(self.seed)
 
 
+class _Clock:
+    """The records of one criterion, each timed by its own work.
+
+    `timed(name, fn, ...)` adds the wall time of fn(...) to the record `name`,
+    and `add` appends that record with the time summed under its name.
+    `sample(fn, ...)` evaluates one sampled point: a point that raises a
+    member of isoenergetic.REJECTIONS is counted in `rejected` and gives None.
+    A fixed computation is never sampled, so its rejection propagates.
+    """
+
+    def __init__(self):
+        self.records: list[CheckRecord] = []
+        self.rejected = 0
+        self._spent: dict[str, float] = {}
+
+    def timed(self, name: str, fn, *args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            self._spent[name] = self._spent.get(name, 0.0) + time.perf_counter() - t0
+
+    def sample(self, fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except isoenergetic.REJECTIONS:
+            self.rejected += 1
+            return None
+
+    def skipped(self, detail: str) -> str:
+        """detail, with the count of rejected points when there is one."""
+        return f"{detail}, {self.rejected} rejected" if self.rejected else detail
+
+    def add(self, name: str, passed, measured, threshold, detail: str = "") -> None:
+        self.records.append(
+            CheckRecord(name, passed, measured, threshold, self._spent[name], detail)
+        )
+
+
 def _admissible_angles(k, prof, params, rng, count, tau_factor=1.0):
     om = resonance.build_omega1(k, prof, params, tau_factor)
     out = []
@@ -163,6 +202,11 @@ def _admissible_angles(k, prof, params, rng, count, tau_factor=1.0):
         if om.contains(phi):
             out.append(phi)
     return out
+
+
+def _polar(duals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and angles in [0, 2 pi) of the rows of an (N, 2) dual array."""
+    return np.hypot(duals[:, 0], duals[:, 1]), np.arctan2(duals[:, 1], duals[:, 0]) % TWO_PI
 
 
 def _common_trend_angles(cfg: RunConfig, spec, count=4):
@@ -180,7 +224,7 @@ def _common_trend_angles(cfg: RunConfig, spec, count=4):
         for k in cfg.k_grid
     ]
     k_min = min(cfg.k_grid)
-    support = [dual_vector(q, params) for q in spec.nonzero_support]
+    lengths, angles = _polar(dual_array(spec.nonzero_table[0], params))
     out = []
     ranked = sorted(
         omegas[0].intervals, key=lambda ab: ab[1] - ab[0], reverse=True
@@ -190,13 +234,8 @@ def _common_trend_angles(cfg: RunConfig, spec, count=4):
             phi = a + frac * (b - a)
             if not all(om.contains(phi) for om in omegas):
                 continue
-            ok = True
-            for dv in support:
-                c = abs(math.cos(phi - dv.angle))
-                if c < 0.15 or 2.0 * k_min * dv.length * c < 2.0 * dv.length**2:
-                    ok = False
-                    break
-            if ok:
+            c = np.abs(np.cos(phi - angles))
+            if np.all((c >= 0.15) & (2.0 * k_min * lengths * c >= 2.0 * lengths**2)):
                 out.append(phi)
                 break
         if len(out) >= count:
@@ -204,24 +243,33 @@ def _common_trend_angles(cfg: RunConfig, spec, count=4):
     return out
 
 
-def _disc_edge_angles(k, prof, spec, params, n_directions=6):
+def _outer_shell(prof, params) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and angles of the dual vectors of the box_r1 rows outside the
+    step-I exclusion zone, in box order."""
+    _, norms, duals = box_table(prof.box_r1, params)
+    return _polar(duals[norms > prof.tilde_radius])
+
+
+def _tangencies(k, lengths: np.ndarray, angles: np.ndarray):
+    """The tangency root pair of each dual vector in turn; a vector longer
+    than 2k has none and is passed over."""
+    for p, ang in zip(lengths.tolist(), angles.tolist()):
+        tg = resonance.tangent_angles(k, p, ang)
+        if tg is not None:
+            yield tg
+
+
+def _disc_edge_angles(k, prof, params, n_directions=6):
     """Angles just outside the level-2 pole discs around the tangency roots
     of the smallest outer-shell dual vectors; the level-2 deviation peaks
     there."""
-    rows = enumerate_box_array(prof.box_r1)
-    norms = triple_norm_array(rows)
-    shell = rows[norms > prof.tilde_radius]
-    lengths = np.linalg.norm(dual_array(shell, params), axis=1)
-    order = np.argsort(lengths)
     out = []
     om8 = resonance.build_omega1(k, prof, params, 8.0)
-    for i in order[: 4 * n_directions]:
+    lengths, angles = _outer_shell(prof, params)
+    smallest = np.argsort(lengths)[: 4 * n_directions]
+    for tg in _tangencies(k, lengths[smallest], angles[smallest]):
         if len(out) >= 4 * n_directions:
             break
-        dv = dual_vector(LatticeIndex.from_row(shell[i]), params)
-        tg = resonance.tangent_angles(k, dv.length, dv.angle)
-        if tg is None:
-            continue
         for t in tg:
             for factor in (1.5, 3.0):
                 phi = float((t + factor * prof.o2_disc_radius) % TWO_PI)
@@ -230,16 +278,25 @@ def _disc_edge_angles(k, prof, spec, params, n_directions=6):
     return out
 
 
+def _second_order(kap, spec, radius: int, plus_free: bool = False) -> float:
+    """sum_q |V_q|^2 / (|kap|^2 - |kap + p_q|^2) over the nonzero support with
+    0 < |||q||| <= radius, after |kap|^2 when plus_free (the second-order
+    eigenvalue).  The terms are added one at a time in box order, and each
+    |kap + p_q|^2 is taken by the dot kernel of `kap @ kap`, so the value
+    equals a row-by-row direct summation bit for bit."""
+    rows, vals = spec.nonzero_table
+    norms = triple_norm_array(rows)
+    keep = (norms > 0) & (norms <= radius)
+    a2 = float(kap @ kap)
+    s = kap + dual_array(rows[keep], spec.params)
+    terms = np.abs(vals[keep]) ** 2 / (a2 - (s[:, None, :] @ s[:, :, None]).ravel())
+    return float(np.cumsum(np.concatenate(([a2 if plus_free else 0.0], terms)))[-1])
+
+
 def _strictly_decreasing(seq) -> bool:
     """Strict decrease, vacuously true on an identically-zero sequence (the
     zero-potential configuration has no corrections to decay)."""
     return all((a > b) or (a == 0.0 and b == 0.0) for a, b in zip(seq, seq[1:]))
-
-
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
 
 
 # ---------------------------------------------------------------------------
@@ -250,92 +307,87 @@ def _timed(fn):
 def check_oracle_level1(cfg: RunConfig) -> list[CheckRecord]:
     """Dressed-eigenvalue series vs dense diagonalization at level 1."""
     params, spec, rng = cfg.params(), cfg.spec(), cfg.rng()
-    t0 = time.perf_counter()
-    worst = 0.0
-    n_points = 0
+    clock = _Clock()
     per_k = max(1, 100 // len(cfg.k_grid))
-    for k in cfg.k_grid:
-        prof = cfg.profile_at(k)
-        for phi in _admissible_angles(k, prof, params, rng, per_k):
-            r = k + rng.uniform(-prof.kappa_window_1, prof.kappa_window_1)
-            kap = r * np.array([math.cos(phi), math.sin(phi)])
-            res = perturb.eigenvalue_level(1, kap, spec, prof, check_oracle=True)
-            tol = max(1e-9 * k * k, 10 * res.tail_estimate)
-            worst = max(worst, res.delta_vs_oracle / tol)
-            n_points += 1
-            if res.oracle_count != 1 or not res.converged:
-                worst = math.inf
-    rt = time.perf_counter() - t0
-    return [
-        CheckRecord(
-            "step1-series-matches-oracle",
-            worst <= 1.0 and n_points >= 0.9 * per_k * len(cfg.k_grid),
-            worst,
-            1.0,
-            rt,
-            f"{n_points} points, worst |series-oracle|/tol",
-        )
-    ]
+
+    def oracle():
+        worst = 0.0
+        n_points = 0
+        for k in cfg.k_grid:
+            prof = cfg.profile_at(k)
+            for phi in _admissible_angles(k, prof, params, rng, per_k):
+                r = k + rng.uniform(-prof.kappa_window_1, prof.kappa_window_1)
+                kap = r * np.array([math.cos(phi), math.sin(phi)])
+                res = clock.sample(perturb.eigenvalue_level, 1, kap, spec, prof, check_oracle=True)
+                if res is None:
+                    continue
+                tol = max(1e-9 * k * k, 10 * res.tail_estimate)
+                worst = max(worst, res.delta_vs_oracle / tol)
+                n_points += 1
+                # NaN-safe: a NaN rate fails too
+                if res.oracle_count != 1 or not res.decay_ratio < prof.divergence_ratio:
+                    worst = math.inf
+        return worst, n_points
+
+    name = "step1-series-matches-oracle"
+    worst, n_points = clock.timed(name, oracle)
+    clock.add(
+        name, worst <= 1.0 and n_points >= 0.9 * per_k * len(cfg.k_grid), worst, 1.0,
+        clock.skipped(f"{n_points} points, worst |series-oracle|/tol"),
+    )
+    return clock.records
 
 
 def check_oracle_level2(cfg: RunConfig) -> list[CheckRecord]:
     """Level-2 series vs oracle with the block model, plus the correction
     hierarchy |lam2 - lam1| <= |lam1 - kappa^2| on at least 95% of points."""
     params, spec, rng = cfg.params(), cfg.spec(), cfg.rng()
-    t0 = time.perf_counter()
+    clock = _Clock()
+    oracle, hier = "step2-series-matches-oracle", "step2-correction-hierarchy"
+
+    def point(kap, prof):
+        # the hierarchy record's own work is the level-1 series
+        r1 = clock.timed(hier, perturb.eigenvalue_level, 1, kap, spec, prof, check_oracle=False)
+        r2 = clock.timed(oracle, perturb.eigenvalue_level, 2, kap, spec, prof, check_oracle=True)
+        return r1, r2
+
     worst = 0.0
     hier_ok = 0
-    hier_rt = 0.0  # the hierarchy record's own work: the level-1 series
     n_points = 0
-    rejected = 0
     per_k = max(1, 30 // len(cfg.k_grid) + (1 if 30 % len(cfg.k_grid) else 0))
     for k in cfg.k_grid:
         prof = cfg.profile_at(k)
         got = 0
-        for phi in _admissible_angles(k, prof, params, rng, 8 * per_k, 8.0):
+        for phi in clock.timed(oracle, _admissible_angles, k, prof, params, rng, 8 * per_k, 8.0):
             if got >= per_k or n_points >= 30:
                 break
             kap = k * np.array([math.cos(phi), math.sin(phi)])
-            try:
-                r1, dt = _timed(
-                    lambda: perturb.eigenvalue_level(1, kap, spec, prof, check_oracle=False)
-                )
-                hier_rt += dt
-                r2 = perturb.eigenvalue_level(2, kap, spec, prof, check_oracle=True)
-            except (resonance.OverlapDetected, perturb.NotUnique, perturb.NonConvergent):
-                rejected += 1
+            pair = clock.sample(point, kap, prof)
+            if pair is None:
                 continue
+            r1, r2 = pair
             tol = max(1e-9 * k * k, 10 * r2.tail_estimate)
             worst = max(worst, r2.delta_vs_oracle / tol)
             if abs(r2.lam - r1.lam) <= abs(r1.lam - float(kap @ kap)) + 1e-14:
                 hier_ok += 1
             n_points += 1
             got += 1
-    rt = time.perf_counter() - t0 - hier_rt
     frac = hier_ok / max(n_points, 1)
-    return [
-        CheckRecord(
-            "step2-series-matches-oracle",
-            worst <= 1.0 and n_points >= 25,
-            worst,
-            1.0,
-            rt,
-            f"{n_points} points ({rejected} rejected), worst |series-oracle|/tol",
-        ),
-        CheckRecord(
-            "step2-correction-hierarchy",
-            frac >= 0.95,
-            frac,
-            0.95,
-            hier_rt,
-            f"{hier_ok}/{n_points} points with |lam2-lam1| <= |lam1-kappa^2|",
-        ),
-    ]
+    clock.add(
+        oracle, worst <= 1.0 and n_points >= 25, worst, 1.0,
+        f"{n_points} points ({clock.rejected} rejected), worst |series-oracle|/tol",
+    )
+    clock.add(
+        hier, frac >= 0.95, frac, 0.95,
+        f"{hier_ok}/{n_points} points with |lam2-lam1| <= |lam1-kappa^2|",
+    )
+    return clock.records
 
 
-def _chain_setup(cfg: RunConfig):
+def _chain_setup():
     """Non-trivial chain configuration used by the exact-identity and band
-    checks (near-null support direction via a large partial quotient)."""
+    checks (near-null support direction via a large partial quotient):
+    (k, phi0, profile, spec, strength-dressed decomposition)."""
     chain_params = QPParams(cf_prefix=[0, 3, 30, 1, 1, 1, 1, 1, 1, 1], mu=2.0)
     q_c = LatticeIndex((-1, 0), (3, 0))
     g2 = LatticeIndex((0, 1), (0, 0))
@@ -350,19 +402,25 @@ def _chain_setup(cfg: RunConfig):
                 dec = resonance.classify(p0, k, chain_spec, prof)
             except resonance.ResonantBase:
                 continue
-            for cls in dec.classes:
-                if not cls.trivial and cls.colinear_ok:
-                    if max(s.n_plus - s.n_minus for s in cls.subsets) >= 2:
-                        dec = resonance.strength(dec, k, p0, chain_spec, prof)
-                        return k, p0, prof, chain_spec, chain_params, dec
+            if any(sub.n_plus - sub.n_minus >= 2 for _, sub in _chain_windows(dec)):
+                dec = resonance.strength(dec, k, p0, chain_spec, prof)
+                return k, p0, prof, chain_spec, dec
     raise RuntimeError("chain construction failed")
+
+
+def _chain_windows(dec):
+    """The (class, subset) windows of the non-trivial colinear classes."""
+    for cls in dec.classes:
+        if not cls.trivial and cls.colinear_ok:
+            for sub in cls.subsets:
+                yield cls, sub
 
 
 def check_exact_identities(cfg: RunConfig) -> list[CheckRecord]:
     """Bit-level Hermiticity, separation of variables, block orthogonality,
     and residual shell support."""
     params, spec, rng = cfg.params(), cfg.spec(), cfg.rng()
-    out = []
+    clock = _Clock()
 
     def herm():
         worst = 0
@@ -375,33 +433,28 @@ def check_exact_identities(cfg: RunConfig) -> list[CheckRecord]:
                 worst = max(worst, int(not np.array_equal(h, h.conj().T)))
         return float(worst)
 
-    v, rt = _timed(herm)
-    out.append(
-        CheckRecord("hermiticity-bit-exact", v == 0.0, v, 0.0, rt, "assembled sections")
-    )
+    v = clock.timed("hermiticity-bit-exact", herm)
+    clock.add("hermiticity-bit-exact", v == 0.0, v, 0.0, "assembled sections")
 
     def separation():
-        k, phi0, prof, chain_spec, chain_params, dec = _chain_setup(cfg)
+        k, phi0, _, chain_spec, dec = _chain_setup()
         kap = k * np.array([math.cos(phi0), math.sin(phi0)])
         worst = 0.0
         n = 0
-        for cls in dec.classes:
-            if cls.trivial or not cls.colinear_ok:
-                continue
-            for sub in cls.subsets:
-                worst = max(
-                    worst,
-                    band1d.separation_check(cls, sub, kap, chain_spec) / (k * k),
-                )
-                n += 1
+        for cls, sub in _chain_windows(dec):
+            worst = max(worst, band1d.separation_check(cls, sub, kap, chain_spec) / (k * k))
+            n += 1
         return worst if n else math.inf
 
-    v, rt = _timed(separation)
-    out.append(
-        CheckRecord(
-            "separation-of-variables", v <= 1e-12, v, 1e-12, rt, "relative to k^2"
-        )
-    )
+    v = clock.timed("separation-of-variables", separation)
+    clock.add("separation-of-variables", v <= 1e-12, v, 1e-12, "relative to k^2")
+
+    def blocks(phi0, k, prof):
+        dec = resonance.classify(phi0, k, spec, prof)
+        if not len(dec.m_set):
+            return ()
+        dec = resonance.strength(dec, k, phi0, spec, prof)
+        return resonance.assemble_projector(dec, k, prof, spec).blocks
 
     def orthogonality():
         worst = 0.0
@@ -409,31 +462,22 @@ def check_exact_identities(cfg: RunConfig) -> list[CheckRecord]:
         for k in cfg.k_grid:
             prof = cfg.profile_at(k)
             for phi0 in _admissible_angles(k, prof, params, rng, 40, 8.0):
-                try:
-                    dec = resonance.classify(phi0, k, spec, prof)
-                    if not len(dec.m_set):
-                        continue
-                    dec = resonance.strength(dec, k, phi0, spec, prof)
-                    proj = resonance.assemble_projector(dec, k, prof, spec)
-                except resonance.OverlapDetected:
+                got = clock.sample(blocks, phi0, k, prof)
+                if not got:
                     continue
                 built += 1
                 box = enumerate_box_array(prof.box_r1)
                 worst = max(
                     worst,
-                    resonance.orthogonality_violation(
-                        [box[b.positions] for b in proj.blocks], spec
-                    ),
+                    resonance.orthogonality_violation([box[b.positions] for b in got], spec),
                 )
                 if built >= 6:
                     return worst
         return worst if built else math.inf
 
-    v, rt = _timed(orthogonality)
-    out.append(
-        CheckRecord(
-            "block-orthogonality-exact", v == 0.0, v, 0.0, rt, "largest coupling |V|"
-        )
+    v = clock.timed("block-orthogonality-exact", orthogonality)
+    clock.add(
+        "block-orthogonality-exact", v == 0.0, v, 0.0, clock.skipped("largest coupling |V|")
     )
 
     def shell():
@@ -447,19 +491,15 @@ def check_exact_identities(cfg: RunConfig) -> list[CheckRecord]:
         shell = (wf.box_radius < norms) & (norms <= wf.box_radius + spec.max_support_norm)
         return interior / (k * k) if np.all(shell) else math.inf
 
-    v, rt = _timed(shell)
-    out.append(
-        CheckRecord(
-            "residual-shell-support", v <= 1e-12, v, 1e-12, rt, "interior leak / k^2"
-        )
-    )
-    return out
+    v = clock.timed("residual-shell-support", shell)
+    clock.add("residual-shell-support", v <= 1e-12, v, 1e-12, "interior leak / k^2")
+    return clock.records
 
 
 def check_resonance_geometry(cfg: RunConfig) -> list[CheckRecord]:
     """Excised-measure trend, disc containment, and per-kind pole caps."""
     params, spec, rng = cfg.params(), cfg.spec(), cfg.rng()
-    out = []
+    clock = _Clock()
 
     def measure_trend():
         meas = [
@@ -469,12 +509,8 @@ def check_resonance_geometry(cfg: RunConfig) -> list[CheckRecord]:
         drops = all(a >= b - 1e-12 for a, b in zip(meas, meas[1:]))
         return 0.0 if drops else 1.0
 
-    v, rt = _timed(measure_trend)
-    out.append(
-        CheckRecord(
-            "excised-measure-monotone", v == 0.0, v, 0.0, rt, "over the k grid"
-        )
-    )
+    v = clock.timed("excised-measure-monotone", measure_trend)
+    clock.add("excised-measure-monotone", v == 0.0, v, 0.0, "over the k grid")
 
     def containment():
         k = cfg.k_grid[2] if len(cfg.k_grid) > 2 else cfg.k_grid[-1]
@@ -502,85 +538,67 @@ def check_resonance_geometry(cfg: RunConfig) -> list[CheckRecord]:
             misses += not hit
         return misses / max(tested, 1)
 
-    v, rt = _timed(containment)
-    out.append(
-        CheckRecord(
-            "excluded-angles-inside-discs", v == 0.0, v, 0.0, rt, "miss fraction"
-        )
-    )
+    v = clock.timed("excluded-angles-inside-discs", containment)
+    clock.add("excluded-angles-inside-discs", v == 0.0, v, 0.0, "miss fraction")
+
+    def candidate_angles(k, prof):
+        # angles admissible at tau = 8: uniform ones, enriched with ones
+        # targeted near the tangency roots of outer-shell vectors (where
+        # windows are guaranteed to appear)
+        yield from _admissible_angles(k, prof, params, rng, 40, 8.0)
+        om8 = resonance.build_omega1(k, prof, params, 8.0)
+        lengths, angles = _outer_shell(prof, params)
+        pick = rng.permutation(len(lengths))[:40]
+        for tg in _tangencies(k, lengths[pick], angles[pick]):
+            for t in tg:
+                phi = float((t + rng.uniform(-0.5, 0.5) * prof.pole_window) % TWO_PI)
+                if om8.contains(phi):
+                    yield phi
+
+    def caps(phi0, k, prof):
+        """(windows, windows over their pole cap) at one base angle; a strong
+        cluster over two members counts as one more over its cap."""
+        dec = resonance.classify(phi0, k, spec, prof)
+        if not len(dec.m_set):
+            return 0, 0
+        dec = resonance.strength(dec, k, phi0, spec, prof)
+        w = 2 * prof.pole_window
+        over = []
+        for m, p in zip(dec.m1, _polar(dual_array(dec.m1, params))[0].tolist()):
+            poles = resonance.block_poles(
+                m[None], k, (phi0 - w, phi0 + w), spec, prof, scan_points=32
+            )
+            over.append(len(poles) > (2 if abs(2 * k - p) < 1 else 1))
+        over += [len(sub.poles) > 2 for cls in dec.classes for sub in cls.subsets]
+        return len(over), sum(over) + sum(len(group) > 2 for group in dec.strong_clusters)
 
     def pole_caps():
         windows = 0
         bad = 0
-        strong_cluster_bad = 0
-
-        def candidate_angles(k, prof):
-            # uniform admissible angles, enriched with angles targeted near
-            # the tangency roots of outer-shell vectors (where windows are
-            # guaranteed to appear)
-            for phi in _admissible_angles(k, prof, params, rng, 40, 8.0):
-                yield phi
-            rows = enumerate_box_array(prof.box_r1)
-            norms = triple_norm_array(rows)
-            shell = rows[norms > prof.tilde_radius]
-            order = rng.permutation(len(shell))
-            for i in order[:40]:
-                dv = dual_vector(LatticeIndex.from_row(shell[i]), params)
-                tg = resonance.tangent_angles(k, dv.length, dv.angle)
-                if tg is None:
-                    continue
-                for t in tg:
-                    yield float((t + rng.uniform(-0.5, 0.5) * prof.pole_window) % TWO_PI)
-
         for k in cfg.k_grid:
             prof = cfg.profile_at(k)
             for phi0 in candidate_angles(k, prof):
                 if windows >= 50:
                     break
-                try:
-                    dec = resonance.classify(phi0, k, spec, prof)
-                except resonance.ResonantBase:
-                    continue
-                if not len(dec.m_set):
-                    continue
-                dec = resonance.strength(dec, k, phi0, spec, prof)
-                w = 2 * prof.pole_window
-                for m in dec.m1:
-                    p = dual_vector(LatticeIndex.from_row(m), params).length
-                    poles = resonance.block_poles(
-                        m[None], k, (phi0 - w, phi0 + w), spec, prof, scan_points=32
-                    )
-                    cap = 2 if abs(2 * k - p) < 1 else 1
-                    bad += len(poles) > cap
-                    windows += 1
-                for cls in dec.classes:
-                    for sub in cls.subsets:
-                        bad += len(sub.poles) > 2
-                        windows += 1
-                for group in dec.strong_clusters:
-                    strong_cluster_bad += len(group) > 2
-        return bad + strong_cluster_bad, windows
+                got = clock.sample(caps, phi0, k, prof)
+                if got is not None:
+                    windows += got[0]
+                    bad += got[1]
+        return bad, windows
 
-    (v, windows), rt = _timed(pole_caps)
-    out.append(
-        CheckRecord(
-            "pole-count-caps",
-            v == 0 and windows >= 50,
-            float(v),
-            0.0,
-            rt,
-            f"{windows} windows sampled",
-        )
+    v, windows = clock.timed("pole-count-caps", pole_caps)
+    clock.add(
+        "pole-count-caps", v == 0 and windows >= 50, float(v), 0.0,
+        clock.skipped(f"{windows} windows sampled"),
     )
-    return out
+    return clock.records
 
 
 def check_lattice_counting(cfg: RunConfig) -> list[CheckRecord]:
     """Cluster separation, short-vector counting bounds, and the
     curve-neighborhood count."""
     params, rng = cfg.params(), cfg.rng()
-    spec = cfg.spec()
-    out = []
+    clock = _Clock()
 
     def counting():
         worst2 = 0.0
@@ -598,12 +616,8 @@ def check_lattice_counting(cfg: RunConfig) -> list[CheckRecord]:
                     worst3 = max(worst3, n3 / (2**12 * k ** (2 * r / 3.0)))
         return max(worst2, worst3)
 
-    v, rt = _timed(counting)
-    out.append(
-        CheckRecord(
-            "short-vector-counting-bounds", v <= 1.0, v, 1.0, rt, "worst count/bound"
-        )
-    )
+    v = clock.timed("short-vector-counting-bounds", counting)
+    clock.add("short-vector-counting-bounds", v <= 1.0, v, 1.0, "worst count/bound")
 
     def separation():
         # the separation hypothesis needs an alpha with a huge partial
@@ -623,18 +637,13 @@ def check_lattice_counting(cfg: RunConfig) -> list[CheckRecord]:
                 worst = max(worst, 1.0)
         return worst if active else math.inf
 
-    v, rt = _timed(separation)
-    out.append(
-        CheckRecord(
-            "cluster-separation", v == 0.0, v, 0.0, rt, "diameter/separation bounds"
-        )
-    )
+    v = clock.timed("cluster-separation", separation)
+    clock.add("cluster-separation", v == 0.0, v, 0.0, "diameter/separation bounds")
 
     def curve_neighborhood():
         k = cfg.k_grid[1]
         prof = cfg.profile_at(k)
-        rows = enumerate_box_array(prof.box_r1)
-        duals = dual_array(rows, params)
+        duals = dual_array(enumerate_box_array(prof.box_r1), params)
         eps0 = k ** (-5.0 * params.mu * prof.r1_exp)
         bound = 1000.0 * k ** (2 * prof.r1_exp / 3.0 + 1.0)
         worst = 0.0
@@ -646,55 +655,43 @@ def check_lattice_counting(cfg: RunConfig) -> list[CheckRecord]:
             worst = max(worst, count / bound)
         return worst
 
-    v, rt = _timed(curve_neighborhood)
-    out.append(
-        CheckRecord(
-            "curve-neighborhood-count", v <= 1.0, v, 1.0, rt, "count/bound at 10 centers"
-        )
-    )
-    return out
+    v = clock.timed("curve-neighborhood-count", curve_neighborhood)
+    clock.add("curve-neighborhood-count", v <= 1.0, v, 1.0, "count/bound at 10 centers")
+    return clock.records
 
 
 def check_series_structure(cfg: RunConfig) -> list[CheckRecord]:
     """First-order vanishing, second-order closed form, support rule, and
     projector idempotency."""
     params, spec, rng = cfg.params(), cfg.spec(), cfg.rng()
-    out = []
+    clock = _Clock()
     k = cfg.k_grid[2] if len(cfg.k_grid) > 2 else cfg.k_grid[-1]
     prof = cfg.profile_at(k)
     phi = _admissible_angles(k, prof, params, rng, 1)[0]
     kap = k * np.array([math.cos(phi), math.sin(phi)])
 
-    res, rt = _timed(lambda: perturb.eigenvalue_level(1, kap, spec, prof, check_oracle=False))
+    res = clock.timed(
+        "first-order-vanishes", perturb.eigenvalue_level, 1, kap, spec, prof, check_oracle=False
+    )
     g1 = abs(res.g[0])
-    out.append(CheckRecord("first-order-vanishes", g1 <= 1e-12, g1, 1e-12, rt))
+    clock.add("first-order-vanishes", g1 <= 1e-12, g1, 1e-12)
 
-    def g2_closed_form():
-        a2 = float(kap @ kap)
-        closed = 0.0
-        for q in enumerate_box(prof.core_radius):
-            if q.is_zero():
-                continue
-            vq = spec.coeffs.get(q, 0j)
-            if vq == 0:
-                continue
-            p = dual_vector(q, params).p
-            closed += abs(vq) ** 2 / (a2 - float((kap + p) @ (kap + p)))
-        return abs(res.g[1] - closed) / max(abs(closed), 1e-300)
-
-    g2_rel, rt = _timed(g2_closed_form)
-    out.append(
-        CheckRecord(
-            "second-order-closed-form", g2_rel <= 1e-10, g2_rel, 1e-10, rt,
-            "relative to direct summation",
-        )
+    closed = clock.timed("second-order-closed-form", _second_order, kap, spec, prof.core_radius)
+    g2_rel = abs(res.g[1] - closed) / max(abs(closed), 1e-300)
+    clock.add(
+        "second-order-closed-form", g2_rel <= 1e-10, g2_rel, 1e-10, "relative to direct summation"
     )
 
     def support():
         sharp = build([(LatticeIndex((1, 0), (0, 0)), 0.05)], Q=1, params=params)
-        prof_wide = make_profile(k, mu=cfg.mu, core_radius=4)
-        state = perturb.build_state(1, kap, sharp, prof_wide)
-        res = perturb.generic_step(state, prof_wide, with_projector=True, store_orders=6)
+        # the state's own core and exclusion zone, so that the drawn angle
+        # keeps every core row's level off the contour
+        wide = make_profile(k, mu=cfg.mu, **{**cfg.profile, "core_radius": 4, "tilde_radius": 4})
+        phi_w = _admissible_angles(k, wide, params, rng, 1)[0]
+        kap_w = k * np.array([math.cos(phi_w), math.sin(phi_w)])
+        res = perturb.generic_step(
+            perturb.build_state(1, kap_w, sharp, wide), wide, with_projector=True, store_orders=6
+        )
         norms = triple_norm_array(res.rows)
         pair_norm = norms[:, None] + norms[None, :]
         viol = 0.0
@@ -704,29 +701,24 @@ def check_series_structure(cfg: RunConfig) -> list[CheckRecord]:
                 viol = max(viol, float(np.max(np.abs(g_r[mask]))))
         return viol
 
-    v, rt = _timed(support)
-    out.append(
-        CheckRecord("projector-order-support-rule", v == 0.0, v, 0.0, rt, "bit-exact")
-    )
+    v = clock.timed("projector-order-support-rule", support)
+    clock.add("projector-order-support-rule", v == 0.0, v, 0.0, "bit-exact")
 
     def idempotent():
-        res = perturb.projector_level(1, kap, spec, prof)
-        e = res.projector
+        e = perturb.projector_level(1, kap, spec, prof).projector
         dev = float(np.linalg.norm(e @ e - e, 2))
         rank = int(np.linalg.matrix_rank(e, tol=1e-6))
         return dev if rank == 1 else math.inf
 
-    v, rt = _timed(idempotent)
-    out.append(
-        CheckRecord("projector-idempotent-rank-one", v <= 1e-8, v, 1e-8, rt)
-    )
-    return out
+    v = clock.timed("projector-idempotent-rank-one", idempotent)
+    clock.add("projector-idempotent-rank-one", v <= 1e-8, v, 1e-8)
+    return clock.records
 
 
 def check_isoenergetic(cfg: RunConfig) -> list[CheckRecord]:
-    params, spec, rng = cfg.params(), cfg.spec(), cfg.rng()
+    params, spec = cfg.params(), cfg.spec()
     zero = build([], Q=cfg.Q, params=params)
-    out = []
+    clock = _Clock()
     grid = np.linspace(0, TWO_PI, cfg.phi_points, endpoint=False)
 
     def free_circle():
@@ -738,98 +730,56 @@ def check_isoenergetic(cfg: RunConfig) -> list[CheckRecord]:
             default=math.inf,
         )
 
-    v, rt = _timed(free_circle)
-    out.append(CheckRecord("free-curve-is-circle", v == 0.0, v, 0.0, rt))
+    v = clock.timed("free-curve-is-circle", free_circle)
+    clock.add("free-curve-is-circle", v == 0.0, v, 0.0)
 
-    # each record of the shared block carries the time of its own calls
-    times = dict.fromkeys(("residual", "nested", "dev1", "dev2"), 0.0)
-
-    def timed(key, fn, *args):
-        value, dt = _timed(lambda: fn(*args))
-        times[key] += dt
-        return value
-
-    def residuals_and_trends():
-        sup_h1 = []
-        sup_d2 = []
-        worst_res = 0.0
-        nested_bad = 0
-        for lam in cfg.lambda_grid:
-            k = math.sqrt(lam)
-            prof = cfg.profile_at(k)
-            sub = grid[:: max(1, len(grid) // 80)]
-            c1 = timed("nested", isoenergetic.trace_curve, 1, lam, sub, spec, prof)
-            c2 = timed("nested", isoenergetic.trace_curve, 2, lam, sub, spec, prof)
-            ev = timed("residual", perturb.LevelEvaluator, spec, prof)
-            for s in c1.admissible_samples:
-                nu = np.array([math.cos(s.phi), math.sin(s.phi)])
-                lam_s = timed("residual", ev.eigenvalue, s.kappa * nu)
-                worst_res = max(worst_res, abs(lam_s - lam) / lam)
-            for sa, sb in zip(c1.samples, c2.samples):
-                if sb.admissible and not sa.admissible:
-                    nested_bad += 1
-            # deviation sups over a family of common admissible directions
-            # (pointwise decreasing, so the max inherits the trend); the
-            # level-2 deviation instead peaks at the pole-disc edges
-            probes1 = timed("dev1", _common_trend_angles, cfg, spec)
-            dev1 = [
-                abs(d)
-                for _, d in timed(
-                    "dev1", isoenergetic.deviation_profile, 1, lam, probes1, spec, prof
-                )
-            ]
-            probes2 = timed("dev2", _disc_edge_angles, k, prof, spec, params)
-            dev2 = [
-                abs(d)
-                for _, d in timed(
-                    "dev2", isoenergetic.deviation_profile, 2, lam, probes2, spec, prof
-                )
-            ]
-            sup_h1.append(max(dev1) if dev1 else math.nan)
-            sup_d2.append(max(dev2) if dev2 else math.nan)
-        mono1 = _strictly_decreasing(sup_h1)
-        mono2 = _strictly_decreasing(sup_d2)
-        return worst_res, nested_bad, mono1, mono2, sup_h1, sup_d2
-
-    worst_res, nested_bad, mono1, mono2, sup_h1, sup_d2 = residuals_and_trends()
-    out.append(
-        CheckRecord(
-            "radius-solver-residual", worst_res <= 1e-9, worst_res, 1e-9, times["residual"],
-            "relative, all admissible samples",
-        )
+    residual, nested = "radius-solver-residual", "level2-admissible-nested"
+    dev1, dev2 = "level1-deviation-decreasing", "level2-deviation-decreasing"
+    sup_h1 = []
+    sup_d2 = []
+    worst_res = 0.0
+    nested_bad = 0
+    for lam in cfg.lambda_grid:
+        k = math.sqrt(lam)
+        prof = cfg.profile_at(k)
+        sub = grid[:: max(1, len(grid) // 80)]
+        c1 = clock.timed(nested, isoenergetic.trace_curve, 1, lam, sub, spec, prof)
+        c2 = clock.timed(nested, isoenergetic.trace_curve, 2, lam, sub, spec, prof)
+        ev = clock.timed(residual, perturb.LevelEvaluator, spec, prof)
+        for s in c1.admissible_samples:
+            nu = np.array([math.cos(s.phi), math.sin(s.phi)])
+            lam_s = clock.timed(residual, ev.eigenvalue, s.kappa * nu)
+            worst_res = max(worst_res, abs(lam_s - lam) / lam)
+        for sa, sb in zip(c1.samples, c2.samples):
+            if sb.admissible and not sa.admissible:
+                nested_bad += 1
+        # deviation sups over a family of common admissible directions
+        # (pointwise decreasing, so the max inherits the trend); the
+        # level-2 deviation instead peaks at the pole-disc edges
+        probes1 = clock.timed(dev1, _common_trend_angles, cfg, spec)
+        d1 = clock.timed(dev1, isoenergetic.deviation_profile, 1, lam, probes1, spec, prof)
+        probes2 = clock.timed(dev2, _disc_edge_angles, k, prof, params)
+        d2 = clock.timed(dev2, isoenergetic.deviation_profile, 2, lam, probes2, spec, prof)
+        sup_h1.append(max((abs(d) for _, d in d1), default=math.nan))
+        sup_d2.append(max((abs(d) for _, d in d2), default=math.nan))
+    mono1 = _strictly_decreasing(sup_h1)
+    mono2 = _strictly_decreasing(sup_d2)
+    clock.add(residual, worst_res <= 1e-9, worst_res, 1e-9, "relative, all admissible samples")
+    clock.add(nested, nested_bad == 0, float(nested_bad), 0.0)
+    clock.add(
+        dev1, mono1, 0.0 if mono1 else 1.0, 0.0,
+        "sup|h1| over lambda grid: " + ", ".join(f"{x:.3g}" for x in sup_h1),
     )
-    out.append(
-        CheckRecord(
-            "level2-admissible-nested", nested_bad == 0, float(nested_bad), 0.0,
-            times["nested"],
-        )
+    clock.add(
+        dev2, mono2, 0.0 if mono2 else 1.0, 0.0,
+        "sup|k2-k1| over lambda grid: " + ", ".join(f"{x:.3g}" for x in sup_d2),
     )
-    out.append(
-        CheckRecord(
-            "level1-deviation-decreasing",
-            mono1,
-            0.0 if mono1 else 1.0,
-            0.0,
-            times["dev1"],
-            "sup|h1| over lambda grid: " + ", ".join(f"{x:.3g}" for x in sup_h1),
-        )
-    )
-    out.append(
-        CheckRecord(
-            "level2-deviation-decreasing",
-            mono2,
-            0.0 if mono2 else 1.0,
-            0.0,
-            times["dev2"],
-            "sup|k2-k1| over lambda grid: " + ", ".join(f"{x:.3g}" for x in sup_d2),
-        )
-    )
-    return out
+    return clock.records
 
 
 def check_derivatives(cfg: RunConfig) -> list[CheckRecord]:
     params, spec, rng = cfg.params(), cfg.spec(), cfg.rng()
-    out = []
+    clock = _Clock()
 
     def radial():
         worst = 0.0
@@ -840,16 +790,20 @@ def check_derivatives(cfg: RunConfig) -> list[CheckRecord]:
             # keeps every denominator a factor two above the threshold
             for phi in _admissible_angles(k, prof, params, rng, 13, 2.0):
                 kap = k * np.array([math.cos(phi), math.sin(phi)])
-                dk, _ = perturb.derivative_probe(1, kap, spec, prof, h=1e-5)
-                worst = max(worst, abs(dk - 2 * k) / (2 * k))
+                got = clock.sample(perturb.derivative_probe, 1, kap, spec, prof, h=1e-5)
+                if got is None:
+                    continue
+                worst = max(worst, abs(got[0] - 2 * k) / (2 * k))
                 pts += 1
                 if pts >= 50:
-                    return worst
-        return worst
+                    return worst, pts
+        return worst, pts
 
-    v, rt = _timed(radial)
-    out.append(
-        CheckRecord("radial-derivative-leading-term", v <= 1e-3, v, 1e-3, rt, "50 points")
+    # skipped points must not thin out the 50 points the record stands on
+    v, pts = clock.timed("radial-derivative-leading-term", radial)
+    clock.add(
+        "radial-derivative-leading-term", v <= 1e-3 and pts >= 50, v, 1e-3,
+        clock.skipped(f"{pts} points"),
     )
 
     def vs_closed_form():
@@ -857,71 +811,47 @@ def check_derivatives(cfg: RunConfig) -> list[CheckRecord]:
         prof = cfg.profile_at(k)
         phi = _admissible_angles(k, prof, params, rng, 1, 2.0)[0]
         nu = np.array([math.cos(phi), math.sin(phi)])
-
-        def lam2(r):
-            kapr = r * nu
-            a2 = float(kapr @ kapr)
-            total = a2
-            for q in enumerate_box(prof.core_radius):
-                if q.is_zero():
-                    continue
-                vq = spec.coeffs.get(q, 0j)
-                if vq == 0:
-                    continue
-                p = dual_vector(q, params).p
-                total += abs(vq) ** 2 / (a2 - float((kapr + p) @ (kapr + p)))
-            return total
-
         h = 1e-4
-        expected = (lam2(k + h) - lam2(k - h)) / (2 * h)
+        up, down = (
+            _second_order(r * nu, spec, prof.core_radius, plus_free=True) for r in (k + h, k - h)
+        )
+        expected = (up - down) / (2 * h)
         dk, _ = perturb.derivative_probe(1, k * nu, spec, prof, h=h)
         return abs(dk - expected) / max(abs(expected), 1.0)
 
-    v, rt = _timed(vs_closed_form)
-    out.append(
-        CheckRecord(
-            "derivative-matches-analytic-second-order", v <= 1e-6, v, 1e-6, rt
-        )
-    )
-    return out
+    v = clock.timed("derivative-matches-analytic-second-order", vs_closed_form)
+    clock.add("derivative-matches-analytic-second-order", v <= 1e-6, v, 1e-6)
+    return clock.records
 
 
 def check_band1d(cfg: RunConfig) -> list[CheckRecord]:
-    out = []
+    clock = _Clock()
 
     def refinement():
-        k, phi0, prof, chain_spec, chain_params, dec = _chain_setup(cfg)
+        k, _, prof, chain_spec, dec = _chain_setup()
         worst_monotone = 0.0
         found = 0
-        for cls in dec.classes:
-            if cls.trivial or not cls.colinear_ok:
-                continue
-            for sub in cls.subsets:
-                gaps = []
-                for half in (2, 4, 8, 16):
-                    win = resonance.ClusterSubset(
-                        members=sub.members,
-                        central=sub.central,
-                        n_minus=-half,
-                        n_plus=half,
-                        t_q=sub.t_q,
-                    )
-                    gaps.append(
-                        band1d.finite_vs_periodic(
-                            cls, win, sub.t_q, k, chain_spec, prof, n_ref=96
-                        )
-                    )
-                found += 1
-                if not all(a >= b - 1e-15 for a, b in zip(gaps, gaps[1:])):
-                    worst_monotone = 1.0
+        for cls, sub in _chain_windows(dec):
+            gaps = []
+            for half in (2, 4, 8, 16):
+                win = resonance.ClusterSubset(
+                    members=sub.members,
+                    central=sub.central,
+                    n_minus=-half,
+                    n_plus=half,
+                    t_q=sub.t_q,
+                )
+                gaps.append(
+                    band1d.finite_vs_periodic(cls, win, sub.t_q, k, chain_spec, prof, n_ref=96)
+                )
+            found += 1
+            if not all(a >= b - 1e-15 for a, b in zip(gaps, gaps[1:])):
+                worst_monotone = 1.0
         return worst_monotone if found else math.inf
 
-    v, rt = _timed(refinement)
-    out.append(
-        CheckRecord(
-            "finite-vs-periodic-refinement", v == 0.0, v, 0.0, rt,
-            "gap decreases under window growth",
-        )
+    v = clock.timed("finite-vs-periodic-refinement", refinement)
+    clock.add(
+        "finite-vs-periodic-refinement", v == 0.0, v, 0.0, "gap decreases under window growth"
     )
 
     def periodicity():
@@ -940,16 +870,14 @@ def check_band1d(cfg: RunConfig) -> list[CheckRecord]:
             worst = max(worst, float(np.max(np.abs(a - b))))
         return worst
 
-    v, rt = _timed(periodicity)
-    out.append(
-        CheckRecord("band-quasimomentum-periodicity", v <= 1e-8, v, 1e-8, rt)
-    )
-    return out
+    v = clock.timed("band-quasimomentum-periodicity", periodicity)
+    clock.add("band-quasimomentum-periodicity", v <= 1e-8, v, 1e-8)
+    return clock.records
 
 
 def check_multiscale(cfg: RunConfig) -> list[CheckRecord]:
     params, spec, rng = cfg.params(), cfg.spec(), cfg.rng()
-    out = []
+    clock = _Clock()
     k = cfg.k_grid[2] if len(cfg.k_grid) > 2 else cfg.k_grid[-1]
     prof = cfg.profile_at(k)
 
@@ -970,8 +898,8 @@ def check_multiscale(cfg: RunConfig) -> list[CheckRecord]:
         b = multiscale.region_map(m2, k, spec, prof)
         return 0.0 if a == b else 1.0, a
 
-    (v, rmap), rt = _timed(determinism)
-    out.append(CheckRecord("region-map-deterministic", v == 0.0, v, 0.0, rt))
+    v, rmap = clock.timed("region-map-deterministic", determinism)
+    clock.add("region-map-deterministic", v == 0.0, v, 0.0)
 
     def separations():
         seps = {
@@ -989,78 +917,57 @@ def check_multiscale(cfg: RunConfig) -> list[CheckRecord]:
                     return 1.0
         return 0.0
 
-    v, rt = _timed(separations)
-    out.append(CheckRecord("same-color-separation", v == 0.0, v, 0.0, rt))
+    v = clock.timed("same-color-separation", separations)
+    clock.add("same-color-separation", v == 0.0, v, 0.0)
 
-    v, rt = _timed(lambda: multiscale.boundary_check(rmap, spec))
-    out.append(
-        CheckRecord("region-boundary-identities", v == 0.0, v, 0.0, rt, "exact")
+    v = clock.timed("region-boundary-identities", multiscale.boundary_check, rmap, spec)
+    clock.add("region-boundary-identities", v == 0.0, v, 0.0, "exact")
+
+    stats = clock.timed(
+        "neighborhood-counting-ratio",
+        multiscale.region_stats, rmap, m2, spec, prof, rng=np.random.default_rng(cfg.seed + 1),
     )
-
-    def counting():
-        stats = multiscale.region_stats(
-            rmap, m2, spec, prof, rng=np.random.default_rng(cfg.seed + 1)
-        )
-        return stats["max_counting_ratio"], len(stats["counting_ratios"])
-
-    (ratio, n_centers), rt = _timed(counting)
-    out.append(
-        CheckRecord(
-            "neighborhood-counting-ratio",
-            ratio <= 1000.0 and n_centers >= 20,
-            ratio,
-            1000.0,
-            rt,
-            f"constant recorded over {n_centers} centers",
-        )
+    ratio, n_centers = stats["max_counting_ratio"], len(stats["counting_ratios"])
+    clock.add(
+        "neighborhood-counting-ratio", ratio <= 1000.0 and n_centers >= 20, ratio, 1000.0,
+        f"constant recorded over {n_centers} centers",
     )
-    return out
+    return clock.records
 
 
 def check_eigenfunction(cfg: RunConfig) -> list[CheckRecord]:
     params, spec, rng = cfg.params(), cfg.spec(), cfg.rng()
-    out = []
-
-    def trends():
-        grid = wavefunction.unit_cell_grid(64)
-        sup_u = []
-        res_l1 = []
-        res_time = 0.0
-        # common directions with monotone-growing denominators: dressing
-        # and residual both decrease pointwise in k, so the max over the
-        # family inherits strict decrease
-        angles = _common_trend_angles(cfg, spec)
-        for k in cfg.k_grid:
-            prof = cfg.profile_at(k)
-            worst_u = 0.0
-            worst_l1 = 0.0
-            for phi in angles:
-                kap = k * np.array([math.cos(phi), math.sin(phi)])
-                wf = wavefunction.synthesize(1, kap, spec, prof)
-                worst_u = max(worst_u, wavefunction.sample(wf, grid)["sup_u"])
-                (*_, l1, _), dt = _timed(lambda: wavefunction.residual(wf, spec))
-                res_time += dt
-                worst_l1 = max(worst_l1, l1)
-            sup_u.append(worst_u)
-            res_l1.append(worst_l1)
-        ok_u = _strictly_decreasing(sup_u)
-        ok_l1 = _strictly_decreasing(res_l1)
-        return ok_u, ok_l1, sup_u, res_l1, res_time
-
+    clock = _Clock()
     # the synthesis and sampling time is the first check's, the residual's
     # the second's
-    (ok_u, ok_l1, sup_u, res_l1, res_rt), rt = _timed(trends)
-    out.append(
-        CheckRecord(
-            "correction-sup-decreasing", ok_u, 0.0 if ok_u else 1.0, 0.0, rt - res_rt,
-            "sup|u1|: " + ", ".join(f"{x:.3g}" for x in sup_u),
-        )
+    sup, residual = "correction-sup-decreasing", "residual-l1-decreasing"
+    grid = clock.timed(sup, wavefunction.unit_cell_grid, 64)
+    sup_u = []
+    res_l1 = []
+    # common directions with monotone-growing denominators: dressing and
+    # residual both decrease pointwise in k, so the max over the family
+    # inherits strict decrease
+    angles = clock.timed(sup, _common_trend_angles, cfg, spec)
+    for k in cfg.k_grid:
+        prof = cfg.profile_at(k)
+        worst_u = 0.0
+        worst_l1 = 0.0
+        for phi in angles:
+            kap = k * np.array([math.cos(phi), math.sin(phi)])
+            wf = clock.timed(sup, wavefunction.synthesize, 1, kap, spec, prof)
+            worst_u = max(worst_u, clock.timed(sup, wavefunction.sample, wf, grid)["sup_u"])
+            *_, l1, _ = clock.timed(residual, wavefunction.residual, wf, spec)
+            worst_l1 = max(worst_l1, l1)
+        sup_u.append(worst_u)
+        res_l1.append(worst_l1)
+    ok_u = _strictly_decreasing(sup_u)
+    ok_l1 = _strictly_decreasing(res_l1)
+    clock.add(
+        sup, ok_u, 0.0 if ok_u else 1.0, 0.0, "sup|u1|: " + ", ".join(f"{x:.3g}" for x in sup_u)
     )
-    out.append(
-        CheckRecord(
-            "residual-l1-decreasing", ok_l1, 0.0 if ok_l1 else 1.0, 0.0, res_rt,
-            "l1: " + ", ".join(f"{x:.3g}" for x in res_l1),
-        )
+    clock.add(
+        residual, ok_l1, 0.0 if ok_l1 else 1.0, 0.0,
+        "l1: " + ", ".join(f"{x:.3g}" for x in res_l1),
     )
 
     def level_difference():
@@ -1075,14 +982,11 @@ def check_eigenfunction(cfg: RunConfig) -> list[CheckRecord]:
         l1 = sum(abs(wf2.coeff(m) - wf1.coeff(m)) for m in support)
         return outg["sup_u"] - l1
 
-    v, rt = _timed(level_difference)
-    out.append(
-        CheckRecord(
-            "level-difference-dominated-by-l1", v <= 1e-12, v, 0.0, rt,
-            "grid sup minus coefficient l1",
-        )
+    v = clock.timed("level-difference-dominated-by-l1", level_difference)
+    clock.add(
+        "level-difference-dominated-by-l1", v <= 1e-12, v, 0.0, "grid sup minus coefficient l1"
     )
-    return out
+    return clock.records
 
 
 CRITERIA = [
