@@ -9,12 +9,14 @@ Every point set of the package is an (N, 4) int64 array of rows
 keys, a subset of a box is sorted positions into `enumerate_box_array(R)`,
 `box_table` caches a box's nonzero rows with their norms and duals, and
 `dual_buckets` those duals in a bucket grid that finds the rows near a circle.
-`cluster_decompose` labels residue clusters with `np.unique` over their keys,
-takes diameters from per-cluster bounding boxes and the separation from one
-exact k-d tree search.  `components` is the package's one connected-components
-routine.  `LatticeIndex` is the scalar API surface: single points (a
-potential's frequencies, a class direction), and `indices_to_array` /
-`array_to_indices` convert at the edge of the API only.
+`triple_norm_components` finds its pairs by one such lookup over a half ball
+of offsets, exactly in integers.  `cluster_decompose` labels residue clusters
+with `np.unique` over their keys, takes diameters from per-cluster bounding
+boxes and the exact separation from a sweep in x order.  `components` is the
+package's one connected-components routine.  `LatticeIndex` is the scalar
+API surface: single points (a potential's frequencies, a class direction),
+and `indices_to_array` / `array_to_indices` convert at the edge of the API
+only.
 
 alpha is represented exactly, either as a quadratic irrational (a + b*sqrt(d))/c
 or as a continued-fraction prefix, so that colinearity questions reduce to
@@ -29,7 +31,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 TWO_PI = 2.0 * math.pi
 
@@ -432,29 +433,39 @@ def components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return (np.cumsum(root) - 1)[parent]
 
 
+def _equal_runs(keys: np.ndarray) -> np.ndarray:
+    """(M, 2) position pairs that chain each run of equal keys: every
+    position to the next one with its key, in a stable sort by key."""
+    order = np.argsort(keys, kind="stable")
+    same = keys[order[1:]] == keys[order[:-1]]
+    return np.stack([order[:-1][same], order[1:][same]], axis=1)
+
+
 def triple_norm_components(
     rows: np.ndarray, radius: int, group: np.ndarray | None = None
 ) -> np.ndarray:
     """Connected-component label per row of an (N,4) array, joining rows at
     triple-norm distance <= radius and, when `group` (one int per row) is
     given, rows that share a group.  Components are numbered 0, 1, ... in
-    order of their first row."""
+    order of their first row.
+
+    The pairs come exactly from one `row_positions` lookup of every row plus
+    every offset of the half ball, the nonzero rows of the radius box that
+    follow the origin in box order: a pair at a nonzero offset h is found
+    once, from the row whose offset to the other is h.  Equal rows (offset
+    zero) and rows of one group are chained by runs of equal keys."""
     n = rows.shape[0]
-    pairs = np.zeros((0, 2), dtype=np.intp)
-    if n > 1:
-        # the sup norm bounds the triple norm from below, so its pairs are
-        # candidates
-        pairs = cKDTree(rows.astype(float)).query_pairs(
-            radius, p=np.inf, output_type="ndarray"
-        )
-        d = rows[pairs[:, 0]] - rows[pairs[:, 1]]
-        pairs = pairs[triple_norm_array(d) <= radius]
+    if n < 2:
+        return np.arange(n)
+    ball = enumerate_box_array(radius)
+    # the box is symmetric, so the origin is its middle row
+    half = ball[len(ball) // 2 + 1 :]
+    at = row_positions(rows, rows[:, None, :] + half[None])
+    i, h = np.nonzero(at >= 0)
+    pairs = [np.stack([i, at[i, h]], axis=1), _equal_runs(pack_rows(rows))]
     if group is not None:
-        order = np.argsort(group, kind="stable")
-        same = group[order[1:]] == group[order[:-1]]
-        pairs = np.concatenate(
-            [pairs, np.stack([order[:-1][same], order[1:][same]], axis=1)]
-        )
+        pairs.append(_equal_runs(group))
+    pairs = np.concatenate(pairs)
     return components(n, pairs[:, 0], pairs[:, 1])
 
 
@@ -525,10 +536,10 @@ def cluster_decompose(box, approx: ApproxPair, params: QPParams) -> ClusterGrid:
     and smallest separation in units of s1 + alpha*s2.
 
     Clusters are keyed in order of their first member in LatticeIndex order.
-    The separation is exact: a k-d tree query for each point's k nearest
-    points, k doubled until every point sees one of another cluster, and
-    those distances taken by the all-pairs norm expression.  One cluster has
-    separation inf.
+    The separation is exact: a sweep over the points sorted by x meets every
+    pair of points of two clusters whose x gap is within the best distance
+    so far, each distance taken by the all-pairs norm expression.  One
+    cluster has separation inf.
     """
     rows = box if isinstance(box, np.ndarray) else indices_to_array(box)
     step = abs(approx.eps_q) * approx.q
@@ -564,16 +575,22 @@ def cluster_decompose(box, approx: ApproxPair, params: QPParams) -> ClusterGrid:
 
     min_sep = math.inf
     if len(uniq) > 1:
-        tree = cKDTree(points)
-        kk = 1
-        while True:
-            kk = min(2 * kk, n)
-            nbr = tree.query(points, k=kk)[1]
-            cross = labels[nbr] != labels[:, None]
-            if kk == n or cross.any(axis=1).all():
-                break
-        i, j = np.nonzero(cross)
-        min_sep = float(np.linalg.norm(points[i] - points[nbr[i, j]], axis=-1).min())
+        # sweep in x order: at shift s point i meets point i + s, and a point
+        # whose x gap, rounded as the distance rounds it, exceeds the best
+        # distance so far leaves, as later shifts only widen that gap
+        by_x = np.argsort(points[:, 0], kind="stable")
+        pts, lab = points[by_x], labels[by_x]
+        live = np.arange(n - 1)
+        s = 1
+        while len(live):
+            gap = pts[live + s, 0] - pts[live, 0]
+            live = live[np.sqrt(gap * gap) <= min_sep]
+            cross = live[lab[live + s] != lab[live]]
+            if len(cross):
+                sep = np.linalg.norm(pts[cross] - pts[cross + s], axis=-1).min()
+                min_sep = min(min_sep, float(sep))
+            s += 1
+            live = live[live + s < n]
     return ClusterGrid(
         clusters=clusters,
         step=step,

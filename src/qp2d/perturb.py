@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import hankel
 
 from .fiber import (  # noqa: F401 - assemble, NotUnique are re-exported from perturb
     FiberMatrix,
@@ -81,12 +80,14 @@ class NoRoot(ArithmeticError):
 # 6 at the level-2 d = 1121, whose order history then stays near 1 MB.
 _BLOCK_ENTRIES = 64 * 113
 
+# Trapezoidal nodes the quadrature routes start from before doubling.
+_QUAD_NODES = 64
+
 
 @dataclass(frozen=True)
 class Contour:
     center: float
     radius: float
-    nodes: int
 
     def points(self, n: int):
         th = 2.0 * math.pi * np.arange(n) / n
@@ -107,10 +108,10 @@ class LevelState:
     and their (m, s, s) dense coupling with zero diagonal); w holds every
     other coupling entry as CSR.  coupling is the whole off-diagonal coupling
     as CSR, the two parts together, so the section is it plus the diagonal
-    (`section`; `h_full` is it dense).  block_vals are
-    the model eigenvalues by position and vecs, per entry of couplings, the
-    (m, s, s) eigenvectors of its blocks: the model eigenbasis U is them on
-    the blocks and the identity on the singletons (`u_full` is it dense).
+    (`section`).  block_vals are the model eigenvalues by position and vecs,
+    per entry of couplings, the (m, s, s) eigenvectors of its blocks: the
+    model eigenbasis U is them on the blocks and the identity on the
+    singletons (`u_full` is it dense).
     """
 
     rows: np.ndarray
@@ -141,11 +142,6 @@ class LevelState:
         """H(kappa) as CSR, the coupling plus the diagonal, for the oracle
         check."""
         return (self.coupling + sp.diags(self.diag)).tocsr()
-
-    @property
-    def h_full(self) -> np.ndarray:
-        """The dense section, for tests."""
-        return self.section.toarray()
 
     @property
     def u_full(self) -> np.ndarray:
@@ -247,7 +243,7 @@ def _aim_nearest(vals: np.ndarray, cand: np.ndarray, value: np.ndarray, margin: 
 def _state(rows, split: _BlockSplit, diag, vals, vecs, t, lam0, radius,
            profile: ParameterProfile) -> LevelState:
     """Column 0 of an aimed block as a LevelState."""
-    lam0, contour = float(lam0[0]), Contour(float(lam0[0]), float(radius[0]), profile.quad_nodes)
+    lam0, contour = float(lam0[0]), Contour(float(lam0[0]), float(radius[0]))
     return LevelState(rows, diag[0], split.labels, split.couplings, split.w, split.off,
                       vals[0], [u[0] for u in vecs], int(t[0]), lam0, contour)
 
@@ -528,10 +524,12 @@ def generic_step(
             d_ser[nn] = -np.sum(c[1 : nn + 1] * d_ser[nn - 1 :: -1][: nn])
         # G_r = sum_{a+b<=r} d_ser[r-a-b] v_a v_b^H in the index basis
         v_rot = rotate(v_ser)
+        ab = np.add.outer(np.arange(n_store + 1), np.arange(n_store + 1))
         g_mats = []
         for r in range(1, n_store + 1):
             v_r = v_rot[:, : r + 1]
-            g_mats.append((v_r @ hankel(d_ser[r::-1])) @ v_r.conj().T)
+            hank = np.append(d_ser[r::-1], np.zeros(r))[ab[: r + 1, : r + 1]]
+            g_mats.append((v_r @ hank) @ v_r.conj().T)
         g_norms = np.array([np.linalg.norm(g_r) for g_r in g_mats])
 
     oracle_lambda = oracle_count = None
@@ -575,8 +573,8 @@ def contour_coeff_series(
     r_max: int | None = None,
     max_nodes: int = 1024,
 ) -> np.ndarray:
-    """g_r by trapezoidal quadrature of the circle integrals, nodes doubled
-    until two successive evaluations agree to 1e-12 relative."""
+    """g_r by trapezoidal quadrature of the circle integrals, _QUAD_NODES
+    nodes doubled until two successive evaluations agree to 1e-12 relative."""
     r_max = profile.r_max if r_max is None else r_max
     _check_contour_clear(state)
     w_tilde = _w_tilde_dense(state)
@@ -593,7 +591,7 @@ def contour_coeff_series(
                     p = p @ b
         return acc
 
-    nodes = state.contour.nodes
+    nodes = _QUAD_NODES
     g = quad(nodes)
     while nodes < max_nodes:
         nodes *= 2
@@ -630,7 +628,7 @@ def contour_projector_series(
                 gs[r - 1] += x * dd * ((-1) ** (r + 1)) / (2j * math.pi)
         return e0, gs
 
-    nodes = state.contour.nodes
+    nodes = _QUAD_NODES
     e0_prev, gs_prev = quad(nodes)
     while nodes < max_nodes:
         nodes *= 2

@@ -57,7 +57,6 @@ class ParameterProfile:
     # perturbation engine
     r_max: int             # series orders: LevelEvaluator's cap (its series stop
                            # earlier), the exact count run by generic_step
-    quad_nodes: int
     divergence_ratio: float
     kappa_window_1: float
     kappa_window_2: float
@@ -112,7 +111,6 @@ def make_profile(
     m1_box_radius: int = 0,
     body_radius: int = 0,
     r_max: int = 30,
-    quad_nodes: int = 64,
     eig_cap: int = 4096,
     **overrides,
 ) -> ParameterProfile:
@@ -149,7 +147,6 @@ def make_profile(
         grey_nbhd=1,
         white_nbhd=1,
         r_max=int(r_max),
-        quad_nodes=int(quad_nodes),
         divergence_ratio=0.75,
         contour_margin=0.5,
         eig_cap=int(eig_cap),

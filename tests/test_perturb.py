@@ -157,8 +157,7 @@ class TestSeriesStructure:
             h, [[0], [1], [2]], indices_to_array([LatticeIndex((i, 0), (0, 0)) for i in range(3)]),
             target_value=0.0, profile=make_profile(10.0),
         )
-        object.__setattr__(state.contour, "radius", 1.0) if False else None
-        state.contour = type(state.contour)(0.0, 1.0, 64)
+        state.contour = type(state.contour)(0.0, 1.0)
         with pytest.raises(ContourHit):
             generic_step(state, make_profile(10.0))
 
@@ -402,14 +401,14 @@ class TestSparseState:
         prof, kap = self.level2_point(spec, params, rng)
         state = build_state(level, kap, spec, prof)
         h = assemble(kap, state.rows, spec, params).entries
-        assert np.array_equal(state.h_full, h)
+        assert np.array_equal(state.section.toarray(), h)
 
     def test_block_eigenvalues_from_the_dense_section(self, spec, params, rng):
         # each multi-index block is eigendecomposed from exactly the entries
         # of the dense section, so its eigenvalues are the same bits
         prof, kap = self.level2_point(spec, params, rng)
         state = build_state(2, kap, spec, prof)
-        h = state.h_full
+        h = state.section.toarray()
         multi = [pos for pos in state.blocks if len(pos) > 1]
         assert multi
         for pos in multi:
@@ -475,7 +474,7 @@ def resonance_block_state(state, kap, geometry, prof):
     """The state at kap with one eigh per multi-row resonance block of the
     geometry, as before blocks were split into coupling components: the
     reference for the split."""
-    h = state.h_full
+    h = state.section.toarray()
     labels = geometry.block_labels
     vals = state.diag.real.copy()
     couplings, vecs = [], []
@@ -493,7 +492,7 @@ def resonance_block_state(state, kap, geometry, prof):
     return replace(
         state, labels=labels, couplings=couplings, block_vals=vals, vecs=vecs,
         target=int(t[0]), lambda0=float(lam0[0]),
-        contour=perturb.Contour(float(lam0[0]), float(radius[0]), prof.quad_nodes),
+        contour=perturb.Contour(float(lam0[0]), float(radius[0])),
     )
 
 
@@ -547,7 +546,7 @@ class TestComponentBlocks:
                 # the same model as the resonance partition's, every state
                 # block connected and inside one resonance block
                 state = LevelEvaluator(spec, prof, geometry).state(pts[0])
-                h = state.h_full
+                h = state.section.toarray()
                 same = geometry.block_labels[:, None] == geometry.block_labels[None, :]
                 assert np.array_equal(in_block_model(h, state.blocks), np.where(same, h, 0))
                 for pos in state.blocks:
@@ -580,7 +579,7 @@ class TestComponentBlocks:
         phi = admissible_phi(build_omega1(k, prof, params, 8.0), rng)
         ev = LevelEvaluator(spec, prof, level2_geometry(phi, spec, prof))
         state = ev.state(k * np.array([math.cos(phi), math.sin(phi)]))
-        h = state.h_full
+        h = state.section.toarray()
         assert len(state.couplings) > 1
         for pos, _ in state.couplings:
             stack = np.stack([h[np.ix_(p, p)] for p in pos])
@@ -769,7 +768,7 @@ class TestLevels:
         phi = admissible_phi(om8, rng)
         kap = k * np.array([math.cos(phi), math.sin(phi)])
         state = build_state(2, kap, spec, prof)
-        h_full = state.h_full
+        h_full = state.section.toarray()
         h_model = in_block_model(h_full, state.blocks)
         w = state.w.toarray()
         assert np.array_equal(h_model + w, h_full)
@@ -910,7 +909,7 @@ class TestWindowedOracle:
         kap = k * np.array([math.cos(phi), math.sin(phi)])
         res = eigenvalue_level(level, kap, spec, prof, check_oracle=True)
         state = build_state(level, kap, spec, prof)
-        vals = np.linalg.eigvalsh(state.h_full)
+        vals = np.linalg.eigvalsh(state.section.toarray())
         inside = vals[np.abs(vals - state.contour.center) <= state.contour.radius]
         assert state.dim == (113 if level == 1 else 1121)
         assert res.oracle_count == len(inside) == 1

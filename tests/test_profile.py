@@ -66,9 +66,11 @@ class TestWithK:
         )
 
 
-@pytest.mark.parametrize("name", ["gamma", "delta0", "pole_scan_points"])
+@pytest.mark.parametrize("name", ["gamma", "delta0", "pole_scan_points", "quad_nodes"])
 def test_removed_fields_are_config_errors(name, tmp_path):
-    # no computation read these fields, so an override of one is an unknown field
+    # no computation read these fields (quad_nodes fed only the quadrature
+    # cross-check, which starts from a fixed node count), so an override of
+    # one is an unknown field
     with pytest.raises(TypeError):
         make_profile(40.0, **{name: 1})
     path = tmp_path / "cfg.json"
