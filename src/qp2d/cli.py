@@ -203,6 +203,7 @@ def cmd_eigen(args) -> int:
         "lambda": res.lam,
         "lambda_base": res.lambda_base,
         "g": [float(x) for x in res.g],
+        "orders": res.orders,
         "tail": res.tail_estimate,
         "oracle_lambda": res.oracle_lambda,
         "delta": res.delta_vs_oracle,

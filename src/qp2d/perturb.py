@@ -3,21 +3,19 @@ rank-one spectral projector, at truncation level 1 (diagonal model on the
 small box) and level 2 (block model: resonance blocks plus free diagonal),
 with a structurally generic step for higher levels.
 
-Two equivalent evaluators are provided.  `generic_step` computes the Taylor
-coefficients of the isolated eigenvalue of H_model + eps*W by the
-Rayleigh-Schrodinger recursion in the model eigenbasis; these coefficients
-are exactly the contour-integral trace coefficients, the recursion just
-extracts every residue analytically, so structural zeros of the coupling
-survive in the output bit-exactly.  `contour_coeff_series` and
-`contour_projector_series` evaluate the defining circle integrals by
-adaptive trapezoidal quadrature and serve as an independent route for
-cross-validation.
+`generic_step` computes the Taylor coefficients of the isolated eigenvalue
+of H_model + eps*W by the Rayleigh-Schrodinger recursion in the model
+eigenbasis; these coefficients are exactly the contour-integral trace
+coefficients, the recursion just extracts every residue analytically, so
+structural zeros of the coupling survive in the output bit-exactly.
 
-A `LevelEvaluator` series (eigenvalues only) stops after order n >= 4 once
-|g_{n-1}|, |g_n| <= ulp(lambda0)/16, or at profile.r_max orders; at `_decay`'s
-stall bound divergence_ratio = 0.75 the orders left out sum to <= 3/16 ulp
-(lam to 1 ulp).  `generic_step` runs all r_max orders, as the vector and the
-projector need each.
+Every series, `generic_step`'s and `LevelEvaluator`'s alike, stops after
+order n >= 4 once |g_{n-1}|, |g_n| <= ulp(lambda0)/16, or at profile.r_max
+orders; at `_decay`'s stall bound divergence_ratio = 0.75 the orders left out
+sum to <= 3/16 ulp (lam to 1 ulp).  The eigenvector sums the order vectors of
+the orders the series ran; only the projector may ask for more
+(`store_orders`), which the recursion then runs without adding them to lam
+or the vector.
 
 The coupling is sparse, so no d x d array is built per kappa:
 `LevelEvaluator` splits it once into the cross-block W as CSR and the dense
@@ -30,9 +28,9 @@ applies W~ V = U^H (W (U V)) with the stacks padded to the largest size, one
 has no stacks).  The oracle check hands the section as CSR
 (`LevelState.section`) to `eigvals_oracle`, which diagonalizes only the
 coupling components that Gershgorin's theorem leaves near the contour, as
-dense stacks of at most 33 rows at d = 1121; only the quadrature routes
-densify the section.  A level's basis is the (d, 4) rows of its box
-in box order (`LevelState.rows`); its blocks are positions into them.
+dense stacks of at most 33 rows at d = 1121.  A level's basis is the (d, 4)
+rows of its box in box order (`LevelState.rows`); its blocks are positions
+into them.
 """
 
 from __future__ import annotations
@@ -80,20 +78,11 @@ class NoRoot(ArithmeticError):
 # 6 at the level-2 d = 1121, whose order history then stays near 1 MB.
 _BLOCK_ENTRIES = 64 * 113
 
-# Trapezoidal nodes the quadrature routes start from before doubling.
-_QUAD_NODES = 64
-
 
 @dataclass(frozen=True)
 class Contour:
     center: float
     radius: float
-
-    def points(self, n: int):
-        th = 2.0 * math.pi * np.arange(n) / n
-        z = self.center + self.radius * np.exp(1j * th)
-        dz = 1j * self.radius * np.exp(1j * th) * (2.0 * math.pi / n)
-        return z, dz
 
 
 @dataclass
@@ -111,7 +100,7 @@ class LevelState:
     (`section`).  block_vals are the model eigenvalues by position and vecs,
     per entry of couplings, the (m, s, s) eigenvectors of its blocks: the
     model eigenbasis U is them on the blocks and the identity on the
-    singletons (`u_full` is it dense).
+    singletons.
     """
 
     rows: np.ndarray
@@ -143,15 +132,6 @@ class LevelState:
         check."""
         return (self.coupling + sp.diags(self.diag)).tocsr()
 
-    @property
-    def u_full(self) -> np.ndarray:
-        """The model eigenbasis U as a dense array, for the quadrature routes
-        and tests."""
-        u = np.eye(self.dim, dtype=complex)
-        for (pos, _), vec in zip(self.couplings, self.vecs):
-            u[pos[:, :, None], pos[:, None, :]] = vec
-        return u
-
 
 @dataclass
 class SeriesResult:
@@ -164,7 +144,7 @@ class SeriesResult:
     rows: np.ndarray  # (d, 4) basis rows
     vector: np.ndarray  # unit eigenvector in the basis of rows
     decay_ratio: float  # last per-order rate of |g_r| (0.0: fewer than two nonzero)
-    orders: int  # r_max, the number of orders computed
+    orders: int  # the orders the series ran: its stop, or profile.r_max
     projector: np.ndarray | None = None
     g_matrices: list[np.ndarray] | None = None
     g_norms: np.ndarray | None = None
@@ -240,8 +220,7 @@ def _aim_nearest(vals: np.ndarray, cand: np.ndarray, value: np.ndarray, margin: 
     return t, lam0, margin * _gaps(vals, t, lam0)
 
 
-def _state(rows, split: _BlockSplit, diag, vals, vecs, t, lam0, radius,
-           profile: ParameterProfile) -> LevelState:
+def _state(rows, split: _BlockSplit, diag, vals, vecs, t, lam0, radius) -> LevelState:
     """Column 0 of an aimed block as a LevelState."""
     lam0, contour = float(lam0[0]), Contour(float(lam0[0]), float(radius[0]))
     return LevelState(rows, diag[0], split.labels, split.couplings, split.w, split.off,
@@ -287,46 +266,21 @@ def level2_geometry(
     )
 
 
-def toy_state(
-    h_full: np.ndarray,
-    blocks,
-    rows,
-    target_value: float,
-    profile: ParameterProfile,
-) -> LevelState:
-    """Caller-assembled state over the basis rows (d, 4), for structural
-    tests of higher levels; the caller's off-diagonal entries become the CSR
-    coupling as they are.  ValueError unless blocks partition
-    range(len(h_full))."""
-    h = np.asarray(h_full, dtype=complex)
-    diag = np.diag(h).copy()
-    d = len(diag)
-    blocks = [np.asarray(b, dtype=np.int64).ravel() for b in blocks]
-    every = np.concatenate(blocks + [np.zeros(0, dtype=np.int64)])
-    if not np.array_equal(np.sort(every), np.arange(d)):
-        raise ValueError(f"blocks must hold every position of range({d}) exactly once")
-    labels = np.empty(d, dtype=np.int64)
-    for pos in filter(len, blocks):
-        labels[pos] = pos.min()
-    split = _BlockSplit(sp.csr_matrix(h - np.diag(diag)), labels)
-    vals, vecs = split.eigh(diag[None])
-    aim = _aim_nearest(vals, np.arange(d), np.array([float(target_value)]), profile.contour_margin)
-    return _state(np.asarray(rows), split, diag[None], vals, vecs, *aim, profile)
-
-
 # ---------------------------------------------------------------------------
 # residue-exact series (Rayleigh-Schrodinger recursion in the eigenbasis)
 # ---------------------------------------------------------------------------
 
 
-def _rs_orders(apply_w, inv: np.ndarray, t, r_max: int, lam0=None):
+def _rs_orders(apply_w, inv: np.ndarray, t, r_max: int, lam0, min_orders: int):
     """The Rayleigh-Schrodinger recursion in the model eigenbasis: the
-    coefficients g_1..g_r, the order vectors v_0..v_r and, per column, whether
-    its own g are real, given v -> W~ v, the reduced resolvent inv (zero at the
-    target t) and r_max.  The (d, B) inv runs B columns with targets t (one per
-    column, or one for all), each bit-identical to its own run, with g (r_max,
-    B).  Given lam0, a column stops after order n >= 4 once |g_{n-1}|, |g_n| <=
-    ulp(lam0)/16, its later g zero; the loop ends once all columns stopped."""
+    coefficients g_1..g_r, the order vectors v_0..v_r, per column whether its
+    own g are real and the orders it used, given v -> W~ v, the reduced
+    resolvent inv (zero at the target t), lam0 and r_max.  The (d, B) inv runs
+    B columns with targets t (one per column, or one for all), each
+    bit-identical to its own run, with g (r_max, B).  A column stops after
+    order n >= 4 once |g_{n-1}|, |g_n| <= ulp(lam0)/16, or at r_max; its later
+    g are zero.  The loop ends once every column stopped and at least
+    min_orders orders ran, so vs may hold order vectors past a column's stop."""
     at = (t, np.arange(inv.shape[1]))
     v0 = np.zeros(inv.shape, dtype=complex)
     v0[at] = 1.0
@@ -334,7 +288,7 @@ def _rs_orders(apply_w, inv: np.ndarray, t, r_max: int, lam0=None):
     lams = np.zeros((r_max,) + inv.shape[1:], dtype=complex)
     g = np.zeros(lams.shape, dtype=float)
     orders = np.full(inv.shape[1], r_max)
-    tol = None if lam0 is None else np.spacing(np.abs(lam0)) / 16
+    tol = np.spacing(np.abs(lam0)) / 16
     for n in range(1, r_max + 1):
         rhs = -apply_w(vs[n - 1])
         for j in range(1, n):
@@ -343,14 +297,14 @@ def _rs_orders(apply_w, inv: np.ndarray, t, r_max: int, lam0=None):
         g[n - 1] = lam_n.real
         rhs[at] += lam_n  # add the lam_n * v_0 term, zeroing the t-component
         vs.append(rhs * inv)
-        if tol is not None and n >= 4:
+        if n >= 4:
             orders[(orders == r_max) & (np.abs(g[n - 2]) <= tol) & (np.abs(g[n - 1]) <= tol)] = n
-            if np.all(orders < r_max):
+            if n >= min_orders and np.all(orders < r_max):
                 break
     done = np.arange(1, r_max + 1)[:, None] > orders
     g[done] = lams[done] = 0.0
     real = np.all(np.abs(lams.imag) <= 1e-10 * np.fmax(1.0, np.abs(lams)), axis=0)
-    return g, vs, real
+    return g, vs, real, orders
 
 
 def _decay(g: np.ndarray, lam0: float, profile: ParameterProfile):
@@ -424,15 +378,17 @@ def _rotations(couplings, stacks):
             lambda x: rotate(x, conj, "...mji,mj...->mi..."))
 
 
-def _columns(w, couplings, vecs, vals, t, lam0, radius, r_max: int, stop: bool,
-             profile: ParameterProfile):
+def _columns(w, couplings, vecs, vals, t, lam0, radius, profile: ParameterProfile,
+             min_orders: int = 0):
     """B series in one recursion, generic_step's and `eigenvalues`' route, from
     per column model eigenvalues vals (B, d), eigenvectors vecs ((B, m, s, s)
-    per entry of couplings), target t, lam0 and contour radius.  Per column
-    (lam, rate, tail), ContourHit (contour degenerate or not clear of the model
-    spectrum) or NonConvergent (`_decay`, or lam outside the contour), then g
-    and the order vectors of the clear columns.  Decaying coefficients that
-    are not real raise InvariantViolation."""
+    per entry of couplings), target t, lam0 and contour radius.  Each series
+    stops by `_rs_orders`' rule, capped at profile.r_max; min_orders only
+    keeps the recursion running for more order vectors.  Per column (lam,
+    rate, tail, orders used), ContourHit (contour degenerate or not clear of
+    the model spectrum) or NonConvergent (`_decay`, or lam outside the
+    contour), then g and the order vectors of the clear columns.  Decaying
+    coefficients that are not real raise InvariantViolation."""
     gap, radius = _gaps(vals, t, lam0), np.asarray(radius, dtype=float)
     degenerate = ~(np.isfinite(radius) & (radius > 0))
     hit = degenerate | (gap <= radius * (1.0 + 1e-8))
@@ -445,8 +401,10 @@ def _columns(w, couplings, vecs, vals, t, lam0, radius, r_max: int, stop: bool,
         return out, None, None
     vals, t, lam0, vecs = vals[live], t[live], lam0[live], [u[live] for u in vecs]
     u, uh = _rotations(couplings, vecs)
-    inv = _reduced_inverse(vals, lam0, t)  # W~ v = U^H (W (U v)):
-    g, vs, real = _rs_orders(lambda v: uh(w @ u(v)), inv, t, r_max, lam0 if stop else None)
+    inv = _reduced_inverse(vals, lam0, t)
+    g, vs, real, orders = _rs_orders(  # W~ v = U^H (W (U v))
+        lambda v: uh(w @ u(v)), inv, t, profile.r_max, lam0, min_orders
+    )
     for j, (b, col) in enumerate(zip(live.tolist(), g.T.copy())):
         try:
             ratio, tail = _decay(col, lam0[j], profile)
@@ -455,7 +413,7 @@ def _columns(w, couplings, vecs, vals, t, lam0, radius, r_max: int, stop: bool,
             lam = float(lam0[j]) + float(np.sum(col[1:]))
             if abs(lam - lam0[j]) >= radius[b]:
                 raise NonConvergent(f"lambda {lam:.12g} outside the contour ({radius[b]:.3g})")
-            out[b] = (lam, ratio, tail)
+            out[b] = (lam, ratio, tail, int(orders[j]))
         except NonConvergent as exc:
             out[b] = exc
     return out, g, vs
@@ -464,7 +422,6 @@ def _columns(w, couplings, vecs, vals, t, lam0, radius, r_max: int, stop: bool,
 def generic_step(
     state: LevelState,
     profile: ParameterProfile,
-    r_max: int | None = None,
     with_projector: bool = True,
     store_orders: int | None = None,
     check_oracle: bool = False,
@@ -473,14 +430,18 @@ def generic_step(
     in-level perturbation, their sum, and the rank-one projector.
 
     Each order applies W~ v = U^H (W (U v)) by `_columns`, the route of
-    `LevelEvaluator.eigenvalues`.  With with_projector it also returns the
-    projector orders G_1..G_n (n = store_orders, else r_max, capped at 8
-    when d > 512), each one product G_r = V~ C_r V~^H: V~ = U [v_0 .. v_r]
-    rotates the order vectors by the block eigenbasis U, and the Hankel
-    C_r[a,b] = d[r-a-b] (zero for a+b > r) holds the inverse norm series d,
-    read off the anti-diagonals of the Gram matrix of the v_n.  Terms that
-    cannot reach an entry multiply exact zeros, so the support rule holds
-    bit-exactly.
+    `LevelEvaluator.eigenvalues`, and the series stops by the same rule, so
+    lam is `LevelEvaluator.eigenvalue`'s bit for bit; `orders` records where.
+    The unit vector sums the order vectors v_0..v_orders.  With
+    with_projector it also returns the projector orders G_1..G_n (n =
+    store_orders, else orders; ValueError unless 0 <= store_orders <=
+    profile.r_max).  Orders past the stop are run for G alone and enter
+    neither lam nor the vector.  Each is one product G_r = V~ C_r V~^H:
+    V~ = U [v_0 .. v_r] rotates the order vectors by the block eigenbasis
+    U, and the Hankel C_r[a,b] = d[r-a-b] (zero for a+b > r) holds the
+    inverse norm series d, read off the anti-diagonals of the Gram matrix of
+    the v_n.  Terms that cannot reach an entry multiply exact zeros, so the
+    support rule holds bit-exactly.
 
     With check_oracle, `eigvals_oracle` finds the eigenvalues of the sparse
     section inside the contour, and NotUnique is raised unless there is
@@ -495,25 +456,25 @@ def generic_step(
     NonConvergent when the coefficient magnitudes stop decaying or lam leaves
     the contour.
     """
-    r_max = profile.r_max if r_max is None else r_max
+    if store_orders is not None and not 0 <= store_orders <= profile.r_max:
+        raise ValueError(f"store_orders {store_orders} outside [0, r_max = {profile.r_max}]")
     (res,), g, vs = _columns(
         state.w, state.couplings, [u[None] for u in state.vecs], state.block_vals[None],
         np.array([state.target]), np.array([state.lambda0]), [state.contour.radius],
-        r_max, False, profile,
+        profile, store_orders or 0,
     )
     if isinstance(res, Exception):
         raise res
-    (lam, ratio, tail), g = res, g[:, 0]
+    (lam, ratio, tail, orders), g = res, g[:, 0]
 
     rotate = _rotations(state.couplings, [u[None] for u in state.vecs])[0]  # one U for every column
-    v_full = rotate(np.sum(vs, axis=0))[:, 0]
+    v_full = rotate(np.sum(vs[: orders + 1], axis=0))[:, 0]
     v_full = v_full / np.linalg.norm(v_full)
 
     projector = g_mats = g_norms = None
     if with_projector:
-        d = state.dim
         projector = np.outer(v_full, v_full.conj())
-        n_store = min(r_max, 8 if d > 512 else r_max) if store_orders is None else store_orders
+        n_store = orders if store_orders is None else store_orders
         v_ser = np.concatenate(vs[: n_store + 1], axis=1)
         # norm series ||v(eps)||^2 = sum c_n eps^n and its inverse d_ser = 1/c
         gram = np.fliplr(v_ser.conj().T @ v_ser)
@@ -545,102 +506,9 @@ def generic_step(
         lam=lam, lambda_base=state.lambda0, g=g, tail_estimate=float(tail),
         converged=True,  # _decay raised NonConvergent otherwise
         contour=state.contour, rows=state.rows, vector=v_full,
-        decay_ratio=float(ratio), orders=r_max, projector=projector, g_matrices=g_mats,
+        decay_ratio=float(ratio), orders=orders, projector=projector, g_matrices=g_mats,
         g_norms=g_norms, oracle_lambda=oracle_lambda, oracle_count=oracle_count,
     )
-
-
-# ---------------------------------------------------------------------------
-# quadrature route (independent evaluation of the defining integrals)
-# ---------------------------------------------------------------------------
-
-
-def _w_tilde_dense(state: LevelState) -> np.ndarray:
-    """W~ = U^H W U as a dense array, for the quadrature routes."""
-    u = state.u_full
-    return u.conj().T @ (state.w @ u)
-
-
-def _check_contour_clear(state: LevelState) -> None:
-    dist = np.abs(np.abs(state.block_vals - state.contour.center) - state.contour.radius)
-    if float(np.min(dist)) <= 1e-8 * state.contour.radius:
-        raise ContourHit("model eigenvalue within 1e-8*radius of the contour")
-
-
-def contour_coeff_series(
-    state: LevelState,
-    profile: ParameterProfile,
-    r_max: int | None = None,
-    max_nodes: int = 1024,
-) -> np.ndarray:
-    """g_r by trapezoidal quadrature of the circle integrals, _QUAD_NODES
-    nodes doubled until two successive evaluations agree to 1e-12 relative."""
-    r_max = profile.r_max if r_max is None else r_max
-    _check_contour_clear(state)
-    w_tilde = _w_tilde_dense(state)
-
-    def quad(n_nodes: int) -> np.ndarray:
-        z, dz = state.contour.points(n_nodes)
-        acc = np.zeros(r_max, dtype=complex)
-        for zz, dd in zip(z, dz):
-            b = w_tilde * (1.0 / (state.block_vals - zz))[None, :]
-            p = b
-            for r in range(1, r_max + 1):
-                acc[r - 1] += np.trace(p) * dd * ((-1) ** r) / (2j * math.pi * r)
-                if r < r_max:
-                    p = p @ b
-        return acc
-
-    nodes = _QUAD_NODES
-    g = quad(nodes)
-    while nodes < max_nodes:
-        nodes *= 2
-        prev, g = g, quad(nodes)
-        if np.max(np.abs(g - prev)) <= 1e-12 * max(np.max(np.abs(g)), 1.0):
-            break
-    if not np.max(np.abs(g.imag)) <= 1e-9 * max(1.0, float(np.max(np.abs(g)))):
-        raise InvariantViolation("trace coefficients must be real")
-    return g.real
-
-
-def contour_projector_series(
-    state: LevelState,
-    profile: ParameterProfile,
-    r_max: int = 8,
-    max_nodes: int = 1024,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(E, [G_1..G_r]) by quadrature of the projector integrals."""
-    _check_contour_clear(state)
-    w_tilde = _w_tilde_dense(state)
-    d = state.dim
-
-    def quad(n_nodes: int):
-        z, dz = state.contour.points(n_nodes)
-        gs = [np.zeros((d, d), dtype=complex) for _ in range(r_max)]
-        e0 = np.zeros((d, d), dtype=complex)
-        for zz, dd in zip(z, dz):
-            res = 1.0 / (state.block_vals - zz)  # the diagonal resolvent
-            b = w_tilde * res[None, :]  # W~ R(z) without a dense diagonal
-            x = np.diag(res)
-            e0 += -x * dd / (2j * math.pi)
-            for r in range(1, r_max + 1):
-                x = x @ b
-                gs[r - 1] += x * dd * ((-1) ** (r + 1)) / (2j * math.pi)
-        return e0, gs
-
-    nodes = _QUAD_NODES
-    e0_prev, gs_prev = quad(nodes)
-    while nodes < max_nodes:
-        nodes *= 2
-        e0, gs = quad(nodes)
-        delta = max(
-            float(np.max(np.abs(a - b))) for a, b in zip(gs + [e0], gs_prev + [e0_prev])
-        )
-        e0_prev, gs_prev = e0, gs
-        if delta <= 1e-12:
-            break
-    u = state.u_full  # rotated back as U m U^H
-    return u @ (e0_prev + sum(gs_prev)) @ u.conj().T, [u @ gm @ u.conj().T for gm in gs_prev]
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +520,7 @@ def _evaluator_at(n: int, point, spec: PotentialSpec, profile: ParameterProfile)
     """The level-n evaluator for a point; level 2 uses the geometry at the
     point's own angle."""
     if n not in (1, 2):
-        raise ValueError("levels 1 and 2 are constructed here; use toy_state beyond")
+        raise ValueError("levels 1 and 2 are constructed here")
     if n == 1:
         return LevelEvaluator(spec, profile)
     kap = np.asarray(point, dtype=float)
@@ -740,10 +608,11 @@ class LevelEvaluator:
 
     def state(self, kappa) -> LevelState:
         aimed = self._aim(np.asarray(kappa, dtype=float)[None])
-        return _state(self.rows, self.split, *aimed, self.profile)
+        return _state(self.rows, self.split, *aimed)
 
     def eigenvalue(self, kappa) -> float:
-        """generic_step's lam to 1 ulp, the series stopped as in `_rs_orders`."""
+        """generic_step's lam at kappa, bit for bit: the same series, stopped
+        by `_rs_orders`' rule."""
         (lam,) = self.eigenvalues(np.asarray(kappa, dtype=float)[None])
         if isinstance(lam, Exception):
             raise lam
@@ -760,7 +629,7 @@ class LevelEvaluator:
         for at in range(0, len(kappas), step):
             _, vals, vecs, t, lam0, radius = self._aim(kappas[at : at + step])
             res, _, _ = _columns(self.split.w, self.split.couplings, vecs, vals, t, lam0, radius,
-                                 self.profile.r_max, True, self.profile)
+                                 self.profile)
             out += [r if isinstance(r, Exception) else r[0] for r in res]
         return out
 

@@ -55,8 +55,8 @@ class ParameterProfile:
     grey_nbhd: int
     white_nbhd: int
     # perturbation engine
-    r_max: int             # series orders: LevelEvaluator's cap (its series stop
-                           # earlier), the exact count run by generic_step
+    r_max: int             # series orders: the cap of every series, which
+                           # stops earlier once later orders cannot move lam
     divergence_ratio: float
     kappa_window_1: float
     kappa_window_2: float

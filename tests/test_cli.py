@@ -110,6 +110,9 @@ class TestSubcommands:
         assert payload["level"] == 1
         assert payload["delta"] <= max(1e-9 * 1600.0, 10 * payload["tail"])
         assert payload["g"][0] == 0.0
+        # the orders the series ran; the coefficients past them are zero
+        n = payload["orders"]
+        assert 4 <= n <= len(payload["g"]) and not any(payload["g"][n:])
 
     def test_wavefunction_csv(self, config_file, tmp_path):
         out = str(tmp_path / "w.csv")

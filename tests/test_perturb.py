@@ -28,18 +28,21 @@ from qp2d.perturb import (
     NonConvergent,
     NotUnique,
     build_state,
-    contour_coeff_series,
-    contour_projector_series,
     derivative_probe,
     eigenvalue_level,
     generic_step,
     level2_geometry,
     projector_level,
-    toy_state,
 )
 from qp2d.potential import InvariantViolation, build
 from qp2d.profile import make_profile
 from qp2d.resonance import build_omega1
+from series_reference import (
+    contour_coeff_series,
+    contour_projector_series,
+    toy_state,
+    u_full,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -137,7 +140,8 @@ class TestSeriesStructure:
         kap = k * np.array([math.cos(phi), math.sin(phi)])
         res = eigenvalue_level(1, kap, zero_spec, prof, check_oracle=False)
         assert res.decay_ratio == 0.0
-        assert res.orders == prof.r_max == len(res.g)
+        # every coefficient is zero: the series stops at the floor of 4
+        assert res.orders == 4 and len(res.g) == prof.r_max and not res.g.any()
 
     def test_decay_ratio_converged_point(self, spec, params, rng):
         # at k = 15 several orders stay above the significance floor
@@ -148,8 +152,9 @@ class TestSeriesStructure:
         res = eigenvalue_level(1, kap, spec, prof, check_oracle=False)
         assert res.converged
         assert 0.0 < res.decay_ratio < prof.divergence_ratio
-        short = generic_step(build_state(1, kap, spec, prof), prof, r_max=10)
-        assert short.orders == 10
+        # the series stopped where later orders cannot move lam
+        assert 4 <= res.orders < prof.r_max == len(res.g)
+        assert not res.g[res.orders :].any()
 
     def test_contour_hit_raised(self, spec, params):
         h = np.diag([0.0, 1.0, 2.0]).astype(complex)
@@ -272,37 +277,43 @@ class TestProjector:
         assert np.max(np.abs(e_quad - res.projector)) <= 1e-9
 
 
-def dense_reference(state, prof):
-    """Reference: the recursion on dense arrays, W~ = U^H W U formed as a
-    d x d matrix.  Returns (lam, unit vector, [v_0 .. v_r], dense U)."""
-    u = state.u_full
-    w_tilde = u.conj().T @ state.w.toarray() @ u
-    t, d = state.target, state.dim
-    denom = state.block_vals - state.lambda0
-    inv = np.zeros(d)
-    nz = np.abs(denom) > 0
-    inv[nz] = 1.0 / denom[nz]
-    inv[t] = 0.0
-    vs = [np.zeros(d, dtype=complex)]
-    vs[0][t] = 1.0
-    g = np.zeros(prof.r_max)
-    for n in range(1, prof.r_max + 1):
-        rhs = -(w_tilde @ vs[n - 1])
+def full_recursion(apply_w, inv, t, r_max):
+    """g_1..g_r_max and v_0..v_r_max of one column, never stopped: the
+    recursion of `_rs_orders` without its stop rule, the same operations in
+    the same order."""
+    v0 = np.zeros(inv.shape, dtype=complex)
+    v0[t, 0] = 1.0
+    vs, g = [v0], np.zeros(r_max)
+    for n in range(1, r_max + 1):
+        rhs = -apply_w(vs[n - 1])
         for j in range(1, n):
             rhs += g[j - 1] * vs[n - j]
-        g[n - 1] = (-rhs[t]).real
-        rhs[t] += -rhs[t]
+        lam_n = -rhs[t, 0]
+        g[n - 1] = lam_n.real
+        rhs[t, 0] += lam_n
         vs.append(rhs * inv)
-    lam = state.lambda0 + float(np.sum(g[1:]))
-    v = u @ np.sum(vs, axis=0)
-    return lam, v / np.linalg.norm(v), vs, u
+    return g, vs
 
 
-def outer_product_orders(state, prof, n_store):
+def dense_reference(state, orders, n_run=None):
+    """Reference: the recursion on dense arrays, W~ = U^H W U formed as a
+    d x d matrix, run to n_run orders (default orders); lam and the vector sum
+    the first orders.  Returns (lam, unit vector, [v_0 .. v_n_run], dense U)."""
+    u = u_full(state)
+    w_tilde = u.conj().T @ state.w.toarray() @ u
+    inv = perturb._reduced_inverse(state.block_vals[None], np.array([state.lambda0]), [state.target])
+    n_run = orders if n_run is None else n_run
+    g, vs = full_recursion(lambda v: w_tilde @ v, inv, state.target, n_run)
+    lam = state.lambda0 + float(np.sum(g[1:orders]))
+    v = u @ np.sum(vs[: orders + 1], axis=0)[:, 0]
+    return lam, v / np.linalg.norm(v), [x[:, 0] for x in vs], u
+
+
+def outer_product_orders(state, orders, n_store):
     """Reference: the order vectors by the dense recursion, then every
     projector order as a sum of outer products in the eigenbasis, rotated
     back as a d x d matrix.  Returns (lam, vector, G_1..G_n, norms)."""
-    lam, v, vs, u = dense_reference(state, prof)
+    lam, v, vs, u = dense_reference(state, orders, max(orders, n_store))
     d = state.dim
     c = [sum(np.vdot(vs[a], vs[nn - a]) for a in range(nn + 1)) for nn in range(n_store + 1)]
     d_ser = np.zeros(n_store + 1, dtype=complex)
@@ -330,24 +341,29 @@ class TestFactoredOrders:
     applies sparse W and U to vectors where the reference multiplies dense
     matrices: only the summation order differs (CSR skips exact-zero
     products) and no term is dropped, so values agree to a few ulps and
-    exact zeros stay exact."""
+    exact zeros stay exact.  Projector orders past the series' stop
+    (store_orders) leave lam and the vector as they are, bit for bit."""
 
-    def check(self, state, prof, n_orders):
-        res = generic_step(state, prof, with_projector=True)
+    def check(self, state, prof, extra=None):
         eig = generic_step(state, prof, with_projector=False)
-        lam, v, mats, norms = outer_product_orders(state, prof, n_orders)
-        # engine-internal identities are exact
-        assert res.lam == eig.lam
-        assert np.array_equal(res.vector, eig.vector)
-        assert np.array_equal(res.projector, np.outer(res.vector, res.vector.conj()))
-        # engine against the dense reference
-        assert abs(res.lam - lam) <= 1e-15 * abs(lam)
-        assert_vectors_close(res.vector, v)
-        assert len(res.g_matrices) == n_orders
-        for g_r, ref in zip(res.g_matrices, mats):
-            assert np.array_equal(g_r == 0, ref == 0)
-            assert np.max(np.abs(g_r - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert np.allclose(res.g_norms, norms, rtol=1e-13, atol=0.0)
+        assert 4 <= eig.orders < prof.r_max
+        for store in [None] + ([] if extra is None else [eig.orders + extra]):
+            res = generic_step(state, prof, with_projector=True, store_orders=store)
+            n_store = eig.orders if store is None else store
+            lam, v, mats, norms = outer_product_orders(state, eig.orders, n_store)
+            # engine-internal identities are exact
+            assert res.lam == eig.lam and res.orders == eig.orders
+            assert np.array_equal(res.g, eig.g)
+            assert np.array_equal(res.vector, eig.vector)
+            assert np.array_equal(res.projector, np.outer(res.vector, res.vector.conj()))
+            # engine against the dense reference
+            assert abs(res.lam - lam) <= 1e-15 * abs(lam)
+            assert_vectors_close(res.vector, v)
+            assert len(res.g_matrices) == n_store
+            for g_r, ref in zip(res.g_matrices, mats):
+                assert np.array_equal(g_r == 0, ref == 0)
+                assert np.max(np.abs(g_r - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.allclose(res.g_norms, norms, rtol=1e-13, atol=0.0)
 
     def test_level1_all_orders(self, spec, params, rng):
         k = 40.0
@@ -355,7 +371,7 @@ class TestFactoredOrders:
         phi = admissible_phi(build_omega1(k, prof, params), rng)
         state = build_state(1, k * np.array([math.cos(phi), math.sin(phi)]), spec, prof)
         assert state.dim == 113
-        self.check(state, prof, prof.r_max)
+        self.check(state, prof, 4)
 
     def test_level2_blocks(self, spec, params, rng):
         k = 40.0
@@ -365,7 +381,19 @@ class TestFactoredOrders:
         state = build_state(2, kap, spec, prof)
         assert state.dim == 1121
         assert any(len(pos) > 1 for pos in state.blocks)
-        self.check(state, prof, 8)
+        self.check(state, prof)
+
+    def test_store_orders_within_r_max(self, spec, params, rng):
+        # more projector orders than the recursion may run are refused, not
+        # truncated
+        k = 40.0
+        prof = make_profile(k)
+        phi = admissible_phi(build_omega1(k, prof, params), rng)
+        state = build_state(1, k * np.array([math.cos(phi), math.sin(phi)]), spec, prof)
+        assert len(generic_step(state, prof, store_orders=prof.r_max).g_matrices) == prof.r_max
+        for bad in [-1, prof.r_max + 1]:
+            with pytest.raises(ValueError, match="store_orders"):
+                generic_step(state, prof, store_orders=bad)
 
 
 def in_block_model(h, blocks):
@@ -421,7 +449,7 @@ class TestSparseState:
             prof, kap = self.level2_point(spec, params, rng)
             state = build_state(2, kap, spec, prof)
             res = generic_step(state, prof, with_projector=False)
-            lam, v, _, _ = dense_reference(state, prof)
+            lam, v, _, _ = dense_reference(state, res.orders)
             assert abs(res.lam - lam) <= 1e-15 * abs(lam)
             assert_vectors_close(res.vector, v)
 
@@ -444,7 +472,7 @@ class TestBlockPartition:
         with pytest.raises(ValueError, match="exactly once"):
             toy_state(h, blocks, idx, target_value=0.0, profile=prof)
         state = toy_state(h, [[0, 1], [2], [3]], idx, target_value=0.0, profile=prof)
-        u = state.u_full
+        u = u_full(state)
         assert np.allclose(u.conj().T @ u, np.eye(4), rtol=0.0, atol=1e-15)
 
     def test_overlapping_projector_blocks_raise(self, spec, params, rng, monkeypatch):
@@ -516,18 +544,6 @@ class TestComponentBlocks:
         except (ContourHit, NonConvergent) as exc:
             return type(exc)
 
-    @staticmethod
-    def stopped_eigenvalue(state, prof):
-        # LevelEvaluator.eigenvalue on a given state: the stopped series
-        (res,), _, _ = perturb._columns(
-            state.w, state.couplings, [u[None] for u in state.vecs], state.block_vals[None],
-            np.array([state.target]), np.array([state.lambda0]), [state.contour.radius],
-            prof.r_max, True, prof,
-        )
-        if isinstance(res, Exception):
-            raise res
-        return res[0]
-
     def test_model_unchanged_and_lambda_close(self, spec, params, rng):
         from scipy.sparse.csgraph import connected_components
 
@@ -560,17 +576,15 @@ class TestComponentBlocks:
                         ref = resonance_block_state(state, kap, geometry, pr)
                         assert ref.target in geometry.core_positions
                         got = self.outcome(lambda: ev.eigenvalue(kap))
-                        want = self.outcome(lambda: self.stopped_eigenvalue(ref, pr))
-                        full = self.outcome(lambda: generic_step(state, pr, with_projector=False))
-                        full_ref = self.outcome(lambda: generic_step(ref, pr, with_projector=False))
+                        res = self.outcome(lambda: generic_step(state, pr, with_projector=False))
+                        want = self.outcome(lambda: generic_step(ref, pr, with_projector=False))
                         if isinstance(want, type):
                             rejected += 1
-                            assert got is want and full is full_ref
+                            assert got is want and res is want
                             continue
-                        tol = self.ULPS * np.spacing(want)
-                        assert abs(got - want) <= tol
-                        assert abs(full.lam - full_ref.lam) <= tol
-                        assert_phase_aligned(full.vector, full_ref.vector, 1e-11)
+                        assert got == res.lam
+                        assert abs(got - want.lam) <= self.ULPS * np.spacing(want.lam)
+                        assert_phase_aligned(res.vector, want.vector, 1e-11)
         assert rejected > 0
 
     def test_stacked_eigh_is_per_matrix_eigh(self, spec, params, rng):
@@ -716,8 +730,10 @@ class TestLevels:
         # both defects are there: decay is judged first
         lam0 = np.array([state.lambda0])
         inv = perturb._reduced_inverse(state.block_vals[None], lam0, [state.target])
-        g, _, real = perturb._rs_orders(state.w.dot, inv, [state.target], prof.r_max)
-        assert not real[0]
+        g, _, real, orders = perturb._rs_orders(
+            state.w.dot, inv, [state.target], prof.r_max, lam0, 0
+        )
+        assert not real[0] and orders[0] == prof.r_max
         with pytest.raises(NonConvergent):
             perturb._decay(g[:, 0], state.lambda0, prof)
 
@@ -799,9 +815,45 @@ class TestLevels:
         )
 
 
+def full_series(state, prof):
+    """The 30-order reference: every prof.r_max order of the state's series,
+    W~ v = U^H (W (U v)) by the engine's own rotations, accepted as
+    `_columns` accepts a series.  Returns (lam, g, unit vector) or raises
+    ContourHit / NonConvergent."""
+    lam0, t, radius = state.lambda0, state.target, state.contour.radius
+    gap = perturb._gaps(state.block_vals[None], [t], np.array([lam0]))[0]
+    if not (np.isfinite(radius) and radius > 0) or gap <= radius * (1.0 + 1e-8):
+        raise ContourHit("contour not clear of the model spectrum")
+    u, uh = perturb._rotations(state.couplings, [x[None] for x in state.vecs])
+    inv = perturb._reduced_inverse(state.block_vals[None], np.array([lam0]), [t])
+    g, vs = full_recursion(lambda v: uh(state.w @ u(v)), inv, t, prof.r_max)
+    perturb._decay(g, lam0, prof)
+    lam = lam0 + float(np.sum(g[1:]))
+    if abs(lam - lam0) >= radius:
+        raise NonConvergent("lambda outside the contour")
+    v = u(np.sum(vs, axis=0))[:, 0]
+    return lam, g, v / np.linalg.norm(v)
+
+
+class ToyEvaluator(LevelEvaluator):
+    """A LevelEvaluator whose every kappa aims at one caller-assembled state,
+    so that `eigenvalue` and `eigenvalues` run on a toy model."""
+
+    def __init__(self, state, profile):
+        self.state_at, self.profile, self.rows = state, profile, state.rows
+        self.split = perturb._BlockSplit(state.coupling, state.labels)
+
+    def _aim(self, kappas):
+        s, n = self.state_at, len(kappas)
+        return (np.tile(s.diag, (n, 1)), np.tile(s.block_vals, (n, 1)),
+                [np.repeat(v[None], n, axis=0) for v in s.vecs], np.full(n, s.target),
+                np.full(n, s.lambda0), np.full(n, s.contour.radius))
+
+
 class TestLambdaOnlyStop:
-    """The eigenvalue-only route stops a series once later orders cannot move
-    lam: it must still give the 30-order generic_step lam, or its rejection."""
+    """Every series stops once later orders cannot move lam: generic_step and
+    the evaluator must still give the 30-order reference's lam, or its
+    rejection."""
 
     @staticmethod
     def outcome(fn):
@@ -847,10 +899,11 @@ class TestLambdaOnlyStop:
             for ev, pr, kaps in cases:
                 for kap in kaps:
                     got = self.outcome(lambda: ev.eigenvalue(kap))
-                    want = self.outcome(
+                    step = self.outcome(
                         lambda: generic_step(ev.state(kap), pr, with_projector=False).lam
                     )
-                    assert got == want
+                    want = self.outcome(lambda: full_series(ev.state(kap), pr)[0])
+                    assert got == step == want
                     seen[1 if ev.geometry is None else 2].append(want)
         assert len(seen[1]) + len(seen[2]) >= 200
         kinds = {lv: {w if isinstance(w, type) else float for w in seen[lv]} for lv in seen}
@@ -864,33 +917,88 @@ class TestLambdaOnlyStop:
         w = np.array([[0.0, eps, 0.0], [eps, 0.0, c], [0.0, c, 0.0]], dtype=complex)
         inv = np.array([[0.0], [1.0], [1.0]])  # one column, target 0
 
-        def run(w, lam0=None):
+        def run(w):
             calls = []
 
             def apply_w(v):
                 calls.append(1)
                 return w @ v
 
-            g, _, _ = perturb._rs_orders(apply_w, inv, [0], 12, lam0)
+            g, _, _, orders = perturb._rs_orders(apply_w, inv, [0], 12, lam0, 0)
+            assert orders[0] == len(calls)
             return g[:, 0], len(calls)
 
-        full, _ = run(w)
+        full, _ = full_recursion(lambda v: w @ v, inv, 0, 12)
         assert full[0] == 0.0 and 0.0 < abs(full[1]) < tol < abs(full[3])
-        g, orders = run(w, lam0)
+        g, orders = run(w)
         assert orders > 4 and np.array_equal(g[:4], full[:4])
         # with every order below the bound it stops at the floor, not before
-        g, orders = run(1e-6 * w, lam0)
+        g, orders = run(1e-6 * w)
         assert orders == 4 and not g[4:].any()
 
+    # Sup-norm bound on the stopped unit vector against the 30-order one.  The
+    # order vectors left out are not bounded by the stop rule on g (they may
+    # sit on rows that couple back to the target weakly), so the bound is a
+    # measured one: at most 1.8e-14 over 400 level-2 kappa at k = 15-60, and
+    # 3.2e-16 at the eigen-oracle and basepoint-l2 points of seeds 1-3.
+    VECTOR_TOL = 1e-13
+
+    def test_vector_within_named_tolerance(self, spec, params, rng):
+        # basepoint-l2's vector: level 2 at k nu(phi) for an 8tau-admissible
+        # phi, as wavefunction.synthesize takes it; then points of the
+        # geometry's window and level 1
+        worst = 0.0
+        for k in [25.0, 40.0]:
+            prof = make_profile(k)
+            om8 = build_omega1(k, prof, params, 8.0)
+            for _ in range(3):
+                phi = admissible_phi(om8, rng)
+                ev = LevelEvaluator(spec, prof, level2_geometry(phi, spec, prof))
+                ang = phi + rng.uniform(-1e-4, 1e-4, 3)
+                pts = (k + np.array([0.0, *rng.uniform(-0.05, 0.05, 2)]))[:, None] * np.stack(
+                    [np.cos(ang), np.sin(ang)], axis=1
+                )
+                pts[0] = k * np.array([math.cos(phi), math.sin(phi)])
+                states = [ev.state(kap) for kap in pts] + [build_state(1, pts[0], spec, prof)]
+                for state in states:
+                    res = generic_step(state, prof, with_projector=False)
+                    lam, _, v = full_series(state, prof)
+                    assert res.lam == lam and 4 <= res.orders < prof.r_max
+                    assert not res.g[res.orders :].any()
+                    worst = max(worst, np.max(np.abs(res.vector - v)))
+        assert 0.0 < worst <= self.VECTOR_TOL
+
+    def test_regrowth_after_the_stop(self):
+        # the one acceptance the stop moves: g_3 = 0 and g_4 = -4e-16 stop
+        # the series at order 4, where the 30-order series, which grows again
+        # by a factor 20 an order through the strongly coupled pair (1, 2),
+        # raises NonConvergent.  generic_step and the evaluator both return
+        # the stopped sum, the section's one eigenvalue inside the contour
+        prof = make_profile(40.0)
+        h = np.array(
+            [[1600.0, 1e-9, 0.0], [1e-9, 1601.0, 20.0], [0.0, 20.0, 1601.0]], dtype=complex
+        )
+        idx = indices_to_array([LatticeIndex((i, 0), (0, 0)) for i in range(3)])
+        state = toy_state(h, [[0], [1], [2]], idx, target_value=1600.0, profile=prof)
+        with pytest.raises(NonConvergent, match="over 3 significant orders"):
+            full_series(state, prof)
+        res = generic_step(state, prof, with_projector=False, check_oracle=True)
+        assert res.orders == 4 and res.g[2] == 0.0 and 0.0 < abs(res.g[3]) < np.spacing(1600.0) / 16
+        assert res.lam == 1600.0 + res.g[1] + res.g[3] == 1600.0
+        assert res.oracle_count == 1 and abs(res.oracle_lambda - res.lam) <= 8 * np.spacing(1600.0)
+        assert ToyEvaluator(state, prof).eigenvalue(np.zeros(2)) == res.lam
+
     def test_sum_outside_the_contour_is_rejected(self, spec, params):
-        # here the level-2 magnitudes zig-zag upward past _decay (the full
-        # series sums to ~1e12) and the stopped one lands 1.1e-6 from lam0:
-        # both outside the contour radius 5.4e-7, so both must raise
+        # here the level-2 magnitudes zig-zag upward past _decay (the
+        # 30-order series sums to ~1e12) and the stopped one lands 1.1e-6
+        # from lam0: both outside the contour radius 5.4e-7, so all raise
         prof = make_profile(15.0)
         ev = LevelEvaluator(spec, prof, level2_geometry(5.9254, spec, prof))
         kap = -0.5 * dual_vector(LatticeIndex((-2, -2), (0, 0)), params).p
         state = ev.state(kap)
         assert state.contour.radius < 1e-6
+        with pytest.raises(NonConvergent, match="outside the contour"):
+            full_series(state, prof)
         with pytest.raises(NonConvergent, match="outside the contour"):
             generic_step(state, prof, with_projector=False)
         with pytest.raises(NonConvergent, match="outside the contour"):
@@ -1088,7 +1196,8 @@ GUARDS_SCRIPT = """
 import sys
 import numpy as np
 from qp2d.lattice import LatticeIndex, QPParams, indices_to_array
-from qp2d.perturb import contour_coeff_series, generic_step, toy_state
+from qp2d.perturb import generic_step
+from series_reference import contour_coeff_series, toy_state
 from qp2d.potential import InvariantViolation, PotentialSpec, evaluate
 from qp2d.profile import make_profile
 
@@ -1123,9 +1232,11 @@ class TestRuntimeGuards:
 
     def test_guards_hold_under_optimize(self):
         # python -O strips assert statements; the guards must still raise
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        here = Path(__file__).resolve().parent
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(here.parent / "src"), str(here), env.get("PYTHONPATH")])
+        )
         out = subprocess.run(
             [sys.executable, "-O", "-c", GUARDS_SCRIPT],
             env=env,
