@@ -441,7 +441,9 @@ def generic_step(
     U, and the Hankel C_r[a,b] = d[r-a-b] (zero for a+b > r) holds the
     inverse norm series d, read off the anti-diagonals of the Gram matrix of
     the v_n.  Terms that cannot reach an entry multiply exact zeros, so the
-    support rule holds bit-exactly.
+    support rule holds bit-exactly.  Each stored G_r is a dense d x d
+    complex array, d^2 * 16 bytes (20 MB at the level-2 d = 1121), up to
+    profile.r_max of them; nothing caps the count.
 
     With check_oracle, `eigvals_oracle` finds the eigenvalues of the sparse
     section inside the contour, and NotUnique is raised unless there is
@@ -545,6 +547,9 @@ def eigenvalue_level(
 
 
 def projector_level(n: int, point, spec: PotentialSpec, profile: ParameterProfile) -> SeriesResult:
+    """Dressed eigenvalue, unit eigenvector and the projector orders of the
+    orders the series ran: one dense d x d G_r each, d^2 * 16 bytes, up to
+    profile.r_max of them (about 600 MB at level 2)."""
     return generic_step(build_state(n, point, spec, profile), profile)
 
 

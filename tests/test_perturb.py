@@ -117,8 +117,12 @@ class TestSeriesStructure:
         state = build_state(1, kap, spec, prof)
         res = generic_step(state, prof, with_projector=False)
         gq = contour_coeff_series(state, prof, r_max=10)
-        scale = np.max(np.abs(gq)) + 1e-300
-        assert np.max(np.abs(gq - res.g[:10])) <= 1e-11 * max(scale, 1.0)
+        scale = max(np.max(np.abs(gq)), 1.0)
+        # every quadrature order against the never-stopped recursion, past
+        # the series' stop too; the stopped series is that recursion cut off
+        g_full = full_series(state, prof)[1]
+        assert np.max(np.abs(gq - g_full[:10])) <= 1e-11 * scale
+        assert np.array_equal(res.g[: res.orders], g_full[: res.orders])
 
     def test_quadrature_node_doubling_consistency(self, spec, params, rng):
         k = 40.0
@@ -344,10 +348,12 @@ class TestFactoredOrders:
     exact zeros stay exact.  Projector orders past the series' stop
     (store_orders) leave lam and the vector as they are, bit for bit."""
 
-    def check(self, state, prof, extra=None):
+    def check(self, state, prof, store_counts):
+        """The default projector (the orders the series ran) and one with
+        store_orders=n for each n of store_counts, against the reference."""
         eig = generic_step(state, prof, with_projector=False)
         assert 4 <= eig.orders < prof.r_max
-        for store in [None] + ([] if extra is None else [eig.orders + extra]):
+        for store in [None, *store_counts]:
             res = generic_step(state, prof, with_projector=True, store_orders=store)
             n_store = eig.orders if store is None else store
             lam, v, mats, norms = outer_product_orders(state, eig.orders, n_store)
@@ -371,7 +377,8 @@ class TestFactoredOrders:
         phi = admissible_phi(build_omega1(k, prof, params), rng)
         state = build_state(1, k * np.array([math.cos(phi), math.sin(phi)]), spec, prof)
         assert state.dim == 113
-        self.check(state, prof, 4)
+        # every order the recursion may run, G_1..G_r_max
+        self.check(state, prof, [prof.r_max])
 
     def test_level2_blocks(self, spec, params, rng):
         k = 40.0
@@ -381,7 +388,7 @@ class TestFactoredOrders:
         state = build_state(2, kap, spec, prof)
         assert state.dim == 1121
         assert any(len(pos) > 1 for pos in state.blocks)
-        self.check(state, prof)
+        self.check(state, prof, [8])
 
     def test_store_orders_within_r_max(self, spec, params, rng):
         # more projector orders than the recursion may run are refused, not
