@@ -33,8 +33,12 @@ def _load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig.default()
     cfg = RunConfig.from_json(path)
-    cfg.params()  # validate the alpha descriptor eagerly
+    cfg.params()  # validate the alpha descriptor, potential and profile eagerly
     cfg.spec()
+    try:
+        cfg.profile_at(cfg.k_grid[0])
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad profile or k_grid: {exc}") from exc
     return cfg
 
 

@@ -117,8 +117,6 @@ class QPParams:
     quadratic: tuple[int, int, int, int] | None = None
     cf_prefix: tuple[int, ...] | None = None
     mu: float = 2.0
-    n0: float | None = None
-    n1: float | None = None
     _alpha_frac: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

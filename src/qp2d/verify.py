@@ -188,7 +188,7 @@ class _Clock:
 
     def add(self, name: str, passed, measured, threshold, detail: str = "") -> None:
         self.records.append(
-            CheckRecord(name, passed, measured, threshold, self._spent[name], detail)
+            CheckRecord(name, passed, measured, threshold, self._spent.get(name, 0.0), detail)
         )
 
 
@@ -202,6 +202,17 @@ def _admissible_angles(k, prof, params, rng, count, tau_factor=1.0):
         if om.contains(phi):
             out.append(phi)
     return out
+
+
+def _admissible_angle(k, prof, params, rng, tau_factor) -> float:
+    """The first draw of `_admissible_angles`; raises ResonantBase when the
+    draws find none, as on an empty good set."""
+    got = _admissible_angles(k, prof, params, rng, 1, tau_factor)
+    if not got:
+        raise resonance.ResonantBase(
+            f"no admissible base angle at k={k:g} with tau factor {tau_factor:g}"
+        )
+    return got[0]
 
 
 def _polar(duals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -426,7 +437,7 @@ def check_exact_identities(cfg: RunConfig) -> list[CheckRecord]:
         worst = 0
         for k in cfg.k_grid[:2]:
             prof = cfg.profile_at(k)
-            phi = _admissible_angles(k, prof, params, rng, 1)[0]
+            phi = _admissible_angle(k, prof, params, rng, 1.0)
             kap = k * np.array([math.cos(phi), math.sin(phi)])
             for radius in (prof.core_radius, prof.box_r1):
                 h = assemble(kap, enumerate_box_array(radius), spec, params).entries
@@ -483,7 +494,7 @@ def check_exact_identities(cfg: RunConfig) -> list[CheckRecord]:
     def shell():
         k = cfg.k_grid[-1]
         prof = cfg.profile_at(k)
-        phi = _admissible_angles(k, prof, params, rng, 1)[0]
+        phi = _admissible_angle(k, prof, params, rng, 1.0)
         kap = k * np.array([math.cos(phi), math.sin(phi)])
         wf = wavefunction.synthesize(1, kap, spec, prof)
         rows, vals, _, interior = wavefunction.residual(wf, spec)
@@ -667,7 +678,7 @@ def check_series_structure(cfg: RunConfig) -> list[CheckRecord]:
     clock = _Clock()
     k = cfg.k_grid[2] if len(cfg.k_grid) > 2 else cfg.k_grid[-1]
     prof = cfg.profile_at(k)
-    phi = _admissible_angles(k, prof, params, rng, 1)[0]
+    phi = _admissible_angle(k, prof, params, rng, 1.0)
     kap = k * np.array([math.cos(phi), math.sin(phi)])
 
     res = clock.timed(
@@ -687,7 +698,7 @@ def check_series_structure(cfg: RunConfig) -> list[CheckRecord]:
         # the state's own core and exclusion zone, so that the drawn angle
         # keeps every core row's level off the contour
         wide = make_profile(k, mu=cfg.mu, **{**cfg.profile, "core_radius": 4, "tilde_radius": 4})
-        phi_w = _admissible_angles(k, wide, params, rng, 1)[0]
+        phi_w = _admissible_angle(k, wide, params, rng, 1.0)
         kap_w = k * np.array([math.cos(phi_w), math.sin(phi_w)])
         res = perturb.generic_step(
             perturb.build_state(1, kap_w, sharp, wide), wide, with_projector=True, store_orders=6
@@ -809,7 +820,7 @@ def check_derivatives(cfg: RunConfig) -> list[CheckRecord]:
     def vs_closed_form():
         k = cfg.k_grid[2] if len(cfg.k_grid) > 2 else cfg.k_grid[-1]
         prof = cfg.profile_at(k)
-        phi = _admissible_angles(k, prof, params, rng, 1, 2.0)[0]
+        phi = _admissible_angle(k, prof, params, rng, 2.0)
         nu = np.array([math.cos(phi), math.sin(phi)])
         h = 1e-4
         up, down = (
@@ -973,7 +984,7 @@ def check_eigenfunction(cfg: RunConfig) -> list[CheckRecord]:
     def level_difference():
         k = cfg.k_grid[-1]
         prof = cfg.profile_at(k)
-        phi = _admissible_angles(k, prof, params, rng, 1, 8.0)[0]
+        phi = _admissible_angle(k, prof, params, rng, 8.0)
         kap = k * np.array([math.cos(phi), math.sin(phi)])
         wf1 = wavefunction.synthesize(1, kap, spec, prof)
         wf2 = wavefunction.synthesize(2, kap, spec, prof)

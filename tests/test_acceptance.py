@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from qp2d import perturb, verify
+from qp2d import perturb, resonance, verify
 from qp2d.lattice import (
     LatticeIndex,
     dual_vector,
@@ -148,3 +148,25 @@ def test_radial_derivative_needs_its_points(cfg, monkeypatch):
     rec = verify.check_derivatives(cfg)[0]
     assert not rec.passed
     assert rec.detail.startswith("0 points, ") and rec.detail.endswith(" rejected")
+
+
+@pytest.fixture()
+def empty_cfg():
+    """The default config at tau = 2: its 8 tau good set is empty at every k
+    of the grid."""
+    cfg = RunConfig.default()
+    cfg.profile = {"tau": 2.0}
+    return cfg
+
+
+def test_criterion_without_points_fails_its_records(empty_cfg):
+    """Criterion 2 samples no point: both records fail, and the hierarchy
+    record, which timed no work, reads runtime 0.0."""
+    oracle, hier = verify.check_oracle_level2(empty_cfg)
+    assert not oracle.passed and oracle.detail.startswith("0 points")
+    assert not hier.passed and hier.runtime == 0.0
+
+
+def test_single_draw_on_an_empty_good_set_is_a_rejection(empty_cfg):
+    with pytest.raises(resonance.ResonantBase, match="k=60 with tau factor 8"):
+        verify.check_eigenfunction(empty_cfg)

@@ -59,6 +59,19 @@ class TestConfig:
         path.write_text(json.dumps({"Q": 4}))
         assert main(["eigen", "--config", str(path)]) == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize(
+        "override", [{"box_r1": "x"}, {"box_r1": 4.7}, {"n_black": 6.5}, {"black_nbhd": 1.5}]
+    )
+    def test_bad_profile_value_rejected(self, override, tmp_path, capsys):
+        # a value that is not a number, or not integral in an int field, is a
+        # config error before any work, not a traceback or a truncation
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({"alpha": {"quadratic": [-1, 1, 2, 1]}, "profile": override})
+        )
+        assert main(["eigen", "--config", str(path)]) == EXIT_CONFIG_ERROR
+        assert "config error" in capsys.readouterr().err
+
     def test_cf_alpha_accepted(self, tmp_path):
         cfg = RunConfig(alpha={"cf": [0, 2, 2, 2, 2, 2, 2, 2]})
         p = cfg.params()
@@ -180,6 +193,17 @@ class TestSubcommands:
         )
         assert out.returncode == EXIT_NONCONVERGENT, out.stderr
         assert "measure 0" in out.stderr
+
+    def test_verify_on_an_empty_good_set_exits_nonconvergent(self, tmp_path, capsys):
+        # at tau = 2 the 8 tau good set is empty at k = 15..60: the sampled
+        # criteria fail their records and the first single draw is rejected
+        path = tmp_path / "tau2.json"
+        path.write_text(
+            json.dumps({"alpha": {"quadratic": [-1, 1, 2, 1]}, "profile": {"tau": 2.0}})
+        )
+        rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "v.jsonl")])
+        assert rc == EXIT_NONCONVERGENT
+        assert "no admissible base angle" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["eigen", "--no-oracle"], ["wavefunction"]])
     def test_resonant_base_angle_exits_nonconvergent(self, command, tmp_path, capsys):
